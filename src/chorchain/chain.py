@@ -26,7 +26,6 @@ from .encoding import (
     OutputKind,
     TransactionInvariantError,
     TxOutput,
-    serialize_transaction,
     tx_from_hex,
     tx_to_hex,
 )
@@ -169,10 +168,9 @@ class ChainSim:
 
     def _broadcast(self, tx: EnrichedTransaction) -> BroadcastResult:
         try:
-            serialize_transaction(tx)
+            tx_id = tx.tx_id  # serializes, so it checks the structure
         except TransactionInvariantError as exc:
             return BroadcastResult(False, f"invalid: {exc}")
-        tx_id = tx.tx_id
         if tx_id in self._tx_at:
             return BroadcastResult(False, "duplicate")
         if tx.is_coinbase:
@@ -380,11 +378,14 @@ class ChainSim:
             inputs=(),
             outputs=tuple(TxOutput.to_key_hash(v, key.key_hash) for v in values),
         )
+        tx_id = tx.tx_id
+        if tx_id in self._tx_at:
+            raise ChainError(f"grant {tx_id.hex()} repeats a transaction already on the chain")
         height = len(self.blocks)
-        self._tx_at[tx.tx_id] = (tx, height)
-        self._arrivals[tx.tx_id] = self.now
+        self._tx_at[tx_id] = (tx, height)
+        self._arrivals[tx_id] = self.now
         self.blocks.append(Block(height, int(self.now), [tx], produced_at=self.now))
-        return [Spendable(tx.tx_id, i, v, key) for i, v in enumerate(values)]
+        return [Spendable(tx_id, i, v, key) for i, v in enumerate(values)]
 
     # --- dump / load -------------------------------------------------------------------
 

@@ -18,6 +18,8 @@ import hashlib
 import hmac
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator
 
 # --- secp256k1 domain parameters ---------------------------------------------
 
@@ -47,13 +49,14 @@ def sha256d(data: bytes) -> bytes:
 
 def hash160(data: bytes) -> bytes:
     """SHA-256 followed by RIPEMD-160; used for key and script hashes."""
-    return _ripemd160(sha256(data))
+    return _RIPEMD160(sha256(data))
 
 
 # --- RIPEMD-160 ---------------------------------------------------------------
-# OpenSSL 3 dropped ripemd160 from hashlib's default provider, so carry a
-# plain-Python implementation; constants and rotations per the RIPEMD-160
-# reference definition.
+# hashlib's RIPEMD-160 comes from OpenSSL, and OpenSSL 3 builds without the
+# legacy provider lack it. The plain-Python implementation below (constants
+# and rotations per the RIPEMD-160 reference definition) is the fallback;
+# which one hash160 uses is decided once, at import.
 
 _RMD_R1 = [
     0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
@@ -129,6 +132,18 @@ def _ripemd160(data: bytes) -> bytes:
     return b"".join(x.to_bytes(4, "little") for x in h)
 
 
+def _openssl_ripemd160(data: bytes) -> bytes:
+    return hashlib.new("ripemd160", data).digest()
+
+
+try:
+    hashlib.new("ripemd160")
+except ValueError:
+    _RIPEMD160 = _ripemd160
+else:
+    _RIPEMD160 = _openssl_ripemd160
+
+
 # --- elliptic-curve arithmetic (Jacobian coordinates) --------------------------
 
 
@@ -188,21 +203,9 @@ def _from_affine(pt: tuple[int, int] | None) -> tuple[int, int, int]:
     return pt[0], pt[1], 1
 
 
-def _mul(k: int, pt: tuple[int, int]) -> tuple[int, int] | None:
-    """Scalar multiplication of an arbitrary affine point."""
-    k %= N
-    acc = _INF
-    add = _from_affine(pt)
-    while k:
-        if k & 1:
-            acc = _jac_add(acc, add)
-        add = _jac_double(add)
-        k >>= 1
-    return _to_affine(acc)
-
-
-# Fixed-base window table for G: _G_WINDOW[j][i] = i * 16^j * G, affine.
-# Makes signing (one G-multiplication) about an order of magnitude cheaper.
+# Fixed-base window table for G: _G_WINDOW[j][i] = i * 16^j * G, as Jacobian
+# points. A G-multiplication is then at most 64 additions and no doublings,
+# which makes signing and the G half of verification much cheaper.
 def _build_g_window() -> list[list[tuple[int, int, int]]]:
     table = []
     base = _from_affine((GX, GY))
@@ -220,8 +223,8 @@ def _build_g_window() -> list[list[tuple[int, int, int]]]:
 _G_WINDOW = _build_g_window()
 
 
-def _mul_g(k: int) -> tuple[int, int] | None:
-    k %= N
+def _mul_g_jac(k: int) -> tuple[int, int, int]:
+    """k*G (0 <= k < 2^256) from the window table, left in Jacobian form."""
     acc = _INF
     j = 0
     while k:
@@ -230,26 +233,55 @@ def _mul_g(k: int) -> tuple[int, int] | None:
             acc = _jac_add(acc, _G_WINDOW[j][nib])
         k >>= 4
         j += 1
-    return _to_affine(acc)
+    return acc
+
+
+def _mul_g(k: int) -> tuple[int, int] | None:
+    return _to_affine(_mul_g_jac(k % N))
+
+
+def _wnaf(k: int) -> list[int]:
+    """Width-5 non-adjacent form of k >= 0, least significant digit first.
+
+    Every digit is 0 or odd in -15..15, and any nonzero digit is followed by
+    at least four zeros, so a ladder over it adds about once per six bits.
+    """
+    digits = []
+    while k:
+        if k & 1:
+            d = k & 31
+            if d > 16:
+                d -= 32
+            k -= d
+        else:
+            d = 0
+        digits.append(d)
+        k >>= 1
+    return digits
 
 
 def _shamir(u1: int, u2: int, q: tuple[int, int]) -> tuple[int, int] | None:
-    """u1*G + u2*Q in one interleaved ladder (verification hot path)."""
-    g = _from_affine((GX, GY))
+    """u1*G + u2*Q, the verification and key-recovery hot path.
+
+    u1*G is read from the fixed-base window table; u2*Q runs one
+    double-and-add ladder over the width-5 NAF of u2 with the odd multiples
+    Q, 3Q, ..., 15Q precomputed (Hankerson, Menezes & Vanstone, Guide to
+    Elliptic Curve Cryptography, section 3.3).
+    """
     qj = _from_affine(q)
-    gq = _jac_add(g, qj)
+    twice = _jac_double(qj)
+    odd = [qj]
+    for _ in range(7):
+        odd.append(_jac_add(odd[-1], twice))
+    neg = [(x, P - y, z) for x, y, z in odd]
     acc = _INF
-    for i in range(max(u1.bit_length(), u2.bit_length()) - 1, -1, -1):
+    for d in reversed(_wnaf(u2 % N)):
         acc = _jac_double(acc)
-        b1 = (u1 >> i) & 1
-        b2 = (u2 >> i) & 1
-        if b1 and b2:
-            acc = _jac_add(acc, gq)
-        elif b1:
-            acc = _jac_add(acc, g)
-        elif b2:
-            acc = _jac_add(acc, qj)
-    return _to_affine(acc)
+        if d > 0:
+            acc = _jac_add(acc, odd[d >> 1])
+        elif d < 0:
+            acc = _jac_add(acc, neg[-d >> 1])
+    return _to_affine(_jac_add(acc, _mul_g_jac(u1 % N)))
 
 
 # --- key handling ---------------------------------------------------------------
@@ -300,19 +332,36 @@ class Keypair:
     def from_seed(cls, seed: bytes) -> "Keypair":
         return cls(int.from_bytes(sha256(seed), "big") % (N - 1) + 1)
 
+    # The keypair is frozen, so each derived value is computed once and kept
+    # in the instance dict. The public names stay plain properties, and each
+    # derivation reads the one before it through them, so a wrapper around
+    # ``public_key`` still sees the point multiplication.
+    @cached_property
+    def _point(self) -> tuple[int, int]:
+        pt = _mul_g(self.secret)
+        if pt is None:
+            raise SignatureError("secret scalar maps to the point at infinity")
+        return pt
+
+    @cached_property
+    def _public_key(self) -> bytes:
+        return encode_pubkey(self.point)
+
+    @cached_property
+    def _key_hash(self) -> bytes:
+        return hash160(self.public_key)
+
     @property
     def point(self) -> tuple[int, int]:
-        pt = _mul_g(self.secret)
-        assert pt is not None
-        return pt
+        return self._point
 
     @property
     def public_key(self) -> bytes:
-        return encode_pubkey(self.point)
+        return self._public_key
 
     @property
     def key_hash(self) -> bytes:
-        return hash160(self.public_key)
+        return self._key_hash
 
 
 # --- DER encode/decode ------------------------------------------------------------
@@ -424,36 +473,40 @@ def verify(digest: bytes, signature: bytes, public_key: bytes) -> bool:
     return pt is not None and pt[0] % N == r
 
 
-def recover_candidates(digest: bytes, signature: bytes) -> list[bytes]:
-    """All compressed public keys that verify the signature over the digest.
+def recovered_keys(digest: bytes, signature: bytes) -> Iterator[bytes]:
+    """Lazily yield every compressed public key that verifies the signature.
 
-    Q = r^-1 (s*R - e*G) satisfies the verification equation by construction
-    for every curve point R with x(R) = r, so no re-verification is needed;
-    a caller comparing against a known key hash gets the usual 2^-160 bound.
+    For each curve point R with x(R) = r (x = r, then r + N; even y, then
+    odd y) the candidate is Q = r^-1 (s*R - e*G) = (-e*r^-1)*G + (s*r^-1)*R,
+    computed in one joint multiplication. Q satisfies the verification
+    equation by construction, so no re-verification is needed; a caller
+    comparing against a known key hash gets the usual 2^-160 bound. A
+    malformed signature yields nothing.
     """
     try:
         r, s = _split_sig(signature)
     except SignatureError:
-        return []
+        return
     e = int.from_bytes(digest, "big") % N
     rinv = pow(r, -1, N)
-    out = []
-    for extra in (0, 1):
-        x = r + extra * N
+    u1 = -e * rinv % N
+    u2 = s * rinv % N
+    for x in (r, r + N):
         for odd in (False, True):
             big_r = _lift_x(x, odd)
             if big_r is None:
                 continue
-            inner = _shamir((N - e) % N, s, big_r)
-            if inner is None:
-                continue
-            q = _mul(rinv, inner)
-            if q is None:
-                continue
-            out.append(encode_pubkey(q))
-    return out
+            q = _shamir(u1, u2, big_r)
+            if q is not None:
+                yield encode_pubkey(q)
+
+
+def recover_candidates(digest: bytes, signature: bytes) -> list[bytes]:
+    """All keys of :func:`recovered_keys`, in the same order."""
+    return list(recovered_keys(digest, signature))
 
 
 def verify_with_key_hash(digest: bytes, signature: bytes, key_hash: bytes) -> bool:
-    """Signature check when only hash160(pubkey) is known (key recovery)."""
-    return any(hash160(pk) == key_hash for pk in recover_candidates(digest, signature))
+    """Signature check when only hash160(pubkey) is known (key recovery);
+    stops at the first candidate key that hashes to ``key_hash``."""
+    return any(hash160(pk) == key_hash for pk in recovered_keys(digest, signature))

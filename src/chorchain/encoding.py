@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .crypto import sha256d
 
@@ -110,7 +111,8 @@ class DataBlock:
         if self.kind == TxKind.START:
             return MARKER_START
         if self.kind == TxKind.HANDOVER:
-            assert self.task_id is not None
+            if self.task_id is None:
+                raise EncodingError("handover block has no task id")
             return self.task_id
         if self.kind == TxKind.SPLIT:
             return MARKER_SPLIT
@@ -397,8 +399,10 @@ class EnrichedTransaction:
     def token_outputs(self) -> tuple[tuple[int, TxOutput], ...]:
         return tuple((i, o) for i, o in enumerate(self.outputs) if o.kind == OutputKind.SCRIPT_HASH)
 
-    @property
-    def data_block(self) -> DataBlock | None:
+    # The transaction is frozen, so its block and id are computed once and
+    # kept in the instance dict; the public names stay plain properties.
+    @cached_property
+    def _data_block(self) -> DataBlock | None:
         outs = self.data_outputs
         if len(outs) != 1:
             return None
@@ -407,9 +411,17 @@ class EnrichedTransaction:
         except EncodingError:
             return None
 
+    @cached_property
+    def _tx_id(self) -> bytes:
+        return sha256d(serialize_transaction(self))
+
+    @property
+    def data_block(self) -> DataBlock | None:
+        return self._data_block
+
     @property
     def kind(self) -> TxKind | None:
-        block = self.data_block
+        block = self._data_block
         return block.kind if block else None
 
     @property
@@ -418,7 +430,7 @@ class EnrichedTransaction:
 
     @property
     def tx_id(self) -> bytes:
-        return sha256d(serialize_transaction(self))
+        return self._tx_id
 
     def fee(self) -> int | None:
         """Input-output difference when every input value is known."""

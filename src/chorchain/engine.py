@@ -154,7 +154,8 @@ class HandoverTemplate:
     @property
     def data_block(self) -> DataBlock:
         block = self.tx.data_block
-        assert block is not None
+        if block is None:
+            raise EngineError("handover template carries no data block")
         return block
 
     @property
@@ -402,7 +403,8 @@ def token_from_handover(
 ) -> ProcessToken:
     """The receiver's view of the token it now holds."""
     block = tx.data_block
-    assert block is not None and block.kind == TxKind.HANDOVER
+    if block is None or block.kind != TxKind.HANDOVER:
+        raise EngineError("token_from_handover needs a handover transaction")
     index, out = tx.token_outputs[0]
     return ProcessToken(
         block.process_id,

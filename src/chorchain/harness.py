@@ -29,7 +29,7 @@ from . import engine as eng
 from . import model as model_mod
 from . import protocol as proto
 from .chain import ChainSim, SimConfig, StaticChainView, load_dump
-from .crypto import Keypair, recover_candidates, sha256
+from .crypto import Keypair, recovered_keys, sha256
 from .encoding import OutputKind, TxKind
 from .model import ProcessModel
 from .provider import ProviderChainView, SimProvider
@@ -427,7 +427,11 @@ class _Run:
         # every advance is phase-tagged, so the recorded seconds are the
         # run's duration exactly (no float drift against the clock delta)
         duration = sum(self.phase_seconds.values())
-        assert abs(duration - (self.sim.now - self._t0)) < 1e-3
+        if not abs(duration - (self.sim.now - self._t0)) < 1e-3:
+            raise ScenarioError(
+                f"phase-tagged seconds {duration} disagree with the clock's "
+                f"{self.sim.now - self._t0}"
+            )
         return self._collect(duration)
 
     def _participants(self, transport: proto.InProcTransport, view) -> dict[str, proto.Participant]:
@@ -784,7 +788,7 @@ def _verify_instance_signatures(view: StaticChainView, trace_txs: list) -> list[
             if spender_id is None:
                 # frontier: the receiver key is not yet revealed, so only the
                 # signature's structural validity is checkable
-                if not recover_candidates(digest, block.receiver_signature):
+                if next(recovered_keys(digest, block.receiver_signature), None) is None:
                     issues.append(f"{tx.tx_id.hex()[:16]}: receiver signature malformed")
                 continue
             spender = view.get_transaction(spender_id)

@@ -4,8 +4,10 @@ import statistics
 
 import pytest
 
+from chorchain import encoding
 from chorchain import engine as eng
 from chorchain.chain import (
+    ChainError,
     ChainSim,
     DumpFormatError,
     SimConfig,
@@ -368,3 +370,35 @@ def test_data_output_can_never_be_spent(funded):
     theft, _ = payment([(start_tx.tx_id, data_index, 100_000, key)], [1], rng=rng)
     result = sim.broadcast(theft)
     assert not result.accepted and "data output" in result.reason
+
+
+# --- faucet grants -------------------------------------------------------------------
+
+
+def test_repeated_grant_refused_and_first_stays_spendable(funded):
+    sim, key, outs, rng = funded
+    blocks = len(sim.blocks)
+    with pytest.raises(ChainError, match="already on the chain"):
+        sim.grant(key, [1_000_000, 500_000, 250_000])
+    assert len(sim.blocks) == blocks
+    for out in outs:
+        tx, _ = payment([(out.tx_id, out.output_index, out.value, key)], [out.value - 1000], rng=rng)
+        assert sim.broadcast(tx).accepted
+    sim.await_confirmation(tx.tx_id, 1)
+    assert sim.grant(key, [1_000_000, 500_000, 250_001])[0].tx_id != outs[0].tx_id
+
+
+@pytest.mark.parametrize("outputs", [1, 300])
+def test_grant_serializes_once_whatever_its_size(sim, monkeypatch, outputs):
+    calls = []
+    real = encoding.serialize_transaction
+
+    def counting(tx):
+        calls.append(len(tx.outputs))
+        return real(tx)
+
+    monkeypatch.setattr(encoding, "serialize_transaction", counting)
+    key = Keypair.from_seed(b"faucet")
+    funds = sim.grant(key, [10_000 + i for i in range(outputs)])
+    assert calls == [outputs]
+    assert len({f.tx_id for f in funds}) == 1 and len(funds) == outputs

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chorchain import encoding as enc
-from chorchain.crypto import Keypair, hash160
+from chorchain.crypto import Keypair, hash160, sha256d
 
 
 def handover_block(sig_len=71, pid=7, task=3, ts=1472601600):
@@ -262,3 +262,23 @@ def test_split_arity_enforced():
     tx = sample_tx(kind=enc.TxKind.SPLIT)
     with pytest.raises(enc.TransactionInvariantError, match="two token outputs"):
         enc.serialize_transaction(tx)
+
+
+def test_handover_block_without_task_id_has_no_marker():
+    block = enc.DataBlock(enc.TxKind.HANDOVER, 1, 0, None, b"\x07" * 71)
+    with pytest.raises(enc.EncodingError, match="no task id"):
+        block.marker
+
+
+def test_transaction_id_and_block_computed_once(monkeypatch):
+    tx = sample_tx()
+    want_id = sha256d(enc.serialize_transaction(tx))
+    calls = []
+    real = enc.serialize_transaction
+    monkeypatch.setattr(enc, "serialize_transaction", lambda t: calls.append(t) or real(t))
+    assert tx.tx_id == tx.tx_id == want_id
+    assert len(calls) == 1
+    assert tx.data_block is tx.data_block and tx.kind == enc.TxKind.HANDOVER
+    twin = enc.EnrichedTransaction(tx.inputs, tx.outputs)
+    assert twin == tx and hash(twin) == hash(tx) and len({tx, twin}) == 1
+    assert repr(twin) == repr(tx)

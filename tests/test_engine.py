@@ -455,3 +455,20 @@ def test_default_tx_estimate(models):
     assert eng.default_tx_estimate(models[1]) == 3 + 2
     assert eng.default_tx_estimate(models[3]) == 4 + 2 + 2
     assert eng.default_tx_estimate(models[4]) == 5 + 2 + 2
+
+
+def test_template_without_data_block_raises():
+    tx = EnrichedTransaction(
+        inputs=(TxInput(b"\x21" * 32, 0, prev_value=50_000),),
+        outputs=(TxOutput.to_key_hash(40_000, bytes(20)),),
+    )
+    template = eng.HandoverTemplate(tx, bytes(20), None)
+    with pytest.raises(eng.EngineError, match="no data block"):
+        template.data_block
+
+
+def test_token_from_handover_refuses_other_kinds(funded_sim, fee_policy, rng):
+    sim, owner_key, funds = funded_sim
+    start_tx, _ = make_instance(sim, owner_key, funds, fee_policy, rng)
+    with pytest.raises(eng.EngineError, match="handover transaction"):
+        eng.token_from_handover(start_tx, Keypair.generate(rng), None)

@@ -102,6 +102,12 @@ def test_baseline_runs_only_sleep():
     assert abs(run.duration - expected) / expected < 0.01  # jitter only
 
 
+def test_untagged_clock_advance_is_reported(monkeypatch):
+    monkeypatch.setattr(H._Run, "_record", lambda self, dt, phase: None)
+    with pytest.raises(H.ScenarioError, match="disagree"):
+        H.run_scenario(H.ScenarioConfig(model_id=1, verify=False, seed=5))
+
+
 def test_greedy_runs_faster_than_non_greedy():
     slow = H.run_scenario(H.ScenarioConfig(model_id=4, seed=17, greedy=False)).runs[0]
     fast = H.run_scenario(H.ScenarioConfig(model_id=4, seed=17, greedy=True)).runs[0]
