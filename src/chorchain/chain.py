@@ -7,6 +7,12 @@ the mempool by fee priority (then arrival order) up to a capacity, and a
 child is eligible as soon as its parent is confirmed or included earlier in
 the same block, which lets whole unconfirmed chains confirm at once.
 
+Block assembly is incremental: the simulator keeps, across blocks, a heap of
+ready transactions keyed by fee, then arrival, and a count of unpicked
+in-mempool parents for every other mempool transaction. Picking a parent
+decrements its children's counts, and a child whose count reaches zero joins
+the heap, so it can follow its parent into the same block.
+
 Conflicting spends of an outpoint are rejected first-seen; a conflict that
 nevertheless wins (another participant's alternative spend chosen by the
 network) is injected through :meth:`ChainSim.force_conflict`, which drops
@@ -15,6 +21,7 @@ the loser and its entire descendant chain from the mempool.
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 import threading
@@ -105,6 +112,12 @@ class ChainSim:
         # outpoint -> spending txid, across chain and mempool; first seen wins
         self._spender: dict[tuple[bytes, int], bytes] = {}
         self._children: dict[bytes, set[bytes]] = {}
+        # block assembly state: mempool txid -> number of distinct parents
+        # still in the mempool, and a heap of (-fee, seq, txid) for mempool
+        # transactions with no such parent; heap entries of evicted
+        # transactions stay until popped and are skipped then
+        self._waiting: dict[bytes, int] = {}
+        self._ready: list[tuple[int, int, bytes]] = []
         self._evicted: set[bytes] = set()
         self._arrivals: dict[bytes, float] = {}
         self._arrival_seq = 0
@@ -144,15 +157,11 @@ class ChainSim:
             return ConfirmationStatus(tx_id, "pending", 0)
         return ConfirmationStatus(tx_id, "confirmed", len(self.blocks) - height)
 
-    def arrival_time(self, tx_id: bytes) -> float | None:
-        entry = self._mempool.get(tx_id)
-        if entry:
-            return entry[3]
-        return self._arrivals.get(tx_id)
-
     @property
     def mempool_ids(self) -> list[bytes]:
-        return sorted(self._mempool, key=lambda t: self._mempool[t][2])
+        # only _admit inserts into _mempool, in increasing seq, so the
+        # dict's insertion order is arrival order
+        return list(self._mempool)
 
     def all_transactions(self) -> Iterator[EnrichedTransaction]:
         for block in self.blocks:
@@ -198,13 +207,18 @@ class ChainSim:
     def _admit(self, tx: EnrichedTransaction, fee: int) -> None:
         tx_id = tx.tx_id
         self._arrival_seq += 1
+        parents = {txin.prev_tx_id for txin in tx.inputs if txin.prev_tx_id in self._mempool}
         self._mempool[tx_id] = (tx, fee, self._arrival_seq, self.now)
         self._tx_at[tx_id] = (tx, None)
+        self._evicted.discard(tx_id)  # an evicted transaction may come back
         for txin in tx.inputs:
             self._spender[txin.outpoint] = tx_id
-            parent = txin.prev_tx_id
-            if parent in self._mempool:
-                self._children.setdefault(parent, set()).add(tx_id)
+        for parent in parents:
+            self._children.setdefault(parent, set()).add(tx_id)
+        if parents:
+            self._waiting[tx_id] = len(parents)
+        else:
+            heapq.heappush(self._ready, (-fee, self._arrival_seq, tx_id))
 
     def force_conflict(self, tx: EnrichedTransaction) -> set[bytes]:
         """Admit a conflicting spend as the network's pick, evicting the
@@ -233,6 +247,7 @@ class ChainSim:
             vtx, _, _, _ = self._mempool.pop(victim)
             del self._tx_at[victim]
             self._children.pop(victim, None)
+            self._waiting.pop(victim, None)
             for txin in vtx.inputs:
                 if self._spender.get(txin.outpoint) == victim:
                     del self._spender[txin.outpoint]
@@ -274,39 +289,31 @@ class ChainSim:
             return block
 
     def _produce_block(self) -> Block | None:
-        chosen: list[bytes] = []
-        chosen_set: set[bytes] = set()
-        # fee priority, then arrival; a child becomes eligible once its
-        # parents are confirmed or already picked for this block
-        while len(chosen) < self.config.block_capacity:
-            best: bytes | None = None
-            best_key: tuple[int, int] | None = None
-            for tx_id, (tx, fee, seq, _) in self._mempool.items():
-                if tx_id in chosen_set:
-                    continue
-                ready = all(
-                    (txin.prev_tx_id not in self._mempool) or (txin.prev_tx_id in chosen_set)
-                    for txin in tx.inputs
-                )
-                if not ready:
-                    continue
-                key = (-fee, seq)
-                if best_key is None or key < best_key:
-                    best, best_key = tx_id, key
-            if best is None:
-                break
-            chosen.append(best)
-            chosen_set.add(best)
-        if not chosen and not self.config.produce_empty_blocks and self.blocks:
-            return None
-        height = len(self.blocks)
-        block = Block(height, int(self.now), produced_at=self.now)
-        for tx_id in chosen:
-            tx, _, _, arrived = self._mempool.pop(tx_id)
+        block = Block(len(self.blocks), int(self.now), produced_at=self.now)
+        # fee priority, then arrival; a child enters the heap once its last
+        # in-mempool parent is picked, for this block or a later one
+        while self._ready and len(block.txs) < self.config.block_capacity:
+            _, seq, tx_id = heapq.heappop(self._ready)
+            entry = self._mempool.get(tx_id)
+            if entry is None or entry[2] != seq:
+                continue  # evicted, possibly broadcast again under a new seq
+            del self._mempool[tx_id]
+            tx, _, _, arrived = entry
             self._arrivals[tx_id] = arrived
-            self._children.pop(tx_id, None)
-            self._tx_at[tx_id] = (tx, height)
+            self._tx_at[tx_id] = (tx, block.height)
             block.txs.append(tx)
+            for child in self._children.pop(tx_id, ()):
+                left = self._waiting.get(child)
+                if left is None:
+                    continue  # evicted since it was recorded
+                if left > 1:
+                    self._waiting[child] = left - 1
+                    continue
+                del self._waiting[child]
+                _, fee, child_seq, _ = self._mempool[child]
+                heapq.heappush(self._ready, (-fee, child_seq, child))
+        if not block.txs and not self.config.produce_empty_blocks and self.blocks:
+            return None
         self.blocks.append(block)
         return block
 

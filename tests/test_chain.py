@@ -3,6 +3,8 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chorchain import encoding
 from chorchain import engine as eng
@@ -223,6 +225,28 @@ def test_confirmed_spend_cannot_be_conflicted(funded):
         sim.force_conflict(alt)
 
 
+def test_readmitted_evicted_transaction_confirms_once(funded):
+    sim, key, outs, rng = funded
+    o, o2 = (outs[0].tx_id, 0, outs[0].value, key), (outs[1].tx_id, 1, outs[1].value, key)
+    h, _ = payment([o], [o[2] - 1000], rng=rng)
+    t, _ = payment([o, o2], [o[2] + o2[2] - 5000], rng=rng)
+    alt, _ = payment([o2], [o2[2] - 1000], rng=rng)
+    assert sim.broadcast(h).accepted
+    assert sim.force_conflict(t) == {h.tx_id}
+    assert sim.force_conflict(alt) == {t.tx_id}
+    assert sim.confirmation_status(h.tx_id).state == "evicted"
+    assert sim.broadcast(h).accepted
+    assert sim.confirmation_status(h.tx_id).state == "pending"
+    assert sim.mempool_ids == [alt.tx_id, h.tx_id]
+    # equal fees: h's heap entry from its first admission would put it
+    # ahead of alt; its second admission comes after alt
+    block = sim.mine_pending()
+    assert [tx.tx_id for tx in block.txs] == [alt.tx_id, h.tx_id]
+    assert sim.await_confirmation(h.tx_id, 2) > 0
+    assert sim.confirmation_status(h.tx_id).state == "confirmed"
+    assert sum(tx.tx_id == h.tx_id for b in sim.blocks for tx in b.txs) == 1
+
+
 def test_unrelated_mempool_tx_survives_eviction(funded):
     sim, key, outs, rng = funded
     chain = build_chain_of(sim, key, outs[0], 3, rng)
@@ -231,6 +255,107 @@ def test_unrelated_mempool_tx_survives_eviction(funded):
     alt, _ = payment([(outs[0].tx_id, 0, outs[0].value, key)], [outs[0].value - 5000], rng=rng)
     sim.force_conflict(alt)
     assert sim.confirmation_status(bystander.tx_id).state == "pending"
+
+
+# --- block assembly against the full-mempool scan -----------------------------------------
+
+
+def scan_selection(mempool, capacity):
+    """Reference block selection: for every pick, scan the whole mempool
+    (txid -> (tx, fee, seq, arrival)) for the ready transaction with the
+    highest fee, then the lowest seq. A transaction is ready when each of
+    its inputs spends a transaction outside the mempool or one already
+    picked. O(capacity x mempool); the simulator assembled blocks this way
+    before it kept a ready-heap."""
+    chosen: list[bytes] = []
+    chosen_set: set[bytes] = set()
+    while len(chosen) < capacity:
+        best: bytes | None = None
+        best_key: tuple[int, int] | None = None
+        for tx_id, (tx, fee, seq, _) in mempool.items():
+            if tx_id in chosen_set:
+                continue
+            ready = all(
+                (txin.prev_tx_id not in mempool) or (txin.prev_tx_id in chosen_set)
+                for txin in tx.inputs
+            )
+            if not ready:
+                continue
+            key = (-fee, seq)
+            if best_key is None or key < best_key:
+                best, best_key = tx_id, key
+        if best is None:
+            break
+        chosen.append(best)
+        chosen_set.add(best)
+    return chosen
+
+
+DAG_KEY = Keypair.from_seed(b"mempool dag")
+
+
+def signed_spend(sim, outpoints, fee, n_out):
+    """A transaction spending ``outpoints`` (all paying DAG_KEY) into
+    ``n_out`` outputs, leaving ``fee``."""
+    parents = [(op[0], op[1], sim.resolve_output(op).value, DAG_KEY) for op in outpoints]
+    rest = sum(p[2] for p in parents) - fee
+    share = rest // n_out
+    values = [rest - share * (n_out - 1)] + [share] * (n_out - 1)
+    tx, _ = payment(parents, values, [DAG_KEY] * n_out)
+    return tx
+
+
+def free_outpoints(sim):
+    return [
+        (tx.tx_id, i)
+        for tx in sim.all_transactions()
+        for i in range(len(tx.outputs))
+        if sim.get_spender((tx.tx_id, i)) is None
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ready_heap_selects_what_the_scan_selects(data):
+    capacity = data.draw(st.integers(1, 6), label="capacity")
+    sim = ChainSim(SimConfig(seed=1, block_interval_mean=1e9, block_capacity=capacity))
+    sim.grant(DAG_KEY, [1_000_000] * 4)
+    fees = st.sampled_from([1000, 2000, 3000])  # few values: ties and rich children
+    evicted: list[EnrichedTransaction] = []
+
+    def mine():
+        expected = scan_selection(dict(sim._mempool), capacity)
+        block = sim.mine_pending()
+        assert [tx.tx_id for tx in block.txs] == expected
+
+    ops = st.sampled_from(["spend", "spend", "spend", "mine", "conflict", "conflict", "again"])
+    for _ in range(data.draw(st.integers(4, 24), label="steps")):
+        op = data.draw(ops)
+        if op == "spend":
+            free = free_outpoints(sim)
+            picks = data.draw(st.lists(st.sampled_from(free), min_size=1, max_size=3, unique=True))
+            tx = signed_spend(sim, picks, data.draw(fees), data.draw(st.integers(1, 3)))
+            assert sim.broadcast(tx).accepted
+        elif op == "mine":
+            mine()
+        elif op == "conflict" and sim.mempool_ids:
+            held = [txin.outpoint for t in sim.mempool_ids for txin in sim.get_transaction(t).inputs]
+            confirmed = [
+                p for p in free_outpoints(sim) if sim.confirmation_status(p[0]).state == "confirmed"
+            ]
+            picks = [data.draw(st.sampled_from(held))]
+            if confirmed:
+                picks += data.draw(st.lists(st.sampled_from(confirmed), max_size=1))
+            before = [sim.get_transaction(t) for t in sim.mempool_ids]
+            gone = sim.force_conflict(signed_spend(sim, picks, data.draw(fees), 1))
+            evicted += [tx for tx in before if tx.tx_id in gone]
+        elif op == "again":
+            # broadcast evicted transactions again, in eviction order; those
+            # whose inputs are still taken or gone stay evicted
+            evicted = [tx for tx in evicted if not sim.broadcast(tx).accepted]
+        assert sim.mempool_ids == sorted(sim._mempool, key=lambda t: sim._mempool[t][2])
+    while sim.mempool_ids:
+        mine()
 
 
 # --- publishing modes --------------------------------------------------------------------
