@@ -26,7 +26,7 @@ import json
 import random
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Container, Iterator
 
 from .encoding import (
     EnrichedTransaction,
@@ -176,33 +176,44 @@ class ChainSim:
             return self._broadcast(tx)
 
     def _broadcast(self, tx: EnrichedTransaction) -> BroadcastResult:
+        reason, fee = self._refusal(tx)
+        if reason is not None:
+            return BroadcastResult(False, reason)
+        self._admit(tx, fee)
+        return BroadcastResult(True)
+
+    def _refusal(
+        self, tx: EnrichedTransaction, gone: Container[bytes] = frozenset()
+    ) -> tuple[str | None, int]:
+        """Why ``tx`` would be refused, or None and its fee if it would be
+        admitted, as if the mempool transactions in ``gone`` were evicted."""
         try:
             tx_id = tx.tx_id  # serializes, so it checks the structure
         except TransactionInvariantError as exc:
-            return BroadcastResult(False, f"invalid: {exc}")
-        if tx_id in self._tx_at:
-            return BroadcastResult(False, "duplicate")
+            return f"invalid: {exc}", 0
+        if tx_id in self._tx_at and tx_id not in gone:
+            return "duplicate", 0
         if tx.is_coinbase:
-            return BroadcastResult(False, "coinbase outside block")
+            return "coinbase outside block", 0
         input_total = 0
         for txin in tx.inputs:
-            out = self.resolve_output(txin.outpoint)
+            out = None if txin.prev_tx_id in gone else self.resolve_output(txin.outpoint)
             if out is None:
-                return BroadcastResult(False, "missing-input")
+                return "missing-input", 0
             if out.kind == OutputKind.DATA:
-                return BroadcastResult(False, "script: spends a data output")
-            if txin.outpoint in self._spender:
-                return BroadcastResult(False, "conflict")
+                return "script: spends a data output", 0
+            spender = self._spender.get(txin.outpoint)
+            if spender is not None and spender not in gone:
+                return "conflict", 0
             input_total += out.value
         fee = input_total - sum(o.value for o in tx.outputs)
         if fee < self.config.relay_min_fee:
-            return BroadcastResult(False, "fee-below-minimum")
+            return "fee-below-minimum", 0
         try:
             validate_transaction_scripts(tx, self)
         except ScriptValidationError as exc:
-            return BroadcastResult(False, f"script: {exc}")
-        self._admit(tx, fee)
-        return BroadcastResult(True)
+            return f"script: {exc}", 0
+        return None, fee
 
     def _admit(self, tx: EnrichedTransaction, fee: int) -> None:
         tx_id = tx.tx_id
@@ -243,6 +254,10 @@ class ChainSim:
                 continue
             evicted.add(victim)
             frontier.extend(self._children.get(victim, ()))
+        # check before evicting, so a refused winner leaves the mempool as it was
+        reason, fee = self._refusal(tx, evicted)
+        if reason is not None:
+            raise ChainError(f"forced conflict not broadcastable: {reason}")
         for victim in evicted:
             vtx, _, _, _ = self._mempool.pop(victim)
             del self._tx_at[victim]
@@ -252,9 +267,7 @@ class ChainSim:
                 if self._spender.get(txin.outpoint) == victim:
                     del self._spender[txin.outpoint]
             self._evicted.add(victim)
-        result = self._broadcast(tx)
-        if not result.accepted:
-            raise ChainError(f"forced conflict not broadcastable: {result.reason}")
+        self._admit(tx, fee)
         return evicted
 
     # --- time and mining ---------------------------------------------------------------

@@ -144,7 +144,36 @@ else:
     _RIPEMD160 = _openssl_ripemd160
 
 
-# --- elliptic-curve arithmetic (Jacobian coordinates) --------------------------
+# --- elliptic-curve arithmetic ---------------------------------------------------
+# Verification and key recovery compute u1*G + u2*Q; signing and key
+# derivation compute k*G. Both run over Jacobian points with affine addends.
+#
+# secp256k1 has the endomorphism lambda*(x, y) = (beta*x, y), with beta a
+# cube root of unity mod P and lambda the matching one mod N. Each scalar splits as
+# k = k1 + k2*lambda (mod N) with |k1| and |k2| near 2^128 (Gallant, Lambert
+# & Vanstone, CRYPTO 2001; Hankerson, Menezes & Vanstone, Guide to Elliptic
+# Curve Cryptography, section 3.5), so u1*G + u2*Q is a sum of four
+# half-length products that one interleaved wNAF ladder computes with about
+# 129 doublings instead of 256 (Guide, algorithm 3.51).
+#
+# Every point the ladder adds is affine (Z = 1): the odd multiples of G and
+# lambda*G are tabled once at import, those of Q are built per call and
+# normalised with one shared inversion (Montgomery's trick, Guide section
+# 2.2.5), and lambda*Q's cost one multiplication by beta each. Each ladder
+# addition is therefore the mixed Jacobian-affine one (Guide, algorithm
+# 3.22), which skips every product with Z2.
+
+_BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+_LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+# a short basis (a1, b1), (a2, b2) of the lattice {(a, b): a + b*lambda = 0 mod N}
+_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+_B2 = _A1
+
+# wNAF widths of the G and Q tables: 2^(w-2) odd multiples each
+_G_WIDTH = 8
+_Q_WIDTH = 5
 
 
 def _jac_double(p: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -188,6 +217,23 @@ def _jac_add(p: tuple[int, int, int], q: tuple[int, int, int]) -> tuple[int, int
     return nx, ny, nz
 
 
+def _add_affine(p: tuple[int, int, int], x2: int, y2: int) -> tuple[int, int, int]:
+    """Jacobian p plus the affine point (x2, y2): _jac_add with Z2 = 1."""
+    x, y, z = p
+    if not z:
+        return x2, y2, 1
+    zz = z * z % P
+    h = (x2 * zz - x) % P
+    r = (y2 * zz * z - y) % P
+    if not h:
+        return _jac_double(p) if not r else _INF
+    hh = h * h % P
+    hhh = hh * h % P
+    v = x * hh % P
+    nx = (r * r - hhh - 2 * v) % P
+    return nx, (r * (v - nx) - y * hhh) % P, z * h % P
+
+
 def _to_affine(p: tuple[int, int, int]) -> tuple[int, int] | None:
     x, y, z = p
     if not z:
@@ -203,85 +249,172 @@ def _from_affine(pt: tuple[int, int] | None) -> tuple[int, int, int]:
     return pt[0], pt[1], 1
 
 
-# Fixed-base window table for G: _G_WINDOW[j][i] = i * 16^j * G, as Jacobian
-# points. A G-multiplication is then at most 64 additions and no doublings,
-# which makes signing and the G half of verification much cheaper.
-def _build_g_window() -> list[list[tuple[int, int, int]]]:
-    table = []
-    base = _from_affine((GX, GY))
-    for _ in range(64):
-        row = [_INF]
-        for i in range(15):
-            row.append(_jac_add(row[i], base))
-        table.append(row)
-        base = row[1]
-        for _ in range(4):
-            base = _jac_double(base)
+def _batch_to_affine(points: list[tuple[int, int, int]]) -> list[tuple[int, int]]:
+    """_to_affine of every point (none at infinity) with one inversion:
+    invert the product of all Z, then peel one Z off per point."""
+    before = []  # before[i]: product of the Z of points[:i]
+    acc = 1
+    for _, _, z in points:
+        before.append(acc)
+        acc = acc * z % P
+    inv = pow(acc, -1, P)  # inverse of the product of points[:i + 1], for i from the end
+    out = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        x, y, z = points[i]
+        zinv = inv * before[i] % P
+        inv = inv * z % P
+        zinv2 = zinv * zinv % P
+        out[i] = (x * zinv2 % P, y * zinv2 * zinv % P)
+    return out
+
+
+def _odd_multiples(pt: tuple[int, int], width: int) -> list[tuple[int, int]]:
+    """pt, 3*pt, ..., (2^(width-1) - 1)*pt, affine."""
+    p = _from_affine(pt)
+    twice = _jac_double(p)
+    out = [p]
+    for _ in range((1 << (width - 2)) - 1):
+        out.append(_jac_add(out[-1], twice))
+    return _batch_to_affine(out)
+
+
+def _signed_table(odd: list[tuple[int, int]]) -> list[tuple[int, int] | None]:
+    """Ladder lookup by a signed odd wNAF digit d: table[d] = d*pt for d > 0,
+    and table[d] = |d|*(-pt) through negative indexing for d < 0."""
+    size = 4 * len(odd)  # 2^width
+    table: list[tuple[int, int] | None] = [None] * size
+    for i, (x, y) in enumerate(odd):
+        table[2 * i + 1] = x, y
+        table[size - 2 * i - 1] = x, P - y
     return table
 
 
-_G_WINDOW = _build_g_window()
+def _endo(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """lambda*pt for each affine pt: (beta*x, y)."""
+    return [(_BETA * x % P, y) for x, y in points]
 
 
-def _mul_g_jac(k: int) -> tuple[int, int, int]:
-    """k*G (0 <= k < 2^256) from the window table, left in Jacobian form."""
-    acc = _INF
-    j = 0
-    while k:
-        nib = k & 0xF
-        if nib:
-            acc = _jac_add(acc, _G_WINDOW[j][nib])
-        k >>= 4
-        j += 1
-    return acc
+def _glv_split(k: int) -> tuple[int, int]:
+    """Signed (k1, k2) with k1 + k2*lambda = k (mod N) and both below about
+    2^128 in size, by rounding k onto the short lattice basis (Guide,
+    algorithm 3.74)."""
+    c1 = (_B2 * k + N // 2) // N
+    c2 = (-_B1 * k + N // 2) // N
+    return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
 
 
-def _mul_g(k: int) -> tuple[int, int] | None:
-    return _to_affine(_mul_g_jac(k % N))
+def _wnaf(k: int, width: int) -> list[int]:
+    """Width-w non-adjacent form of a signed k, least significant digit first.
 
-
-def _wnaf(k: int) -> list[int]:
-    """Width-5 non-adjacent form of k >= 0, least significant digit first.
-
-    Every digit is 0 or odd in -15..15, and any nonzero digit is followed by
-    at least four zeros, so a ladder over it adds about once per six bits.
+    Every digit is 0 or odd with |d| < 2^(w-1), and any nonzero digit is
+    followed by at least w - 1 zeros. A negative k gives the negated digits
+    of -k, so a negative GLV half needs no separate negation.
     """
-    digits = []
+    digits: list[int] = []
+    full = 1 << width
     while k:
-        if k & 1:
-            d = k & 31
-            if d > 16:
-                d -= 32
-            k -= d
-        else:
-            d = 0
+        zeros = (k & -k).bit_length() - 1  # also right for negative k
+        digits += [0] * zeros
+        k >>= zeros
+        d = k & (full - 1)
+        if d > full >> 1:
+            d -= full
         digits.append(d)
-        k >>= 1
+        k = (k - d) >> 1
     return digits
+
+
+_G_ODD = _odd_multiples((GX, GY), _G_WIDTH)
+_G_TABLE = _signed_table(_G_ODD)
+_G_LAMBDA_TABLE = _signed_table(_endo(_G_ODD))
 
 
 def _shamir(u1: int, u2: int, q: tuple[int, int]) -> tuple[int, int] | None:
     """u1*G + u2*Q, the verification and key-recovery hot path.
 
-    u1*G is read from the fixed-base window table; u2*Q runs one
-    double-and-add ladder over the width-5 NAF of u2 with the odd multiples
-    Q, 3Q, ..., 15Q precomputed (Hankerson, Menezes & Vanstone, Guide to
-    Elliptic Curve Cryptography, section 3.3).
+    u1 and u2 are split into GLV halves, and the four products
+    a*G + b*(lambda*G) + c*Q + d*(lambda*Q) share one double-and-add ladder
+    over the halves' width-8 (G) and width-5 (Q) NAFs, adding affine odd
+    multiples (Guide, algorithm 3.51). The doubling is _jac_double's and the
+    addition _add_affine's (Guide, algorithm 3.22), inlined because they run
+    about 129 and 70 times per call.
     """
-    qj = _from_affine(q)
-    twice = _jac_double(qj)
-    odd = [qj]
-    for _ in range(7):
-        odd.append(_jac_add(odd[-1], twice))
-    neg = [(x, P - y, z) for x, y, z in odd]
+    odd = _odd_multiples(q, _Q_WIDTH)
+    a, b = _glv_split(u1 % N)
+    c, d = _glv_split(u2 % N)
+    steps: list[list[tuple[int, int]]] = []  # steps[i]: addends after doubling i
+    for k, table, width in (
+        (a, _G_TABLE, _G_WIDTH),
+        (b, _G_LAMBDA_TABLE, _G_WIDTH),
+        (c, _signed_table(odd), _Q_WIDTH),
+        (d, _signed_table(_endo(odd)), _Q_WIDTH),
+    ):
+        digits = _wnaf(k, width)
+        steps.extend([] for _ in range(len(digits) - len(steps)))
+        for i, digit in enumerate(digits):
+            if digit:
+                steps[i].append(table[digit])
+    x, y, z = _INF
+    for addends in reversed(steps):
+        if z:  # double
+            ysq = y * y % P
+            s = 4 * x * ysq % P
+            m = 3 * x * x % P
+            z = 2 * y * z % P
+            x = (m * m - 2 * s) % P
+            y = (m * (s - x) - 8 * ysq * ysq) % P
+        for x2, y2 in addends:  # mixed add
+            if not z:
+                x, y, z = x2, y2, 1
+                continue
+            zz = z * z % P
+            h = (x2 * zz - x) % P
+            r = (y2 * zz * z - y) % P
+            if not h:
+                x, y, z = _jac_double((x, y, z)) if not r else _INF
+                continue
+            hh = h * h % P
+            hhh = hh * h % P
+            v = x * hh % P
+            nx = (r * r - hhh - 2 * v) % P
+            y = (r * (v - nx) - y * hhh) % P
+            x = nx
+            z = z * h % P
+    return _to_affine((x, y, z))
+
+
+# Fixed-base window table for G: _G_WINDOW[j][i] = i * 16^j * G, affine, with
+# None for i = 0. A G-multiplication is then at most 64 mixed additions and
+# no doublings, which is what signing and key derivation cost. Each row's
+# base is made affine (one inversion per row) so the row is built with mixed
+# additions; the whole table is then normalised with one batch inversion.
+def _build_g_window() -> list[list[tuple[int, int] | None]]:
+    rows = []
+    base = (GX, GY)
+    for _ in range(64):
+        row = [_from_affine(base)]
+        for _ in range(14):
+            row.append(_add_affine(row[-1], *base))
+        rows.append(row)
+        base = _to_affine(_jac_double(row[7]))  # 16 * base
+    flat = _batch_to_affine([p for row in rows for p in row])
+    return [[None] + flat[15 * j : 15 * j + 15] for j in range(64)]
+
+
+_G_WINDOW = _build_g_window()
+
+
+def _mul_g(k: int) -> tuple[int, int] | None:
     acc = _INF
-    for d in reversed(_wnaf(u2 % N)):
-        acc = _jac_double(acc)
-        if d > 0:
-            acc = _jac_add(acc, odd[d >> 1])
-        elif d < 0:
-            acc = _jac_add(acc, neg[-d >> 1])
-    return _to_affine(_jac_add(acc, _mul_g_jac(u1 % N)))
+    k %= N
+    j = 0
+    while k:
+        nib = k & 0xF
+        if nib:
+            acc = _add_affine(acc, *_G_WINDOW[j][nib])
+        k >>= 4
+        j += 1
+    return _to_affine(acc)
 
 
 # --- key handling ---------------------------------------------------------------

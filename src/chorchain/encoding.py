@@ -554,11 +554,6 @@ def deserialize_transaction(data: bytes) -> EnrichedTransaction:
     return tx
 
 
-def classify_transaction(tx: EnrichedTransaction) -> TxKind | None:
-    """Kind per the data-block marker; None for non-process transactions."""
-    return tx.kind
-
-
 def signing_digest(tx: EnrichedTransaction) -> bytes:
     """Digest both handover parties commit to.
 

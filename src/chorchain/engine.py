@@ -33,6 +33,7 @@ from .encoding import (
     TxKind,
     TxOutput,
     Unlocking,
+    UnsupportedScriptShape,
     build_redeem_script,
     parse_redeem_script,
     signing_digest,
@@ -551,7 +552,10 @@ def validate_transaction_scripts(tx: EnrichedTransaction, chain_view: ChainView)
                 raise ScriptValidationError(f"input {n} missing redeem script")
             if hash160(unlocking.redeem_script) != out.script_hash:
                 raise ScriptValidationError(f"input {n} redeem script hash mismatch")
-            payee = parse_redeem_script(unlocking.redeem_script).payee_key_hash
+            try:
+                payee = parse_redeem_script(unlocking.redeem_script).payee_key_hash
+            except UnsupportedScriptShape as exc:
+                raise ScriptValidationError(f"input {n} redeem script: {exc}") from exc
         else:
             payee = out.key_hash
         if not unlocking.signature or not unlocking.public_key:

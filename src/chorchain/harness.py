@@ -30,7 +30,7 @@ from . import model as model_mod
 from . import protocol as proto
 from .chain import ChainSim, SimConfig, StaticChainView, load_dump
 from .crypto import Keypair, recovered_keys, sha256
-from .encoding import OutputKind, TxKind
+from .encoding import OutputKind, TxKind, UnsupportedScriptShape, parse_redeem_script
 from .model import ProcessModel
 from .provider import ProviderChainView, SimProvider
 
@@ -792,15 +792,19 @@ def _verify_instance_signatures(view: StaticChainView, trace_txs: list) -> list[
                     issues.append(f"{tx.tx_id.hex()[:16]}: receiver signature malformed")
                 continue
             spender = view.get_transaction(spender_id)
-            payee = None
+            redeem = b""
             for txin in spender.inputs:
                 if txin.outpoint == (tx.tx_id, index) and txin.unlocking.redeem_script:
-                    from .encoding import parse_redeem_script
-
-                    payee = parse_redeem_script(txin.unlocking.redeem_script).payee_key_hash
-            if payee is None:
+                    redeem = txin.unlocking.redeem_script
+            if not redeem:
                 issues.append(f"{tx.tx_id.hex()[:16]}: token spend reveals no redeem script")
-            elif not eng.verify_with_key_hash(digest, block.receiver_signature, payee):
+                continue
+            try:
+                payee = parse_redeem_script(redeem).payee_key_hash
+            except UnsupportedScriptShape as exc:
+                issues.append(f"{tx.tx_id.hex()[:16]}: token spend redeem script: {exc}")
+                continue
+            if not eng.verify_with_key_hash(digest, block.receiver_signature, payee):
                 issues.append(f"{tx.tx_id.hex()[:16]}: receiver signature invalid")
     return issues
 
@@ -831,6 +835,7 @@ def audit(dump_text: str, model_doc: str) -> AuditReport:
         budget = tx.token_outputs[0][1].value
         fees = 0
         residual = 0
+        unresolved = False  # an input whose output is not in the dump
         while frontier:
             outpoint = frontier.pop()
             spender_id = view.get_spender(outpoint)
@@ -846,6 +851,10 @@ def audit(dump_text: str, model_doc: str) -> AuditReport:
             resolved = 0
             for txin in spend_tx.inputs:
                 prev = view.get_transaction(txin.prev_tx_id)
+                if prev is None or txin.prev_output_index >= len(prev.outputs):
+                    # _verify_instance_signatures records it as an issue
+                    unresolved = True
+                    continue
                 resolved += prev.outputs[txin.prev_output_index].value
             fees += resolved - sum(o.value for o in spend_tx.outputs)
             if spend_tx.kind == TxKind.END:
@@ -862,7 +871,7 @@ def audit(dump_text: str, model_doc: str) -> AuditReport:
                 verdict="conformant" if verdict.ok else str(verdict),
                 ended=end_event is not None,
                 aborted_by_detection=end_event.extraordinary if end_event else False,
-                value_conserved=budget == fees + residual,
+                value_conserved=not unresolved and budget == fees + residual,
                 signature_issues=_verify_instance_signatures(view, instance_txs),
             )
         )

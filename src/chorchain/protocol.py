@@ -434,13 +434,6 @@ class Clock(Protocol):
     def now(self) -> float: ...
 
 
-class NullClock:
-    now = 0.0
-
-    def charge(self, dt: float, phase: str) -> None:
-        self.now += dt
-
-
 # --- sessions ---------------------------------------------------------------------------
 
 
@@ -956,13 +949,6 @@ def _reject(check: int, detail: str) -> bytes:
     return make_frame(
         FrameType.ACK, pack_fields(b"\x01", bytes([check]), detail.encode(), b"", b"")
     )
-
-
-def run_receiver(participant: Participant, src: str, frame: bytes) -> bytes:
-    """Receiver-side step driver; answers one sender frame. The heavy step
-    is the template check (step 5), which signs only after the four
-    validation checks accept."""
-    return participant.on_request(src, frame)
 
 
 # --- owner monitoring -----------------------------------------------------------------

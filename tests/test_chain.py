@@ -215,6 +215,35 @@ def test_force_conflict_evicts_descendant_closure(funded):
     assert sim.confirmation_status(alt.tx_id).state == "pending"
 
 
+def test_refused_forced_conflict_leaves_the_mempool_as_it_was(funded):
+    sim, key, outs, rng = funded
+    o = (outs[0].tx_id, outs[0].output_index, outs[0].value, key)
+    (h, (hk,)) = payment([o], [o[2] - 1000], rng=rng)
+    assert sim.broadcast(h).accepted
+    (c, (ck,)) = payment([(h.tx_id, 0, o[2] - 1000, hk)], [o[2] - 2000], rng=rng)
+    assert sim.broadcast(c).accepted
+    # the winner spends O, evicting H and its child C, and also C:0, which
+    # the eviction removes, so it is refused with missing-input
+    winner, _ = payment([o, (c.tx_id, 0, o[2] - 2000, ck)], [2 * o[2] - 10_000], rng=rng)
+
+    def state():
+        return (
+            sim.mempool_ids,
+            sim.get_spender(o[:2]),
+            sim.get_spender((h.tx_id, 0)),
+            [sim.confirmation_status(t.tx_id) for t in (h, c)],
+        )
+
+    before = state()
+    with pytest.raises(ChainError, match="missing-input"):
+        sim.force_conflict(winner)
+    assert state() == before == ([h.tx_id, c.tx_id], h.tx_id, c.tx_id, before[3])
+    assert [s.state for s in before[3]] == ["pending", "pending"]
+    assert sim.confirmation_status(winner.tx_id).state == "unknown"
+    block = sim.mine_pending()
+    assert [tx.tx_id for tx in block.txs] == [h.tx_id, c.tx_id]
+
+
 def test_confirmed_spend_cannot_be_conflicted(funded):
     sim, key, outs, rng = funded
     tx, _ = payment([(outs[0].tx_id, 0, outs[0].value, key)], [outs[0].value - 1000], rng=rng)
@@ -495,6 +524,30 @@ def test_data_output_can_never_be_spent(funded):
     theft, _ = payment([(start_tx.tx_id, data_index, 100_000, key)], [1], rng=rng)
     result = sim.broadcast(theft)
     assert not result.accepted and "data output" in result.reason
+
+
+def test_unparsable_redeem_script_refused_not_raised(funded):
+    from dataclasses import replace
+
+    from chorchain.crypto import hash160
+
+    sim, key, outs, rng = funded
+    redeem = b"\x51"  # hashes to the output, but is no pay-to-key-hash clause
+    lock = EnrichedTransaction(
+        inputs=(TxInput(outs[0].tx_id, outs[0].output_index, prev_value=outs[0].value),),
+        outputs=(TxOutput.to_script_hash(outs[0].value - 10_000, hash160(redeem)),),
+    )
+    unlocking = Unlocking(sign(signing_digest(lock), key), key.public_key)
+    lock = replace(lock, inputs=(replace(lock.inputs[0], unlocking=unlocking),))
+    assert sim.broadcast(lock).accepted
+    spend = EnrichedTransaction(
+        inputs=(TxInput(lock.tx_id, 0, prev_value=lock.outputs[0].value),),
+        outputs=(TxOutput.to_key_hash(lock.outputs[0].value - 10_000, key.key_hash),),
+    )
+    unlocking = Unlocking(sign(signing_digest(spend), key), key.public_key, redeem)
+    spend = replace(spend, inputs=(replace(spend.inputs[0], unlocking=unlocking),))
+    result = sim.broadcast(spend)
+    assert not result.accepted and result.reason.startswith("script: input 0 redeem script")
 
 
 # --- faucet grants -------------------------------------------------------------------

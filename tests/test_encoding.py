@@ -223,12 +223,12 @@ def test_fee_unknown_when_inputs_unresolved():
 
 
 def test_classify_kinds():
-    assert enc.classify_transaction(sample_tx()) == enc.TxKind.HANDOVER
+    assert sample_tx().kind == enc.TxKind.HANDOVER
     plain = enc.EnrichedTransaction(
         inputs=(enc.TxInput(b"\x01" * 32, 0, prev_value=1000),),
         outputs=(enc.TxOutput.to_key_hash(500, bytes(20)),),
     )
-    assert enc.classify_transaction(plain) is None
+    assert plain.kind is None
 
 
 def test_timestamp_changes_tx_id():

@@ -225,6 +225,60 @@ def test_audit_flags_tampered_byte():
     assert any(i.signature_issues for i in report.instances)
 
 
+def _model4_instance_lines(seed=3):
+    from chorchain.encoding import tx_from_hex
+
+    lines = H.run_scenario(H.ScenarioConfig(model_id=4, seed=seed)).dumps[0].splitlines()
+    instance = [
+        i for i, line in enumerate(lines[1:], start=1)
+        if line and line != "mempool" and not line.startswith("block ")
+        and tx_from_hex(line).data_block is not None
+    ]
+    return lines, instance
+
+
+def test_audit_flags_a_deleted_handover_without_raising():
+    from chorchain.encoding import TxKind, tx_from_hex
+
+    lines, instance = _model4_instance_lines()
+    # a handover inside the parallel block: the next transaction of its
+    # branch spends an output the dump no longer holds
+    deleted = instance[5]
+    assert tx_from_hex(lines[deleted]).kind == TxKind.HANDOVER
+    del lines[deleted]
+    report = H.audit("\n".join(lines) + "\n", model_doc(4))
+    (inst,) = report.instances
+    assert not inst.clean and not inst.value_conserved
+    assert any("references an unknown output" in issue for issue in inst.signature_issues)
+
+
+def test_audit_flags_an_unparsable_redeem_script_without_raising():
+    from dataclasses import replace
+
+    from chorchain.encoding import TxKind, tx_from_hex, tx_to_hex
+
+    lines, instance = _model4_instance_lines()
+    del lines[instance[5]]
+    # the first spend of a handover's token output gets a redeem script of
+    # no supported shape
+    kinds = {tx.tx_id: tx.kind for tx in map(tx_from_hex, (lines[i] for i in instance[:5]))}
+    at = next(
+        i for i in instance[1:5]
+        if any(kinds.get(txin.prev_tx_id) == TxKind.HANDOVER for txin in tx_from_hex(lines[i]).inputs)
+    )
+    tx = tx_from_hex(lines[at])
+    inputs = tuple(
+        replace(txin, unlocking=replace(txin.unlocking, redeem_script=b"\x51"))
+        if txin.unlocking.redeem_script else txin
+        for txin in tx.inputs
+    )
+    lines[at] = tx_to_hex(replace(tx, inputs=inputs))
+    report = H.audit("\n".join(lines) + "\n", model_doc(4))
+    (inst,) = report.instances
+    assert not inst.clean
+    assert any("token spend redeem script" in issue for issue in inst.signature_issues)
+
+
 def test_audit_parse_error_carries_line():
     from chorchain.chain import DumpFormatError
 
