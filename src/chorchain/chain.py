@@ -1,4 +1,10 @@
-"""Deterministic in-memory blockchain: blocks, mempool, and publishing modes.
+"""Deterministic in-memory blockchain: one chain index, blocks and mempool.
+
+:class:`ChainIndex` holds a chain's transactions by id, each with its block
+height, and the spender of every spent outpoint; it refuses a repeated txid
+and a second spend of an outpoint. :func:`load_dump` builds one from a dump,
+line by line, and :class:`ChainSim` keeps its mempool, block assembly and
+evictions on top of one.
 
 The simulator runs on a logical clock. Block production times are drawn from
 an exponential distribution with a configurable mean, from a seeded RNG, so
@@ -51,10 +57,6 @@ class TxEvicted(ChainError):
         self.tx_id = tx_id
 
 
-class PublishError(ChainError):
-    pass
-
-
 class DumpFormatError(ChainError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
@@ -92,25 +94,76 @@ class Block:
     # whole-second value that goes into data blocks and dumps
 
 
-@dataclass(frozen=True)
-class PublishReport:
-    per_tx_waits: tuple[float, ...]
-    total_duration: float
+class ChainIndex:
+    """One chain's transactions, each by id with its block height (None while
+    in the mempool), and the spender of every spent outpoint, across blocks
+    and mempool. A loaded dump is one; the simulator builds on one."""
+
+    def __init__(self, header: dict | None = None):
+        self.header = header or {}
+        self.blocks: list[Block] = []
+        self._tx_at: dict[bytes, tuple[EnrichedTransaction, int | None]] = {}
+        self._spender: dict[tuple[bytes, int], bytes] = {}
+
+    def add(self, tx: EnrichedTransaction, height: int | None) -> None:
+        """Index ``tx`` at ``height``. A repeated txid or a second spend of an
+        outpoint raises :class:`ChainError`: no valid chain holds either."""
+        tx_id = tx.tx_id
+        if tx_id in self._tx_at:
+            raise ChainError(f"transaction {tx_id.hex()} is already on the chain")
+        for txin in tx.inputs:
+            spender = self._spender.get(txin.outpoint)
+            if spender is not None:
+                raise ChainError(
+                    f"output {txin.prev_tx_id.hex()}:{txin.prev_output_index} "
+                    f"already spent by {spender.hex()}"
+                )
+        self._tx_at[tx_id] = (tx, height)
+        for txin in tx.inputs:
+            self._spender[txin.outpoint] = tx_id
+
+    def get_transaction(self, tx_id: bytes) -> EnrichedTransaction | None:
+        entry = self._tx_at.get(tx_id)
+        return entry[0] if entry else None
+
+    def get_spender(self, outpoint: tuple[bytes, int]) -> bytes | None:
+        return self._spender.get(outpoint)
+
+    def resolve_output(self, outpoint: tuple[bytes, int]) -> TxOutput | None:
+        entry = self._tx_at.get(outpoint[0])
+        if entry is None or outpoint[1] >= len(entry[0].outputs):
+            return None
+        return entry[0].outputs[outpoint[1]]
+
+    def confirmation_status(self, tx_id: bytes) -> ConfirmationStatus:
+        entry = self._tx_at.get(tx_id)
+        if entry is None:
+            return ConfirmationStatus(tx_id, "unknown")
+        _, height = entry
+        if height is None:
+            return ConfirmationStatus(tx_id, "pending", 0)
+        return ConfirmationStatus(tx_id, "confirmed", len(self.blocks) - height)
+
+    def all_transactions(self) -> Iterator[EnrichedTransaction]:
+        """Block transactions in block order, then the mempool in arrival
+        order (the order in which they were indexed)."""
+        for block in self.blocks:
+            yield from block.txs
+        for tx, height in self._tx_at.values():
+            if height is None:
+                yield tx
 
 
-class ChainSim:
+class ChainSim(ChainIndex):
     """Single chain, no reorgs; every public method is safe to call from the
     event-driving harness thread."""
 
     def __init__(self, config: SimConfig):
+        super().__init__()
         self.config = config
         self.rng = random.Random(config.seed)
         self.now: float = float(GENESIS_TIME)
-        self.blocks: list[Block] = []
-        self._tx_at: dict[bytes, tuple[EnrichedTransaction, int | None]] = {}
         self._mempool: dict[bytes, tuple[EnrichedTransaction, int, int, float]] = {}
-        # outpoint -> spending txid, across chain and mempool; first seen wins
-        self._spender: dict[tuple[bytes, int], bytes] = {}
         self._children: dict[bytes, set[bytes]] = {}
         # block assembly state: mempool txid -> number of distinct parents
         # still in the mempool, and a heap of (-fee, seq, txid) for mempool
@@ -133,41 +186,16 @@ class ChainSim:
 
     # --- views ------------------------------------------------------------------
 
-    def get_transaction(self, tx_id: bytes) -> EnrichedTransaction | None:
-        entry = self._tx_at.get(tx_id)
-        return entry[0] if entry else None
-
-    def get_spender(self, outpoint: tuple[bytes, int]) -> bytes | None:
-        return self._spender.get(outpoint)
-
-    def resolve_output(self, outpoint: tuple[bytes, int]) -> TxOutput | None:
-        entry = self._tx_at.get(outpoint[0])
-        if entry is None or outpoint[1] >= len(entry[0].outputs):
-            return None
-        return entry[0].outputs[outpoint[1]]
-
     def confirmation_status(self, tx_id: bytes) -> ConfirmationStatus:
         if tx_id in self._evicted:
             return ConfirmationStatus(tx_id, "evicted")
-        entry = self._tx_at.get(tx_id)
-        if entry is None:
-            return ConfirmationStatus(tx_id, "unknown")
-        _, height = entry
-        if height is None:
-            return ConfirmationStatus(tx_id, "pending", 0)
-        return ConfirmationStatus(tx_id, "confirmed", len(self.blocks) - height)
+        return super().confirmation_status(tx_id)
 
     @property
     def mempool_ids(self) -> list[bytes]:
         # only _admit inserts into _mempool, in increasing seq, so the
         # dict's insertion order is arrival order
         return list(self._mempool)
-
-    def all_transactions(self) -> Iterator[EnrichedTransaction]:
-        for block in self.blocks:
-            yield from block.txs
-        for tx_id in self.mempool_ids:
-            yield self._mempool[tx_id][0]
 
     # --- broadcasting --------------------------------------------------------------
 
@@ -220,10 +248,8 @@ class ChainSim:
         self._arrival_seq += 1
         parents = {txin.prev_tx_id for txin in tx.inputs if txin.prev_tx_id in self._mempool}
         self._mempool[tx_id] = (tx, fee, self._arrival_seq, self.now)
-        self._tx_at[tx_id] = (tx, None)
+        self.add(tx, None)
         self._evicted.discard(tx_id)  # an evicted transaction may come back
-        for txin in tx.inputs:
-            self._spender[txin.outpoint] = tx_id
         for parent in parents:
             self._children.setdefault(parent, set()).add(tx_id)
         if parents:
@@ -359,33 +385,6 @@ class ChainSim:
             return None
         return self.blocks[entry[1]].produced_at - arrived
 
-    def publish_sequence(self, txs: list[EnrichedTransaction], greedy: bool) -> PublishReport:
-        """Publish a dependency-ordered chain of transactions.
-
-        Non-greedy waits for each confirmation before broadcasting the next;
-        greedy broadcasts the whole chain immediately and waits once for all
-        of them.
-        """
-        start = self.now
-        ids = []
-        if greedy:
-            for tx in txs:
-                result = self.broadcast(tx)
-                if not result.accepted:
-                    raise PublishError(result.reason)
-                ids.append(tx.tx_id)
-            for tx_id in ids:
-                self.await_confirmation(tx_id, 1)
-        else:
-            for tx in txs:
-                result = self.broadcast(tx)
-                if not result.accepted:
-                    raise PublishError(result.reason)
-                ids.append(tx.tx_id)
-                self.await_confirmation(tx.tx_id, 1)
-        waits = tuple(self.confirmation_wait(tx_id) for tx_id in ids)
-        return PublishReport(waits, self.now - start)
-
     # --- funding -----------------------------------------------------------------------
 
     def grant(self, key: Keypair, values: list[int]) -> list[Spendable]:
@@ -399,10 +398,8 @@ class ChainSim:
             outputs=tuple(TxOutput.to_key_hash(v, key.key_hash) for v in values),
         )
         tx_id = tx.tx_id
-        if tx_id in self._tx_at:
-            raise ChainError(f"grant {tx_id.hex()} repeats a transaction already on the chain")
         height = len(self.blocks)
-        self._tx_at[tx_id] = (tx, height)
+        self.add(tx, height)
         self._arrivals[tx_id] = self.now
         self.blocks.append(Block(height, int(self.now), [tx], produced_at=self.now))
         return [Spendable(tx_id, i, v, key) for i, v in enumerate(values)]
@@ -426,49 +423,10 @@ class ChainSim:
         return "\n".join(lines) + "\n"
 
 
-class StaticChainView:
-    """Read-only chain view parsed from a dump; used by audits."""
-
-    def __init__(self, header: dict, blocks: list[Block], mempool: list[EnrichedTransaction]):
-        self.header = header
-        self.blocks = blocks
-        self.mempool = mempool
-        self._tx_at: dict[bytes, tuple[EnrichedTransaction, int | None]] = {}
-        self._spender: dict[tuple[bytes, int], bytes] = {}
-        for block in blocks:
-            for tx in block.txs:
-                self._index(tx, block.height)
-        for tx in mempool:
-            self._index(tx, None)
-
-    def _index(self, tx: EnrichedTransaction, height: int | None) -> None:
-        tx_id = tx.tx_id
-        self._tx_at[tx_id] = (tx, height)
-        for txin in tx.inputs:
-            self._spender[txin.outpoint] = tx_id
-
-    def get_transaction(self, tx_id: bytes) -> EnrichedTransaction | None:
-        entry = self._tx_at.get(tx_id)
-        return entry[0] if entry else None
-
-    def get_spender(self, outpoint: tuple[bytes, int]) -> bytes | None:
-        return self._spender.get(outpoint)
-
-    def confirmation_status(self, tx_id: bytes) -> ConfirmationStatus:
-        entry = self._tx_at.get(tx_id)
-        if entry is None:
-            return ConfirmationStatus(tx_id, "unknown")
-        if entry[1] is None:
-            return ConfirmationStatus(tx_id, "pending", 0)
-        return ConfirmationStatus(tx_id, "confirmed", len(self.blocks) - entry[1])
-
-    def all_transactions(self) -> Iterator[EnrichedTransaction]:
-        for block in self.blocks:
-            yield from block.txs
-        yield from self.mempool
-
-
-def load_dump(text: str) -> StaticChainView:
+def load_dump(text: str) -> ChainIndex:
+    """The chain index of a dump, built line by line. A repeated txid or a
+    second spend of an outpoint raises :class:`DumpFormatError` with the
+    offending line's number."""
     lines = text.splitlines()
     if not lines:
         raise DumpFormatError(1, "empty dump")
@@ -476,8 +434,8 @@ def load_dump(text: str) -> StaticChainView:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise DumpFormatError(1, f"bad header: {exc}") from None
-    blocks: list[Block] = []
-    mempool: list[EnrichedTransaction] = []
+    index = ChainIndex(header)
+    blocks = index.blocks
     in_mempool = False
     for line_no, line in enumerate(lines[1:], start=2):
         line = line.strip()
@@ -501,10 +459,12 @@ def load_dump(text: str) -> StaticChainView:
             tx = tx_from_hex(line)
         except Exception as exc:
             raise DumpFormatError(line_no, f"bad transaction: {exc}") from None
-        if in_mempool:
-            mempool.append(tx)
-        elif not blocks:
+        if not in_mempool and not blocks:
             raise DumpFormatError(line_no, "transaction before any block line")
-        else:
+        try:
+            index.add(tx, None if in_mempool else blocks[-1].height)
+        except ChainError as exc:
+            raise DumpFormatError(line_no, str(exc)) from None
+        if not in_mempool:
             blocks[-1].txs.append(tx)
-    return StaticChainView(header, blocks, mempool)
+    return index

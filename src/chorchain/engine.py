@@ -11,6 +11,10 @@ against it, and both parties then sign the same digest (the serialization
 with unlocking scripts empty and the receiver-signature field zero-filled).
 The receiver's signature lands inside the data block, the sender's in the
 input's unlocking script.
+
+An instance is rebuilt from the chain alone by :func:`walk_instance`, the one
+forward walk over token spend links: the trace, the audit's value tally, a
+run's fee totals and the owner's monitor all read its result.
 """
 
 from __future__ import annotations
@@ -138,7 +142,6 @@ class ExpectedTerms:
     timestamp: int
     receiver_key_hash: bytes
     data_hash: bytes | None = None  # hash of the process data just received
-    prev_data_hash: bytes | None = None  # last documented hash, when known
     timestamp_skew: int = TIMESTAMP_SKEW
 
 
@@ -305,13 +308,17 @@ def validate_template(
 ) -> TemplateVerdict:
     """The receiver's four checks before it signs anything.
 
-    1. the consumed input reveals a redeem script matching the referenced
-       output (and, when known, the previously documented data hash);
+    1. the consumed input reveals a parsable redeem script that hashes to
+       the referenced output;
     2. the token output can be reconstructed from the receiver's own key
        hash and the hash of the data just received;
     3. the data block repeats the negotiated terms;
     4. the execution history reconstructed from the chain conforms to the
        process model.
+
+    The consumed output's data hash is not compared with anything: it
+    documents the data the sender received, which the sender's task has
+    changed since.
 
     An ancestor that cannot be resolved at all raises
     :class:`UnresolvableAncestor` instead of producing a verdict.
@@ -330,11 +337,9 @@ def validate_template(
     if prev_out.kind != OutputKind.SCRIPT_HASH or hash160(redeem) != prev_out.script_hash:
         return TemplateVerdict.reject(1, "redeem script does not hash to the referenced output")
     try:
-        parsed = parse_redeem_script(redeem)
+        parse_redeem_script(redeem)
     except Exception as exc:
         return TemplateVerdict.reject(1, f"redeem script unparseable: {exc}")
-    if expected.prev_data_hash is not None and parsed.data_hash != expected.prev_data_hash:
-        return TemplateVerdict.reject(1, "documented data hash differs from the transferred data")
 
     _, token_out = template.token_output
     want = hash160(build_redeem_script(expected.receiver_key_hash, expected.data_hash))
@@ -588,92 +593,92 @@ def _find_start(chain_view: ChainView, tx_id: bytes) -> bytes:
         current = tx.inputs[0].prev_tx_id
 
 
-def reconstruct_trace(
-    chain_view: ChainView,
-    start_tx_id: bytes,
-    filler_task_id: int = FILLER_TASK_ID,
-) -> model_mod.ExecutionTrace:
-    """Follow token spend links forward from the start transaction.
+@dataclass(frozen=True)
+class WalkStep:
+    """A transaction reached by an instance walk: the token outpoint it
+    spent on the walk's first arrival, its lineage (a join's is its
+    branches' parent lineage) and its depth below the start."""
 
-    Events are linearized by (timestamp, chain depth, lineage), which keeps
-    every lineage's own order while interleaving parallel branches
-    deterministically. Stops at the spend frontier for in-flight instances.
+    tx: EnrichedTransaction
+    spent: tuple[bytes, int]
+    lineage: tuple[int, ...]
+    depth: int
+
+
+@dataclass
+class InstanceWalk:
+    start: EnrichedTransaction
+    steps: list[WalkStep]  # in the order reached
+    unspent: list[tuple[bytes, int]]  # token outpoints no transaction spends
+    reached: set[bytes]  # the start's id and every step's
+    broken: list[EngineError]  # BrokenLineage or UnresolvableAncestor, per link
+
+    def trace(self) -> model_mod.ExecutionTrace:
+        """Events linearized by (timestamp, chain depth, lineage), which keeps
+        every lineage's own order while interleaving parallel branches
+        deterministically."""
+        ts = self.start.data_block.timestamp
+        events = [(ts, 0, (), model_mod.TraceEvent(model_mod.EventKind.START, ts))]
+        for step in self.steps:
+            block = step.tx.data_block  # only a handover's has a task id
+            event = model_mod.TraceEvent(
+                model_mod.EventKind(block.kind.value),
+                block.timestamp,
+                task_id=block.task_id,
+                lineage=step.lineage,
+                filler=block.task_id == FILLER_TASK_ID,
+                extraordinary=block.extraordinary,
+            )
+            events.append((block.timestamp, step.depth, step.lineage, event))
+        events.sort(key=lambda e: (e[0], e[1], e[2]))
+        return model_mod.ExecutionTrace(tuple(e[3] for e in events))
+
+
+def walk_instance(chain_view: ChainView, start_tx_id: bytes) -> InstanceWalk:
+    """Follow token spend links forward from the start transaction, depth
+    first, stopping at the spend frontier of an instance still in flight.
+
+    The query order is fixed, because a receiver pays for every query: the
+    start first, then the last pushed outpoint's spender, which is fetched
+    before the visited check, so a join is fetched once per incoming branch.
+    A link to an unknown spender, or a token spent by a non-process
+    transaction or a start, is recorded in ``broken`` and not followed.
     """
-    start_tx = chain_view.get_transaction(start_tx_id)
-    if start_tx is None or start_tx.kind != TxKind.START:
+    start = chain_view.get_transaction(start_tx_id)
+    if start is None or start.kind != TxKind.START:
         raise EngineError("transaction is not a process start")
-    block = start_tx.data_block
-    events: list[tuple[int, int, tuple[int, ...], model_mod.TraceEvent]] = []
-    events.append(
-        (block.timestamp, 0, (), model_mod.TraceEvent(model_mod.EventKind.START, block.timestamp))
-    )
-    visited: set[bytes] = {start_tx_id}
-    # frontier entries: (outpoint, lineage, depth)
-    index, _ = start_tx.token_outputs[0]
-    frontier: list[tuple[tuple[bytes, int], tuple[int, ...], int]] = [
-        ((start_tx_id, index), (), 1)
-    ]
+    walk = InstanceWalk(start, [], [], {start_tx_id}, [])
+    frontier = [((start_tx_id, start.token_outputs[0][0]), (), 1)]
     while frontier:
         outpoint, lineage, depth = frontier.pop()
         spender_id = chain_view.get_spender(outpoint)
         if spender_id is None:
+            walk.unspent.append(outpoint)
             continue
         tx = chain_view.get_transaction(spender_id)
         if tx is None:
-            raise UnresolvableAncestor(f"spender {spender_id.hex()} unknown")
+            walk.broken.append(UnresolvableAncestor(f"spender {spender_id.hex()} unknown"))
+            continue
         kind = tx.kind
         if kind is None or kind == TxKind.START:
-            raise BrokenLineage(spender_id)
-        if spender_id in visited:
+            walk.broken.append(BrokenLineage(spender_id))
             continue
-        visited.add(spender_id)
-        block = tx.data_block
-        ts = block.timestamp
-        if kind == TxKind.HANDOVER:
-            events.append(
-                (
-                    ts,
-                    depth,
-                    lineage,
-                    model_mod.TraceEvent(
-                        model_mod.EventKind.HANDOVER,
-                        ts,
-                        task_id=block.task_id,
-                        lineage=lineage,
-                        filler=block.task_id == filler_task_id,
-                    ),
-                )
-            )
-            idx, _ = tx.token_outputs[0]
-            frontier.append(((tx.tx_id, idx), lineage, depth + 1))
-        elif kind == TxKind.SPLIT:
-            events.append(
-                (ts, depth, lineage,
-                 model_mod.TraceEvent(model_mod.EventKind.SPLIT, ts, lineage=lineage))
-            )
-            for branch, (idx, _) in enumerate(tx.token_outputs):
-                frontier.append(((tx.tx_id, idx), lineage + (branch,), depth + 1))
-        elif kind == TxKind.JOIN:
-            joined = lineage[:-1] if lineage else ()
-            events.append(
-                (ts, depth, joined,
-                 model_mod.TraceEvent(model_mod.EventKind.JOIN, ts, lineage=joined))
-            )
-            idx, _ = tx.token_outputs[0]
-            frontier.append(((tx.tx_id, idx), joined, depth + 1))
-        else:  # END
-            events.append(
-                (
-                    ts,
-                    depth,
-                    lineage,
-                    model_mod.TraceEvent(
-                        model_mod.EventKind.END,
-                        ts,
-                        lineage=lineage,
-                        extraordinary=block.extraordinary,
-                    ),
-                )
-            )
-    events.sort(key=lambda e: (e[0], e[1], e[2]))
-    return model_mod.ExecutionTrace(tuple(e[3] for e in events))
+        if spender_id in walk.reached:
+            continue
+        walk.reached.add(spender_id)
+        if kind == TxKind.JOIN:
+            lineage = lineage[:-1]
+        walk.steps.append(WalkStep(tx, outpoint, lineage, depth))
+        for branch, (index, _) in enumerate(tx.token_outputs):
+            branch_lineage = lineage + (branch,) if kind == TxKind.SPLIT else lineage
+            frontier.append(((spender_id, index), branch_lineage, depth + 1))
+    return walk
+
+
+def reconstruct_trace(chain_view: ChainView, start_tx_id: bytes) -> model_mod.ExecutionTrace:
+    """The execution trace of one instance, rebuilt from the chain alone.
+    Raises the first broken link of the walk."""
+    walk = walk_instance(chain_view, start_tx_id)
+    if walk.broken:
+        raise walk.broken[0]
+    return walk.trace()

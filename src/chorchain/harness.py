@@ -28,7 +28,7 @@ from fractions import Fraction
 from . import engine as eng
 from . import model as model_mod
 from . import protocol as proto
-from .chain import ChainSim, SimConfig, StaticChainView, load_dump
+from .chain import ChainIndex, ChainSim, SimConfig, load_dump
 from .crypto import Keypair, recovered_keys, sha256
 from .encoding import OutputKind, TxKind, UnsupportedScriptShape, parse_redeem_script
 from .model import ProcessModel
@@ -407,6 +407,7 @@ class _Run:
         self.aborted = False
         self.start_budget = 0
         self.process_id = 1 + (config.seed % 60000)
+        self._start_tx_id: bytes | None = None  # set by a verified run
         self._t0 = self.sim.now
 
     def _record(self, dt: float, phase: str) -> None:
@@ -574,28 +575,12 @@ class _Run:
         self._start_tx_id = start_tx.tx_id if start_tx is not None else None
 
     def _collect(self, duration: float) -> tuple[RunMetrics, str, dict]:
-        waits = []
-        total_fees = 0
-        end_residual = 0
-        for tx_id in self.instance_txs:
-            wait = self.sim.confirmation_wait(tx_id)
-            if wait is not None:
-                waits.append(wait)
-            tx = self.sim.get_transaction(tx_id)
-            if tx is None:
-                continue
-            fee = tx.fee()
-            if fee and tx_id != self.instance_txs[0]:
-                total_fees += fee
-            if tx.kind == TxKind.END:
-                end_residual += sum(
-                    o.value for o in tx.outputs if o.kind == OutputKind.KEY_HASH
-                )
-            # tokens stranded by an abort stay unspent on chain and remain
-            # part of the instance's recoverable residual
-            for idx, out in tx.token_outputs:
-                if self.sim.get_spender((tx_id, idx)) is None:
-                    end_residual += out.value
+        waits = [w for w in map(self.sim.confirmation_wait, self.instance_txs) if w is not None]
+        walk = None
+        total_fees = end_residual = 0
+        if self._start_tx_id is not None:
+            walk = eng.walk_instance(self.sim, self._start_tx_id)
+            total_fees, end_residual, _ = _value_tally(self.sim, walk)
         metrics = RunMetrics(
             model_id=self.config.model_id,
             variant=self.config.variant,
@@ -615,13 +600,13 @@ class _Run:
             aborted=self.aborted,
         )
         dump = self.sim.dump() if self.config.verify else ""
-        trace_report = self._trace_report()
+        trace_report = self._trace_report(walk)
         return metrics, dump, trace_report
 
-    def _trace_report(self) -> dict:
-        if not self.config.verify or getattr(self, "_start_tx_id", None) is None:
+    def _trace_report(self, walk: eng.InstanceWalk | None) -> dict:
+        if walk is None:
             return {"process_id": self.process_id, "events": [], "verdict": "not-verified"}
-        trace = eng.reconstruct_trace(self.sim, self._start_tx_id)
+        trace = walk.trace()
         verdict = model_mod.check_conformance(self.model, trace)
         return {
             "process_id": self.process_id,
@@ -747,33 +732,62 @@ class InstanceAudit:
     aborted_by_detection: bool
     value_conserved: bool
     signature_issues: list[str] = field(default_factory=list)
+    # broken spend links: a token spent by a non-process transaction or a
+    # start, or a spender missing from the dump
+    lineage_issues: list[str] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        return self.conformant and self.value_conserved and not self.signature_issues
+        return (
+            self.conformant
+            and self.value_conserved
+            and not self.signature_issues
+            and not self.lineage_issues
+        )
 
 
 @dataclass
 class AuditReport:
     instances: list[InstanceAudit]
     non_process_txs: int
+    # ids of process transactions (those with a data block) that no
+    # instance walk reached
+    orphans: list[str] = field(default_factory=list)
 
     @property
     def all_clean(self) -> bool:
-        return all(i.clean for i in self.instances)
+        return all(i.clean for i in self.instances) and not self.orphans
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "instances": [asdict(i) for i in self.instances],
                 "non_process_txs": self.non_process_txs,
+                "orphans": self.orphans,
                 "all_clean": self.all_clean,
             },
             indent=2,
         )
 
 
-def _verify_instance_signatures(view: StaticChainView, trace_txs: list) -> list[str]:
+def _value_tally(view: ChainIndex, walk: eng.InstanceWalk) -> tuple[int, int, bool]:
+    """Fees paid by an instance after its start, and its residual: the end's
+    payout plus every token no transaction spends (tokens stranded by an
+    abort stay recoverable). False when an input does not resolve."""
+    fees = residual = 0
+    resolved = True
+    for step in walk.steps:
+        tx = step.tx
+        spent = [view.resolve_output(txin.outpoint) for txin in tx.inputs]
+        resolved = resolved and None not in spent
+        fees += sum(o.value for o in spent if o is not None) - sum(o.value for o in tx.outputs)
+        if tx.kind == TxKind.END:
+            residual += sum(o.value for o in tx.outputs if o.kind == OutputKind.KEY_HASH)
+    residual += sum(view.resolve_output(outpoint).value for outpoint in walk.unspent)
+    return fees, residual, resolved
+
+
+def _verify_instance_signatures(view: ChainIndex, trace_txs: list) -> list[str]:
     issues = []
     for tx in trace_txs:
         try:
@@ -810,12 +824,14 @@ def _verify_instance_signatures(view: StaticChainView, trace_txs: list) -> list[
 
 
 def audit(dump_text: str, model_doc: str) -> AuditReport:
-    """Classify every transaction in a chain dump, reconstruct each process
-    instance, and verify conformance, signatures, hash links, and value
-    conservation."""
+    """Classify every transaction in a chain dump, walk each process
+    instance once, and verify conformance, signatures, hash links, value
+    conservation and that every process transaction belongs to an
+    instance."""
     view = load_dump(dump_text)
     process_model = model_mod.load_model(model_doc)
     instances = []
+    reached: set[bytes] = set()
     non_process = 0
     for tx in view.all_transactions():
         kind = tx.kind
@@ -824,55 +840,30 @@ def audit(dump_text: str, model_doc: str) -> AuditReport:
             continue
         if kind != TxKind.START:
             continue
-        start_id = tx.tx_id
-        trace = eng.reconstruct_trace(view, start_id)
+        walk = eng.walk_instance(view, tx.tx_id)
+        reached |= walk.reached
+        trace = walk.trace()
         verdict = model_mod.check_conformance(process_model, trace)
         end_event = trace.end_event
-        # gather the instance transactions by walking the same spend links
-        instance_txs = [tx]
-        frontier = [(start_id, tx.token_outputs[0][0])]
-        seen = {start_id}
-        budget = tx.token_outputs[0][1].value
-        fees = 0
-        residual = 0
-        unresolved = False  # an input whose output is not in the dump
-        while frontier:
-            outpoint = frontier.pop()
-            spender_id = view.get_spender(outpoint)
-            if spender_id is None:
-                holder = view.get_transaction(outpoint[0])
-                residual += holder.outputs[outpoint[1]].value  # stranded token
-                continue
-            if spender_id in seen:
-                continue
-            seen.add(spender_id)
-            spend_tx = view.get_transaction(spender_id)
-            instance_txs.append(spend_tx)
-            resolved = 0
-            for txin in spend_tx.inputs:
-                prev = view.get_transaction(txin.prev_tx_id)
-                if prev is None or txin.prev_output_index >= len(prev.outputs):
-                    # _verify_instance_signatures records it as an issue
-                    unresolved = True
-                    continue
-                resolved += prev.outputs[txin.prev_output_index].value
-            fees += resolved - sum(o.value for o in spend_tx.outputs)
-            if spend_tx.kind == TxKind.END:
-                residual += sum(o.value for o in spend_tx.outputs if o.kind == OutputKind.KEY_HASH)
-            else:
-                for idx, _ in spend_tx.token_outputs:
-                    frontier.append((spender_id, idx))
-        block = tx.data_block
+        fees, residual, resolved = _value_tally(view, walk)
         instances.append(
             InstanceAudit(
-                process_id=block.process_id,
-                start_tx=start_id.hex(),
+                process_id=tx.data_block.process_id,
+                start_tx=tx.tx_id.hex(),
                 conformant=verdict.ok,
                 verdict="conformant" if verdict.ok else str(verdict),
                 ended=end_event is not None,
                 aborted_by_detection=end_event.extraordinary if end_event else False,
-                value_conserved=not unresolved and budget == fees + residual,
-                signature_issues=_verify_instance_signatures(view, instance_txs),
+                value_conserved=resolved and tx.token_outputs[0][1].value == fees + residual,
+                signature_issues=_verify_instance_signatures(
+                    view, [tx] + [step.tx for step in walk.steps]
+                ),
+                lineage_issues=[str(link) for link in walk.broken],
             )
         )
-    return AuditReport(instances, non_process)
+    orphans = [
+        tx.tx_id.hex()
+        for tx in view.all_transactions()
+        if tx.kind is not None and tx.tx_id not in reached
+    ]
+    return AuditReport(instances, non_process, orphans)

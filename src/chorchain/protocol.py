@@ -505,7 +505,6 @@ class HandoverSession:
     receive_key: Keypair | None = None  # receiver's fresh transaction key
     data_key: bytes | None = None
     data_hash: bytes | None = None
-    prev_data_hash: bytes | None = None
     plaintext: bytes | None = None
     ciphertext: EncryptedProcessData | None = None
     template: eng.HandoverTemplate | None = None
@@ -908,7 +907,6 @@ class Participant:
             timestamp=session.terms.timestamp,
             receiver_key_hash=session.receive_key.key_hash,
             data_hash=received_hash,
-            prev_data_hash=session.prev_data_hash,
         )
         self.clock.charge(self.config.logic_cost, "provider")
         try:
@@ -974,8 +972,8 @@ class ProgressReport:
 
 
 class OwnerMonitor:
-    """Pull-based monitoring: observe the chain, then ask each sender for
-    the identity of its receiver, one handover frontier at a time."""
+    """Pull-based monitoring: walk the instance on the chain, then ask each
+    handover's sender for the identity of its receiver."""
 
     def __init__(
         self,
@@ -986,45 +984,35 @@ class OwnerMonitor:
         self.owner = owner
         self.start_tx_id = start_tx_id
         self.process_id = process_id
-        # holder of each token outpoint, as far as identities are known
-        self._holder: dict[tuple[bytes, int], str | None] = {}
         self._entries: dict[bytes, ProgressEntry] = {}
 
     def collect(self) -> ProgressReport:
         owner = self.owner
-        view = owner.chain_view
-        start = view.get_transaction(self.start_tx_id)
-        if start is None:
+        try:
+            walk = eng.walk_instance(owner.chain_view, self.start_tx_id)
+        except eng.EngineError:  # the start is not on the chain
             return ProgressReport(self.process_id, ())
-        index, _ = start.token_outputs[0]
-        frontier = [(self.start_tx_id, index)]
-        if (self.start_tx_id, index) not in self._holder:
-            self._holder[(self.start_tx_id, index)] = owner.name
-        while frontier:
-            outpoint = frontier.pop(0)
+        # holder of each token outpoint, as far as identities are known
+        holder = {(self.start_tx_id, walk.start.token_outputs[0][0]): owner.name}
+        # one provider charge per token outpoint the walk followed
+        for _ in range(len(walk.steps) + len(walk.unspent)):
             owner.clock.charge(owner.config.logic_cost, "provider")
-            spender = view.get_spender(outpoint)
-            if spender is None:
-                continue
-            tx = view.get_transaction(spender)
-            if tx is None or tx.kind is None:
-                continue
-            kind = tx.kind.value
-            block = tx.data_block
-            sender = self._holder.get(outpoint)
-            if spender not in self._entries:
+        for step in walk.steps:
+            tx_id = step.tx.tx_id
+            kind = step.tx.kind.value
+            sender = holder.get(step.spent)
+            if tx_id not in self._entries:
                 if kind == "handover":
-                    participant, gap = self._resolve_identity(spender, sender)
-                    self._entries[spender] = ProgressEntry(
-                        spender, kind, block.task_id, participant, gap
+                    participant, gap = self._resolve_identity(tx_id, sender)
+                    self._entries[tx_id] = ProgressEntry(
+                        tx_id, kind, step.tx.data_block.task_id, participant, gap
                     )
                 else:
-                    self._entries[spender] = ProgressEntry(spender, kind, None, sender)
-            entry = self._entries[spender]
+                    self._entries[tx_id] = ProgressEntry(tx_id, kind, None, sender)
+            entry = self._entries[tx_id]
             next_holder = entry.participant if kind == "handover" else sender
-            for idx, _ in tx.token_outputs:
-                self._holder[(spender, idx)] = next_holder
-                frontier.append((spender, idx))
+            for idx, _ in step.tx.token_outputs:
+                holder[(tx_id, idx)] = next_holder
         return ProgressReport(self.process_id, tuple(self._entries.values()))
 
     def _resolve_identity(self, tx_id: bytes, sender: str | None) -> tuple[str | None, bool]:

@@ -279,6 +279,88 @@ def test_audit_flags_an_unparsable_redeem_script_without_raising():
     assert any("token spend redeem script" in issue for issue in inst.signature_issues)
 
 
+def test_audit_records_a_token_spent_by_a_plain_payment():
+    """The simulator accepts a holder spending the token with a plain
+    key-hash payment; the audit flags the broken link instead of raising."""
+    import random
+    from dataclasses import replace
+
+    from chorchain import engine as eng
+    from chorchain.chain import ChainSim, SimConfig
+    from chorchain.crypto import Keypair, sign
+    from chorchain.encoding import EnrichedTransaction, TxInput, TxOutput, signing_digest
+
+    rng = random.Random(5)
+    sim = ChainSim(SimConfig(seed=5, block_interval_mean=6.0))
+    owner = Keypair.generate(rng)
+    funds = sim.grant(owner, [1_000_000])
+    start, token = eng.build_start(funds, 1, int(sim.now), eng.FeePolicy(), 5, owner, rng)
+    assert sim.broadcast(start).accepted
+    payment = EnrichedTransaction(
+        inputs=(TxInput(token.tx_id, token.output_index, prev_value=token.value),),
+        outputs=(TxOutput.to_key_hash(token.value - 20_000, owner.key_hash),),
+    )
+    unlocking = replace(
+        payment.inputs[0].unlocking,
+        signature=sign(signing_digest(payment), token.holder_key),
+        public_key=token.holder_key.public_key,
+        redeem_script=token.redeem_script,
+    )
+    payment = replace(payment, inputs=(replace(payment.inputs[0], unlocking=unlocking),))
+    assert sim.broadcast(payment).accepted
+    report = H.audit(sim.dump(), model_doc(1))
+    (inst,) = report.instances
+    assert not inst.clean and not report.all_clean
+    assert inst.lineage_issues == [str(eng.BrokenLineage(payment.tx_id))]
+    assert report.non_process_txs == 2  # the grant and the payment
+    assert json.loads(report.to_json())["instances"][0]["lineage_issues"]
+
+
+def test_duplicated_instance_line_refused_with_its_line_number():
+    from chorchain.chain import DumpFormatError
+
+    lines, instance = _model4_instance_lines(seed=11)
+    assert len(instance) == 10
+    for at in instance:
+        copy = lines[:at] + [lines[at]] + lines[at:]
+        with pytest.raises(DumpFormatError, match="already on the chain") as err:
+            H.audit("\n".join(copy) + "\n", model_doc(4))
+        assert err.value.line_no == at + 2  # the second copy, one-based
+
+
+def test_second_spend_of_an_outpoint_refused_with_its_line_number():
+    from dataclasses import replace
+
+    from chorchain.chain import DumpFormatError
+    from chorchain.encoding import TxKind, tx_from_hex, tx_to_hex
+
+    lines, instance = _model4_instance_lines(seed=11)
+    at = next(i for i in instance if tx_from_hex(lines[i]).kind == TxKind.HANDOVER)
+    tx = tx_from_hex(lines[at])
+    token = replace(tx.outputs[0], value=tx.outputs[0].value - 1)
+    rival = replace(tx, outputs=(token,) + tx.outputs[1:])
+    lines.append(tx_to_hex(rival))
+    with pytest.raises(DumpFormatError, match="already spent by " + tx.tx_id.hex()) as err:
+        H.audit("\n".join(lines) + "\n", model_doc(4))
+    assert err.value.line_no == len(lines)
+
+
+def test_audit_reports_orphans_of_a_deleted_start():
+    from chorchain.encoding import tx_from_hex
+
+    lines, instance = _model4_instance_lines(seed=11)
+    clean = H.audit("\n".join(lines) + "\n", model_doc(4))
+    assert clean.all_clean and clean.orphans == []
+    assert json.loads(clean.to_json())["orphans"] == []
+    rest = [tx_from_hex(lines[i]).tx_id.hex() for i in instance[1:]]
+    del lines[instance[0]]
+    report = H.audit("\n".join(lines) + "\n", model_doc(4))
+    assert report.instances == []
+    assert sorted(report.orphans) == sorted(rest)
+    assert not report.all_clean
+    assert json.loads(report.to_json())["orphans"] == report.orphans
+
+
 def test_audit_parse_error_carries_line():
     from chorchain.chain import DumpFormatError
 
