@@ -3,8 +3,9 @@
 :class:`ChainIndex` holds a chain's transactions by id, each with its block
 height, and the spender of every spent outpoint; it refuses a repeated txid
 and a second spend of an outpoint. :func:`load_dump` builds one from a dump,
-line by line, and :class:`ChainSim` keeps its mempool, block assembly and
-evictions on top of one.
+line by line, and also refuses an input that spends a later line;
+:class:`ChainSim` keeps its mempool, block assembly and evictions on top of
+one.
 
 The simulator runs on a logical clock. Block production times are drawn from
 an exponential distribution with a configurable mean, from a seeded RNG, so
@@ -30,7 +31,6 @@ from __future__ import annotations
 import heapq
 import json
 import random
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Container, Iterator
 
@@ -69,7 +69,6 @@ class SimConfig:
     block_interval_mean: float = 600.0
     block_capacity: int = 1500
     relay_min_fee: int = 1
-    produce_empty_blocks: bool = True
 
 
 @dataclass(frozen=True)
@@ -155,8 +154,7 @@ class ChainIndex:
 
 
 class ChainSim(ChainIndex):
-    """Single chain, no reorgs; every public method is safe to call from the
-    event-driving harness thread."""
+    """Single chain, no reorgs, driven synchronously by the harness."""
 
     def __init__(self, config: SimConfig):
         super().__init__()
@@ -176,10 +174,6 @@ class ChainSim(ChainIndex):
         self._arrival_seq = 0
         self._next_block_at = self.now + self._interval()
         self.phase_recorder: Callable[[float, str], None] | None = None
-        # command interface is reentrant-lock protected so participant
-        # actors may drive it from threads; the default harness is
-        # single-threaded and pays only the uncontended cost
-        self._lock = threading.RLock()
 
     def _interval(self) -> float:
         return self.rng.expovariate(1.0 / self.config.block_interval_mean)
@@ -200,10 +194,6 @@ class ChainSim(ChainIndex):
     # --- broadcasting --------------------------------------------------------------
 
     def broadcast(self, tx: EnrichedTransaction) -> BroadcastResult:
-        with self._lock:
-            return self._broadcast(tx)
-
-    def _broadcast(self, tx: EnrichedTransaction) -> BroadcastResult:
         reason, fee = self._refusal(tx)
         if reason is not None:
             return BroadcastResult(False, reason)
@@ -261,10 +251,6 @@ class ChainSim(ChainIndex):
         """Admit a conflicting spend as the network's pick, evicting the
         first-seen transaction and its whole descendant chain. Returns the
         evicted ids."""
-        with self._lock:
-            return self._force_conflict(tx)
-
-    def _force_conflict(self, tx: EnrichedTransaction) -> set[bytes]:
         losers: set[bytes] = set()
         for txin in tx.inputs:
             holder = self._spender.get(txin.outpoint)
@@ -301,10 +287,6 @@ class ChainSim(ChainIndex):
     def advance_time(self, dt: float, phase: str = "idle") -> list[Block]:
         """Move the logical clock forward, producing every block whose
         scheduled time falls inside the window."""
-        with self._lock:
-            return self._advance_time(dt, phase)
-
-    def _advance_time(self, dt: float, phase: str) -> list[Block]:
         if dt < 0:
             raise ValueError("time cannot run backwards")
         if self.phase_recorder:
@@ -313,21 +295,18 @@ class ChainSim(ChainIndex):
         produced = []
         while self._next_block_at <= target:
             self.now = self._next_block_at
-            block = self._produce_block()
-            if block is not None:
-                produced.append(block)
+            produced.append(self._produce_block())
             self._next_block_at = self.now + self._interval()
         self.now = target
         return produced
 
-    def mine_pending(self) -> Block | None:
+    def mine_pending(self) -> Block:
         """Force a block at the current instant (test and tooling hook)."""
-        with self._lock:
-            block = self._produce_block()
-            self._next_block_at = self.now + self._interval()
-            return block
+        block = self._produce_block()
+        self._next_block_at = self.now + self._interval()
+        return block
 
-    def _produce_block(self) -> Block | None:
+    def _produce_block(self) -> Block:
         block = Block(len(self.blocks), int(self.now), produced_at=self.now)
         # fee priority, then arrival; a child enters the heap once its last
         # in-mempool parent is picked, for this block or a later one
@@ -351,8 +330,6 @@ class ChainSim(ChainIndex):
                 del self._waiting[child]
                 _, fee, child_seq, _ = self._mempool[child]
                 heapq.heappush(self._ready, (-fee, child_seq, child))
-        if not block.txs and not self.config.produce_empty_blocks and self.blocks:
-            return None
         self.blocks.append(block)
         return block
 
@@ -389,10 +366,6 @@ class ChainSim(ChainIndex):
 
     def grant(self, key: Keypair, values: list[int]) -> list[Spendable]:
         """Mint spendable key-hash outputs in an immediate block (faucet)."""
-        with self._lock:
-            return self._grant(key, values)
-
-    def _grant(self, key: Keypair, values: list[int]) -> list[Spendable]:
         tx = EnrichedTransaction(
             inputs=(),
             outputs=tuple(TxOutput.to_key_hash(v, key.key_hash) for v in values),
@@ -424,9 +397,11 @@ class ChainSim(ChainIndex):
 
 
 def load_dump(text: str) -> ChainIndex:
-    """The chain index of a dump, built line by line. A repeated txid or a
-    second spend of an outpoint raises :class:`DumpFormatError` with the
-    offending line's number."""
+    """The chain index of a dump, built line by line. A repeated txid, a
+    second spend of an outpoint, or an input spending a transaction that only
+    a later line holds raises :class:`DumpFormatError` with the offending
+    line's number. An input whose transaction no line holds is left to the
+    audit."""
     lines = text.splitlines()
     if not lines:
         raise DumpFormatError(1, "empty dump")
@@ -437,6 +412,7 @@ def load_dump(text: str) -> ChainIndex:
     index = ChainIndex(header)
     blocks = index.blocks
     in_mempool = False
+    unresolved: list[tuple[int, bytes]] = []  # (line, spent txid) not yet indexed
     for line_no, line in enumerate(lines[1:], start=2):
         line = line.strip()
         if not line:
@@ -461,10 +437,16 @@ def load_dump(text: str) -> ChainIndex:
             raise DumpFormatError(line_no, f"bad transaction: {exc}") from None
         if not in_mempool and not blocks:
             raise DumpFormatError(line_no, "transaction before any block line")
+        for txin in tx.inputs:
+            if index.get_transaction(txin.prev_tx_id) is None:
+                unresolved.append((line_no, txin.prev_tx_id))
         try:
             index.add(tx, None if in_mempool else blocks[-1].height)
         except ChainError as exc:
             raise DumpFormatError(line_no, str(exc)) from None
         if not in_mempool:
             blocks[-1].txs.append(tx)
+    for line_no, prev_tx_id in unresolved:
+        if index.get_transaction(prev_tx_id) is not None:
+            raise DumpFormatError(line_no, f"spends {prev_tx_id.hex()}, held by a later line")
     return index

@@ -250,22 +250,6 @@ def _read_pushes(script: bytes) -> list[bytes]:
     return out
 
 
-def script_hash_locking(script_hash: bytes) -> bytes:
-    if len(script_hash) != 20:
-        raise EncodingError("script hash must be 20 bytes")
-    return bytes([OP_HASH160, 20]) + script_hash + bytes([OP_EQUAL])
-
-
-def key_hash_locking(key_hash: bytes) -> bytes:
-    if len(key_hash) != 20:
-        raise EncodingError("key hash must be 20 bytes")
-    return bytes([OP_DUP, OP_HASH160, 20]) + key_hash + bytes([OP_EQUALVERIFY, OP_CHECKSIG])
-
-
-def data_locking(block: bytes) -> bytes:
-    return bytes([OP_RETURN]) + _push(block)
-
-
 class OutputKind(str, Enum):
     SCRIPT_HASH = "script_hash"
     KEY_HASH = "key_hash"
@@ -290,17 +274,20 @@ class TxOutput:
     def to_script_hash(cls, value: int, script_hash: bytes) -> "TxOutput":
         if value <= 0:
             raise TransactionInvariantError("token outputs need positive value")
-        return cls(value, script_hash_locking(script_hash))
+        if len(script_hash) != 20:
+            raise EncodingError("script hash must be 20 bytes")
+        return cls(value, bytes([OP_HASH160, 20]) + script_hash + bytes([OP_EQUAL]))
 
     @classmethod
     def to_key_hash(cls, value: int, key_hash: bytes) -> "TxOutput":
         if value <= 0:
             raise TransactionInvariantError("key-hash outputs need positive value")
-        return cls(value, key_hash_locking(key_hash))
+        # the plain key-hash locking script is the redeem script's pay clause
+        return cls(value, build_redeem_script(key_hash))
 
     @classmethod
     def data(cls, block: DataBlock) -> "TxOutput":
-        return cls(0, data_locking(encode_data_block(block)))
+        return cls(0, bytes([OP_RETURN]) + _push(encode_data_block(block)))
 
     @property
     def kind(self) -> OutputKind:
@@ -442,6 +429,8 @@ class EnrichedTransaction:
 def _check_structure(tx: EnrichedTransaction) -> None:
     if len(tx.data_outputs) > 1:
         raise TransactionInvariantError("only one data output is allowed per transaction")
+    if len(tx.inputs) > 1 and len({txin.outpoint for txin in tx.inputs}) != len(tx.inputs):
+        raise TransactionInvariantError("two inputs spend the same outpoint")
     fee = tx.fee()
     if fee is not None and fee < 0:
         raise TransactionInvariantError(f"outputs exceed inputs by {-fee} satoshi")

@@ -314,13 +314,6 @@ class RunMetrics:
             "idle", 0.0
         )
 
-    @property
-    def confirm_share_of_overhead(self) -> float:
-        overhead = self.verification_overhead
-        if overhead <= 0:
-            return 0.0
-        return self.phase_seconds.get("confirm", 0.0) / overhead
-
     def to_row(self) -> dict:
         row = {
             "model_id": self.model_id,

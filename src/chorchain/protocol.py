@@ -20,8 +20,8 @@ is also how it proves the sender really broadcast what both parties signed.
 
 Identities are RSA certificates issued by a single self-signed trust root;
 transaction keys are separate, fresh per handover. All messages are tagged
-binary frames (one length-prefixed byte string per field) so the in-process
-channel and the optional TCP binding share one codec.
+binary frames (one length-prefixed byte string per field), carried by the
+in-process channel.
 """
 
 from __future__ import annotations
@@ -347,82 +347,6 @@ class InProcTransport:
         if handler is None:
             raise TransportTimeout(f"endpoint {dst!r} unreachable")
         return handler(src, frame)
-
-
-class TcpTransport:
-    """Optional TCP binding: the same frames, length-prefixed on the wire.
-
-    Each registered endpoint listens on an ephemeral localhost port; a
-    request opens a connection, sends ``len(4, BE) | fields(src, frame)``,
-    and reads one length-prefixed reply. Handlers run on the listener
-    thread, one request at a time per connection.
-    """
-
-    def __init__(self, timeout: float = 5.0):
-        self._addrs: dict[str, tuple[str, int]] = {}
-        self._servers: list = []
-        self.timeout = timeout
-
-    def register(self, name: str, handler: Callable[[str, bytes], bytes]) -> None:
-        import socket
-        import threading
-
-        server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        server.bind(("127.0.0.1", 0))
-        server.listen(8)
-        self._addrs[name] = server.getsockname()
-        self._servers.append(server)
-
-        def serve() -> None:
-            while True:
-                try:
-                    conn, _ = server.accept()
-                except OSError:
-                    return
-                with conn:
-                    try:
-                        envelope = _read_frame(conn)
-                        src_bytes, frame = unpack_fields(envelope, 2)
-                        reply = handler(src_bytes.decode(), frame)
-                        conn.sendall(len(reply).to_bytes(4, "big") + reply)
-                    except (OSError, FrameError):
-                        continue
-
-        threading.Thread(target=serve, daemon=True).start()
-
-    def request(self, src: str, dst: str, frame: bytes) -> bytes:
-        import socket
-
-        addr = self._addrs.get(dst)
-        if addr is None:
-            raise TransportTimeout(f"endpoint {dst!r} unreachable")
-        envelope = pack_fields(src.encode(), frame)
-        try:
-            with socket.create_connection(addr, timeout=self.timeout) as conn:
-                conn.sendall(len(envelope).to_bytes(4, "big") + envelope)
-                return _read_frame(conn)
-        except OSError as exc:
-            raise TransportTimeout(f"tcp request to {dst!r} failed: {exc}") from None
-
-    def close(self) -> None:
-        for server in self._servers:
-            server.close()
-
-
-def _read_frame(conn) -> bytes:
-    header = _read_exact(conn, 4)
-    return _read_exact(conn, int.from_bytes(header, "big"))
-
-
-def _read_exact(conn, n: int) -> bytes:
-    buf = b""
-    while len(buf) < n:
-        chunk = conn.recv(n - len(buf))
-        if not chunk:
-            raise OSError("connection closed mid-frame")
-        buf += chunk
-    return buf
 
 
 class Clock(Protocol):

@@ -2,37 +2,20 @@
 
 Participants run without a full chain index and pull transaction records
 from a data provider, mirroring the SPV-plus-REST deployment the live
-system would use. Only the simulator-backed provider ships; the HTTP stub
-speaks the same JSON interface (``/tx/{id}``, ``/addr/{hash}``,
-``/output/{txid}/{n}``) so integration tests exercise the wire path a real
-explorer adapter would use.
+system would use. The simulator-backed provider serves the records
+(``get_tx``, ``get_output``) as the JSON-shaped dictionaries an explorer
+would return, and ``ProviderChainView`` turns them back into the engine's
+read interface.
 """
 
 from __future__ import annotations
 
-import json
-import threading
-import time
-import urllib.error
-import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Protocol
 
-from .encoding import EnrichedTransaction, OutputKind, tx_from_hex, tx_to_hex
-
-RETRY_ATTEMPTS = 3
-RETRY_BACKOFF = 0.05  # seconds, doubled per attempt
+from .encoding import EnrichedTransaction, tx_from_hex, tx_to_hex
 
 
-class ProviderError(Exception):
-    pass
-
-
-class NotFound(ProviderError):
-    pass
-
-
-class ProviderUnavailable(ProviderError):
+class NotFound(Exception):
     pass
 
 
@@ -40,8 +23,6 @@ class DataProvider(Protocol):
     def get_tx(self, tx_id: str) -> dict: ...
 
     def get_output(self, tx_id: str, index: int) -> dict: ...
-
-    def get_address(self, key_hash: str) -> dict: ...
 
 
 class SimProvider:
@@ -81,59 +62,6 @@ class SimProvider:
             "spender": spender.hex() if spender else None,
         }
 
-    def get_address(self, key_hash: str) -> dict:
-        want = bytes.fromhex(key_hash)
-        if len(want) != 20:
-            raise NotFound("addresses are 20-byte key hashes")
-        tx_ids = []
-        for tx in self.view.all_transactions():
-            for out in tx.outputs:
-                if out.kind == OutputKind.KEY_HASH and out.key_hash == want:
-                    break
-                if out.kind == OutputKind.SCRIPT_HASH and out.script_hash == want:
-                    break
-            else:
-                continue
-            tx_ids.append(tx.tx_id.hex())
-        return {"address": key_hash, "tx_ids": tx_ids}
-
-
-class RetryingProvider:
-    """Retries transient failures: 3 attempts with exponential backoff."""
-
-    def __init__(
-        self,
-        inner: DataProvider,
-        attempts: int = RETRY_ATTEMPTS,
-        backoff: float = RETRY_BACKOFF,
-        sleep=time.sleep,
-    ):
-        self.inner = inner
-        self.attempts = attempts
-        self.backoff = backoff
-        self.sleep = sleep
-
-    def _call(self, fn, *args):
-        delay = self.backoff
-        for attempt in range(self.attempts):
-            try:
-                return fn(*args)
-            except ProviderUnavailable:
-                if attempt == self.attempts - 1:
-                    raise
-                self.sleep(delay)
-                delay *= 2
-        raise AssertionError("unreachable")
-
-    def get_tx(self, tx_id: str) -> dict:
-        return self._call(self.inner.get_tx, tx_id)
-
-    def get_output(self, tx_id: str, index: int) -> dict:
-        return self._call(self.inner.get_output, tx_id, index)
-
-    def get_address(self, key_hash: str) -> dict:
-        return self._call(self.inner.get_address, key_hash)
-
 
 class ProviderChainView:
     """Adapts a provider to the engine's read interface, so execution
@@ -160,97 +88,3 @@ class ProviderChainView:
         except NotFound:
             return None
         return bytes.fromhex(record["spender"]) if record["spender"] else None
-
-
-# --- HTTP stub -------------------------------------------------------------------------
-
-
-class _Handler(BaseHTTPRequestHandler):
-    provider: SimProvider  # set on the server class
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        try:
-            payload = self._route()
-        except NotFound as exc:
-            self._respond(404, {"error": str(exc)})
-        except Exception as exc:  # surface as a 500 for the retry path
-            self._respond(500, {"error": str(exc)})
-        else:
-            self._respond(200, payload)
-
-    def _route(self) -> dict:
-        parts = [p for p in self.path.split("/") if p]
-        provider = self.server.provider  # type: ignore[attr-defined]
-        if len(parts) == 2 and parts[0] == "tx":
-            return provider.get_tx(parts[1])
-        if len(parts) == 2 and parts[0] == "addr":
-            return provider.get_address(parts[1])
-        if len(parts) == 3 and parts[0] == "output":
-            try:
-                index = int(parts[2])
-            except ValueError:
-                raise NotFound("output index must be an integer") from None
-            return provider.get_output(parts[1], index)
-        raise NotFound(f"no route for {self.path}")
-
-    def _respond(self, code: int, payload: dict) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args) -> None:  # keep test output clean
-        pass
-
-
-class ProviderHttpServer:
-    """Stub explorer serving a chain view over HTTP on localhost."""
-
-    def __init__(self, view, port: int = 0):
-        self.server = ThreadingHTTPServer(("127.0.0.1", port), _Handler)
-        self.server.provider = SimProvider(view)  # type: ignore[attr-defined]
-        self._thread = threading.Thread(target=self.server.serve_forever, daemon=True)
-
-    @property
-    def url(self) -> str:
-        host, port = self.server.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def start(self) -> "ProviderHttpServer":
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self.server.shutdown()
-        self.server.server_close()
-
-
-class HttpProvider:
-    """JSON-over-HTTP client for the stub (and shape-compatible explorers)."""
-
-    def __init__(self, base_url: str, timeout: float = 5.0):
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-
-    def _get(self, path: str) -> dict:
-        url = f"{self.base_url}{path}"
-        try:
-            with urllib.request.urlopen(url, timeout=self.timeout) as resp:
-                return json.loads(resp.read())
-        except urllib.error.HTTPError as exc:
-            if exc.code == 404:
-                raise NotFound(path) from None
-            raise ProviderUnavailable(f"{url} -> HTTP {exc.code}") from None
-        except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as exc:
-            raise ProviderUnavailable(f"{url} -> {exc}") from None
-
-    def get_tx(self, tx_id: str) -> dict:
-        return self._get(f"/tx/{tx_id}")
-
-    def get_output(self, tx_id: str, index: int) -> dict:
-        return self._get(f"/output/{tx_id}/{index}")
-
-    def get_address(self, key_hash: str) -> dict:
-        return self._get(f"/addr/{key_hash}")

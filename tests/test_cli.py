@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -106,3 +110,23 @@ def test_audit_fails_on_tampered_dump(runner, tmp_path):
         main, ["audit", "--chain", str(dump_file), "--model", str(model_file)]
     )
     assert result.exit_code == 1
+
+
+def test_import_loads_no_network_modules():
+    """The package runs in one process, so importing its entry points pulls
+    in no socket, TLS, HTTP client or HTTP server module."""
+    import chorchain
+
+    src = str(Path(chorchain.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys, chorchain.harness, chorchain.cli; "
+        "print(sorted(m for m in ('ssl', 'urllib.request', 'http.server', 'socket') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

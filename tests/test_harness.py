@@ -1,8 +1,11 @@
+import functools
 import io
 import json
 import statistics
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chorchain import harness as H
 from chorchain.engine import FILLER_TASK_ID
@@ -343,6 +346,76 @@ def test_second_spend_of_an_outpoint_refused_with_its_line_number():
     with pytest.raises(DumpFormatError, match="already spent by " + tx.tx_id.hex()) as err:
         H.audit("\n".join(lines) + "\n", model_doc(4))
     assert err.value.line_no == len(lines)
+
+
+def test_end_moved_ahead_of_its_ancestors_refused_with_its_line_number():
+    from chorchain.chain import DumpFormatError
+    from chorchain.encoding import TxKind, tx_from_hex
+
+    lines, instance = _model4_instance_lines(seed=11)
+    start, end = instance[0], instance[-1]
+    assert tx_from_hex(lines[end]).kind == TxKind.END
+    moved = lines[:start] + [lines[end]] + lines[start:end] + lines[end + 1:]
+    with pytest.raises(DumpFormatError, match="held by a later line") as err:
+        H.audit("\n".join(moved) + "\n", model_doc(4))
+    assert err.value.line_no == start + 1
+
+
+@functools.lru_cache(maxsize=None)
+def _seed11_dump(model_id):
+    """The seed-11 dump of a model, its lines and the indices of its
+    instance lines, built once per test session."""
+    from chorchain.encoding import TxKind, tx_from_hex
+
+    dump = H.run_scenario(H.ScenarioConfig(model_id=model_id, seed=11)).dumps[0]
+    lines = tuple(dump.splitlines())
+    kinds = {
+        i: tx_from_hex(line).kind
+        for i, line in enumerate(lines[1:], start=1)
+        if line and line != "mempool" and not line.startswith("block ")
+    }
+    instance = tuple(i for i, kind in kinds.items() if kind is not None)
+    assert kinds[instance[-1]] == TxKind.END
+    return dump, lines, instance
+
+
+@pytest.mark.parametrize("model_id", [1, 2, 3, 4])
+def test_seed11_dumps_audit_clean(model_id):
+    dump, _, _ = _seed11_dump(model_id)
+    assert H.audit(dump, model_doc(model_id)).all_clean
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), model_id=st.sampled_from([1, 2, 3, 4]))
+def test_any_single_edit_of_an_instance_line_is_flagged_or_refused(data, model_id):
+    """A duplicate, a move to the first block, a hex-digit flip or a deletion
+    of one instance line is refused by the loader or audits not clean. The
+    deletion of the instance's last transaction (its END) is left out: no
+    transaction records it, so only block headers could show it."""
+    from chorchain.chain import DumpFormatError
+
+    _, lines, instance = _seed11_dump(model_id)
+    edit = data.draw(st.sampled_from(["duplicate", "move", "flip", "delete"]))
+    at = data.draw(st.sampled_from(instance[:-1] if edit == "delete" else instance))
+    line = lines[at]
+    edited = list(lines)
+    if edit == "duplicate":
+        edited.insert(at, line)
+    elif edit == "move":
+        first_block = next(i for i, l in enumerate(lines) if l.startswith("block "))
+        del edited[at]
+        edited.insert(first_block + 1, line)
+    elif edit == "flip":
+        pos = data.draw(st.integers(0, len(line) - 1))
+        digit = data.draw(st.sampled_from([c for c in "0123456789abcdef" if c != line[pos]]))
+        edited[at] = line[:pos] + digit + line[pos + 1:]
+    else:
+        del edited[at]
+    try:
+        report = H.audit("\n".join(edited) + "\n", model_doc(model_id))
+    except DumpFormatError:
+        return
+    assert not report.all_clean
 
 
 def test_audit_reports_orphans_of_a_deleted_start():

@@ -420,27 +420,3 @@ def test_empty_report_when_nothing_new():
     report = monitor.collect()
     assert report.entries == ()
 
-
-# --- TCP binding ----------------------------------------------------------------------
-
-
-def test_tcp_transport_roundtrip():
-    transport = P.TcpTransport()
-    received = {}
-
-    def handler(src, frame):
-        received["src"] = src
-        kind, body = P.split_frame(frame)
-        return P.make_frame(P.FrameType.ACK, P.pack_fields(b"\x00", b"\x00", b"pong", b"", b""))
-
-    transport.register("server", handler)
-    try:
-        reply = transport.request("client", "server", P.make_frame(P.FrameType.DATA, b"ping"))
-        kind, body = P.split_frame(reply)
-        assert kind == P.FrameType.ACK
-        assert P.unpack_fields(body, 5)[2] == b"pong"
-        assert received["src"] == "client"
-        with pytest.raises(P.TransportTimeout):
-            transport.request("client", "nowhere", P.make_frame(P.FrameType.DATA, b""))
-    finally:
-        transport.close()

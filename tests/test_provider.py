@@ -2,15 +2,7 @@ import pytest
 
 from chorchain import engine as eng
 from chorchain.crypto import Keypair, sha256
-from chorchain.provider import (
-    HttpProvider,
-    NotFound,
-    ProviderChainView,
-    ProviderHttpServer,
-    ProviderUnavailable,
-    RetryingProvider,
-    SimProvider,
-)
+from chorchain.provider import NotFound, ProviderChainView, SimProvider
 
 from conftest import make_instance
 
@@ -64,14 +56,6 @@ def test_not_found(populated):
         provider.get_output("00" * 32, 0)
 
 
-def test_address_lookup(populated):
-    sim, start_tx, final, token = populated
-    provider = SimProvider(sim)
-    script_hash = final.outputs[0].script_hash
-    record = provider.get_address(script_hash.hex())
-    assert final.tx_id.hex() in record["tx_ids"]
-
-
 def test_provider_chain_view_supports_reconstruction(populated):
     sim, start_tx, final, _ = populated
     view = ProviderChainView(SimProvider(sim))
@@ -80,69 +64,3 @@ def test_provider_chain_view_supports_reconstruction(populated):
     direct = eng.reconstruct_trace(sim, start_tx.tx_id)
     assert trace == direct
 
-
-class FlakyProvider:
-    def __init__(self, inner, failures):
-        self.inner = inner
-        self.failures = failures
-        self.calls = 0
-
-    def get_tx(self, tx_id):
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise ProviderUnavailable("transient")
-        return self.inner.get_tx(tx_id)
-
-    def get_output(self, tx_id, index):
-        return self.inner.get_output(tx_id, index)
-
-    def get_address(self, key_hash):
-        return self.inner.get_address(key_hash)
-
-
-def test_retry_recovers_from_transient_failures(populated):
-    sim, start_tx, *_ = populated
-    sleeps = []
-    flaky = FlakyProvider(SimProvider(sim), failures=2)
-    provider = RetryingProvider(flaky, sleep=sleeps.append)
-    record = provider.get_tx(start_tx.tx_id.hex())
-    assert record["tx_id"] == start_tx.tx_id.hex()
-    assert flaky.calls == 3
-    assert sleeps == [0.05, 0.1]  # exponential backoff
-
-
-def test_retry_gives_up_after_three_attempts(populated):
-    sim, start_tx, *_ = populated
-    flaky = FlakyProvider(SimProvider(sim), failures=10)
-    provider = RetryingProvider(flaky, sleep=lambda _: None)
-    with pytest.raises(ProviderUnavailable):
-        provider.get_tx(start_tx.tx_id.hex())
-    assert flaky.calls == 3
-
-
-def test_http_stub_endpoints(populated):
-    sim, start_tx, final, token = populated
-    server = ProviderHttpServer(sim).start()
-    try:
-        client = HttpProvider(server.url)
-        record = client.get_tx(final.tx_id.hex())
-        assert record["state"] == "confirmed"
-        out = client.get_output(start_tx.tx_id.hex(), token.output_index)
-        assert out["spender"] == final.tx_id.hex()
-        addr = client.get_address(final.outputs[0].script_hash.hex())
-        assert final.tx_id.hex() in addr["tx_ids"]
-        with pytest.raises(NotFound):
-            client.get_tx("11" * 32)
-        with pytest.raises(NotFound):
-            client.get_tx("not-a-route/extra")
-        view = ProviderChainView(client)
-        trace = eng.reconstruct_trace(view, start_tx.tx_id)
-        assert trace.task_sequence() == (1,)
-    finally:
-        server.stop()
-
-
-def test_http_provider_unreachable_host():
-    client = HttpProvider("http://127.0.0.1:1", timeout=0.2)
-    with pytest.raises(ProviderUnavailable):
-        client.get_tx("00" * 32)
