@@ -9,10 +9,12 @@ one.
 
 The simulator runs on a logical clock. Block production times are drawn from
 an exponential distribution with a configurable mean, from a seeded RNG, so
-identical (seed, scenario) pairs replay bit-identically. Blocks fill from
-the mempool by fee priority (then arrival order) up to a capacity, and a
-child is eligible as soon as its parent is confirmed or included earlier in
-the same block, which lets whole unconfirmed chains confirm at once.
+identical (seed, scenario) pairs replay bit-identically. Every advance
+names a phase (task, logic, provider, ...), and the simulator tallies the
+seconds of each in ``phase_seconds``. Blocks fill from the mempool by fee
+priority (then arrival order) up to a capacity, and a child is eligible as
+soon as its parent is confirmed or included earlier in the same block,
+which lets whole unconfirmed chains confirm at once.
 
 Block assembly is incremental: the simulator keeps, across blocks, a heap of
 ready transactions keyed by fee, then arrival, and a count of unpicked
@@ -32,7 +34,7 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Container, Iterator
+from typing import Container, Iterator
 
 from .encoding import (
     EnrichedTransaction,
@@ -173,7 +175,7 @@ class ChainSim(ChainIndex):
         self._arrivals: dict[bytes, float] = {}
         self._arrival_seq = 0
         self._next_block_at = self.now + self._interval()
-        self.phase_recorder: Callable[[float, str], None] | None = None
+        self.phase_seconds: dict[str, float] = {}  # simulated seconds by phase
 
     def _interval(self) -> float:
         return self.rng.expovariate(1.0 / self.config.block_interval_mean)
@@ -286,11 +288,11 @@ class ChainSim(ChainIndex):
 
     def advance_time(self, dt: float, phase: str = "idle") -> list[Block]:
         """Move the logical clock forward, producing every block whose
-        scheduled time falls inside the window."""
+        scheduled time falls inside the window, and add ``dt`` to the
+        phase's tally."""
         if dt < 0:
             raise ValueError("time cannot run backwards")
-        if self.phase_recorder:
-            self.phase_recorder(dt, phase)
+        self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + dt
         target = self.now + dt
         produced = []
         while self._next_block_at <= target:

@@ -197,17 +197,6 @@ class ChainView(Protocol):
 # --- transaction builders ---------------------------------------------------------
 
 
-def default_tx_estimate(model: model_mod.ProcessModel) -> int:
-    """Planned chain length used for start budgeting: one transaction per
-    task, parallel split, and parallel join, plus the end and the filler
-    handover back to the owner. XOR blocks resolve into a single path and
-    produce no transaction of their own."""
-    tasks = model.count(model_mod.NodeKind.TASK)
-    splits = model.count(model_mod.NodeKind.AND_SPLIT)
-    joins = model.count(model_mod.NodeKind.AND_JOIN)
-    return tasks + splits + joins + 2
-
-
 def _sign_inputs(tx: EnrichedTransaction, keys: list[Keypair], redeems: list[bytes | None]) -> EnrichedTransaction:
     digest = signing_digest(tx)
     inputs = []

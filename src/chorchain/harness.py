@@ -9,11 +9,12 @@ template, which the receiver must catch (check 3) and the sender must
 answer with an extraordinary end transaction.
 
 Time is fully simulated and every advance is tagged with a phase (task,
-logic, provider, broadcast, confirm, idle), so runs report exactly where
-their duration went. Block intervals default to 6 simulated seconds - the
-live network's ten minutes compressed a hundredfold - and all comparisons
-against the published numbers are made on ratios and fractions, never on
-absolute seconds.
+logic, provider, broadcast, confirm, idle). The simulator tallies each
+phase's seconds, and a run checks that the tally adds up to its clock
+delta, so runs report exactly where their duration went. Block intervals
+default to 6 simulated seconds - the live network's ten minutes compressed
+a hundredfold - and all comparisons against the published numbers are made
+on ratios and fractions, never on absolute seconds.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ from .chain import ChainIndex, ChainSim, SimConfig, load_dump
 from .crypto import Keypair, recovered_keys, sha256
 from .encoding import OutputKind, TxKind, UnsupportedScriptShape, parse_redeem_script
 from .model import ProcessModel
-from .provider import ProviderChainView, SimProvider
 
 DEFAULT_BLOCK_MEAN = 6.0
-DEFAULT_SAFETY = Fraction(3, 2)
+SAFETY_FACTOR = Fraction(3, 2)  # start budget over the planned fees
+CONFIRMATION_DEPTH = 1
+TASK_JITTER = 0.005  # per-task sleeps vary by up to this fraction
 TASK_MS_FLOOR = 50
 TASK_MS_SPAN = 131  # per-task sleeps land in 50..180 ms
 
@@ -66,14 +68,10 @@ class ScenarioConfig:
     seed: int = 0
     block_interval_mean: float = DEFAULT_BLOCK_MEAN
     fee_per_tx: int = eng.DEFAULT_FEE
-    safety_factor: Fraction = DEFAULT_SAFETY
     repetitions: int = 1
-    confirmation_depth: int = 1
-    task_jitter: float = 0.005
-    tx_estimate_override: int | None = None  # start budgeting, if not plan-derived
 
     def fee_policy(self) -> eng.FeePolicy:
-        return eng.FeePolicy(self.fee_per_tx, Fraction(self.safety_factor))
+        return eng.FeePolicy(self.fee_per_tx, SAFETY_FACTOR)
 
     def xor_choices(self) -> list[int]:
         text = self.variant.strip()
@@ -252,37 +250,6 @@ def planned_task_sequence(plan: list[PlanStep]) -> tuple[int, ...]:
 PHASES = ("task", "logic", "provider", "broadcast", "confirm", "idle")
 
 
-class PhasedClock:
-    """Adapter giving protocol code a charge() view of simulator time."""
-
-    def __init__(self, sim: ChainSim):
-        self.sim = sim
-
-    def charge(self, dt: float, phase: str) -> None:
-        self.sim.advance_time(dt, phase)
-
-    @property
-    def now(self) -> float:
-        return self.sim.now
-
-
-class ChargingChainView:
-    """Chain view that bills each query as provider time."""
-
-    def __init__(self, inner, clock: PhasedClock, cost: float = 0.01):
-        self.inner = inner
-        self.clock = clock
-        self.cost = cost
-
-    def get_transaction(self, tx_id):
-        self.clock.charge(self.cost, "provider")
-        return self.inner.get_transaction(tx_id)
-
-    def get_spender(self, outpoint):
-        self.clock.charge(self.cost, "provider")
-        return self.inner.get_spender(outpoint)
-
-
 @dataclass
 class RunMetrics:
     model_id: int
@@ -391,9 +358,6 @@ class _Run:
         self.sim = ChainSim(
             SimConfig(seed=sim_seed, block_interval_mean=config.block_interval_mean)
         )
-        self.clock = PhasedClock(self.sim)
-        self.phase_seconds: dict[str, float] = {p: 0.0 for p in PHASES}
-        self.sim.phase_recorder = self._record
         self.fee_policy = config.fee_policy()
         self.instance_txs: list[bytes] = []
         self.detection = ""
@@ -403,13 +367,9 @@ class _Run:
         self._start_tx_id: bytes | None = None  # set by a verified run
         self._t0 = self.sim.now
 
-    def _record(self, dt: float, phase: str) -> None:
-        bucket = phase if phase in self.phase_seconds else "idle"
-        self.phase_seconds[bucket] += dt
-
     def _sleep_task(self, task_id: int) -> None:
-        jitter = 1.0 + self.rng.uniform(-self.config.task_jitter, self.config.task_jitter)
-        self.clock.charge(task_duration(task_id) * jitter, "task")
+        jitter = 1.0 + self.rng.uniform(-TASK_JITTER, TASK_JITTER)
+        self.sim.advance_time(task_duration(task_id) * jitter, "task")
 
     def run(self) -> tuple[RunMetrics, str, dict]:
         if self.config.verify:
@@ -418,17 +378,19 @@ class _Run:
             for step in self.plan:
                 if isinstance(step, PlanTask):
                     self._sleep_task(step.task_id)
-        # every advance is phase-tagged, so the recorded seconds are the
-        # run's duration exactly (no float drift against the clock delta)
-        duration = sum(self.phase_seconds.values())
+        # every advance is phase-tagged, so the tallied seconds are the
+        # run's duration exactly (no float drift against the clock delta);
+        # a phase outside PHASES leaves the sum short and fails the check
+        phase_seconds = {p: self.sim.phase_seconds.get(p, 0.0) for p in PHASES}
+        duration = sum(phase_seconds.values())
         if not abs(duration - (self.sim.now - self._t0)) < 1e-3:
             raise ScenarioError(
                 f"phase-tagged seconds {duration} disagree with the clock's "
                 f"{self.sim.now - self._t0}"
             )
-        return self._collect(duration)
+        return self._collect(duration, phase_seconds)
 
-    def _participants(self, transport: proto.InProcTransport, view) -> dict[str, proto.Participant]:
+    def _participants(self, transport: proto.InProcTransport) -> dict[str, proto.Participant]:
         names = [OWNER] + sorted(
             {participant_for(n.task_id) for n in self.model.nodes if n.kind == model_mod.NodeKind.TASK},
             key=lambda s: int(s[1:]),
@@ -441,8 +403,6 @@ class _Run:
                 root,
                 transport,
                 self.sim,
-                view,
-                self.clock,
                 self.fee_policy,
                 self.model,
                 self.rng,
@@ -450,10 +410,10 @@ class _Run:
         return out
 
     def _await(self, tx_id: bytes) -> None:
-        self.sim.await_confirmation(tx_id, self.config.confirmation_depth)
+        self.sim.await_confirmation(tx_id, CONFIRMATION_DEPTH)
 
     def _broadcast_plain(self, tx) -> None:
-        self.clock.charge(proto.LOGIC_COST, "broadcast")
+        self.sim.advance_time(proto.LOGIC_COST, "broadcast")
         result = self.sim.broadcast(tx)
         if not result.accepted:
             raise ScenarioError(f"broadcast rejected: {result.reason}")
@@ -463,13 +423,11 @@ class _Run:
 
     def _run_verified(self) -> None:
         config = self.config
-        transport = proto.InProcTransport()
-        view = ChargingChainView(ProviderChainView(SimProvider(self.sim)), self.clock)
-        participants = self._participants(transport, view)
+        participants = self._participants(proto.InProcTransport())
         owner = participants[OWNER]
         owner_key = Keypair.generate(self.rng)
 
-        estimate = config.tx_estimate_override or planned_tx_count(self.plan)
+        estimate = planned_tx_count(self.plan)
         budget = self.fee_policy.budget(estimate)
         funds = self.sim.grant(owner_key, [budget + self.fee_policy.per_tx_fee + 50_000])
 
@@ -479,7 +437,7 @@ class _Run:
 
         for step in self.plan:
             if isinstance(step, PlanStart):
-                self.clock.charge(proto.LOGIC_COST, "logic")
+                self.sim.advance_time(proto.LOGIC_COST, "logic")
                 start_tx, token = eng.build_start(
                     funds,
                     self.process_id,
@@ -534,7 +492,7 @@ class _Run:
             elif isinstance(step, PlanSplit):
                 actor = participants[step.actor]
                 token = actor.token_for(self.process_id)
-                self.clock.charge(proto.LOGIC_COST, "logic")
+                self.sim.advance_time(proto.LOGIC_COST, "logic")
                 tx, tokens = eng.build_split(
                     token, step.branches, int(self.sim.now), self.fee_policy, self.rng
                 )
@@ -546,7 +504,7 @@ class _Run:
                 tokens = actor.take_tokens(self.process_id)
                 if len(tokens) < step.inputs:
                     raise ScenarioError("join reached without all branch tokens")
-                self.clock.charge(proto.LOGIC_COST, "logic")
+                self.sim.advance_time(proto.LOGIC_COST, "logic")
                 tx, token = eng.build_join(
                     tokens, int(self.sim.now), self.fee_policy, self.rng
                 )
@@ -555,7 +513,7 @@ class _Run:
             elif isinstance(step, PlanEnd):
                 actor = participants[step.actor]
                 token = actor.token_for(self.process_id)
-                self.clock.charge(proto.LOGIC_COST, "logic")
+                self.sim.advance_time(proto.LOGIC_COST, "logic")
                 tx = eng.build_end(
                     token, token.holder_key, int(self.sim.now), self.fee_policy
                 )
@@ -567,7 +525,9 @@ class _Run:
                 self._await(tx_id)
         self._start_tx_id = start_tx.tx_id if start_tx is not None else None
 
-    def _collect(self, duration: float) -> tuple[RunMetrics, str, dict]:
+    def _collect(
+        self, duration: float, phase_seconds: dict[str, float]
+    ) -> tuple[RunMetrics, str, dict]:
         waits = [w for w in map(self.sim.confirmation_wait, self.instance_txs) if w is not None]
         walk = None
         total_fees = end_residual = 0
@@ -583,7 +543,7 @@ class _Run:
             greedy=self.config.greedy,
             fault_step=self.config.fault_step,
             duration=duration,
-            phase_seconds=dict(self.phase_seconds),
+            phase_seconds=phase_seconds,
             tx_count=len(self.instance_txs),
             total_fees=total_fees,
             start_budget=self.start_budget,

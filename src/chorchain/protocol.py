@@ -21,11 +21,18 @@ is also how it proves the sender really broadcast what both parties signed.
 Identities are RSA certificates issued by a single self-signed trust root;
 transaction keys are separate, fresh per handover. All messages are tagged
 binary frames (one length-prefixed byte string per field), carried by the
-in-process channel.
+in-process channel. A frame or reply that does not parse aborts the session
+instead of raising.
+
+Each participant holds one handle on the chain, the simulator: it charges
+its protocol work there as simulated time, broadcasts there, and reads the
+chain only through a :class:`~chorchain.provider.ProviderChainView` over it,
+as a thin client would.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -38,7 +45,8 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import engine as eng
 from .crypto import Keypair, sha256
-from .encoding import deserialize_transaction, serialize_transaction
+from .encoding import EncodingError, deserialize_transaction, serialize_transaction
+from .provider import ProviderChainView
 
 STEP_TIMEOUT = 30.0  # simulated seconds per awaited reply
 LOGIC_COST = 0.002  # simulated seconds charged per protocol step
@@ -150,12 +158,16 @@ class Certificate:
     @classmethod
     def from_bytes(cls, data: bytes) -> "Certificate":
         subject, key, nb, na, issuer, sig = unpack_fields(data, 6)
+        try:
+            subject_name, issuer_name = subject.decode(), issuer.decode()
+        except UnicodeDecodeError:
+            raise FrameError("certificate name is not UTF-8") from None
         return cls(
-            subject.decode(),
+            subject_name,
             key,
             int.from_bytes(nb, "big"),
             int.from_bytes(na, "big"),
-            issuer.decode(),
+            issuer_name,
             sig,
         )
 
@@ -349,15 +361,6 @@ class InProcTransport:
         return handler(src, frame)
 
 
-class Clock(Protocol):
-    """Simulated-time sink for protocol work (logic, waits)."""
-
-    def charge(self, dt: float, phase: str) -> None: ...
-
-    @property
-    def now(self) -> float: ...
-
-
 # --- sessions ---------------------------------------------------------------------------
 
 
@@ -391,28 +394,18 @@ class NegotiatedTerms:
     process_id: int
     task_id: int
     timestamp: int
-    deadline: int = 0
-    reward_ref: bytes = b""
 
     def to_bytes(self) -> bytes:
         return pack_fields(
             self.process_id.to_bytes(2, "big"),
             self.task_id.to_bytes(1, "big"),
             self.timestamp.to_bytes(4, "big"),
-            self.deadline.to_bytes(4, "big"),
-            self.reward_ref,
         )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "NegotiatedTerms":
-        pid, task, ts, deadline, reward = unpack_fields(data, 5)
-        return cls(
-            int.from_bytes(pid, "big"),
-            int.from_bytes(task, "big"),
-            int.from_bytes(ts, "big"),
-            int.from_bytes(deadline, "big"),
-            reward,
-        )
+        pid, task, ts = unpack_fields(data, 3)
+        return cls(int.from_bytes(pid, "big"), int.from_bytes(task, "big"), int.from_bytes(ts, "big"))
 
 
 @dataclass
@@ -425,7 +418,6 @@ class HandoverSession:
     abort_check: int | None = None
     peer_certificate: Certificate | None = None
     peer_attestation: AddressAttestation | None = None
-    own_attestation: AddressAttestation | None = None
     receive_key: Keypair | None = None  # receiver's fresh transaction key
     data_key: bytes | None = None
     data_hash: bytes | None = None
@@ -464,16 +456,29 @@ class SenderOutcome:
 # --- participant actor ---------------------------------------------------------------------
 
 
-@dataclass
-class ParticipantConfig:
-    step_timeout: float = STEP_TIMEOUT
-    logic_cost: float = LOGIC_COST
-    acceptable_tasks: frozenset[int] | None = None  # None accepts anything
+def _reply_guard(failed: Callable[[HandoverSession], object]):
+    """Sender-step decorator: a reply that does not parse aborts the
+    session, and the step returns ``failed(session)`` as on any refusal."""
+
+    def wrap(step):
+        @functools.wraps(step)
+        def guarded(self, session: HandoverSession, *args):
+            try:
+                return step(self, session, *args)
+            except FrameError as exc:
+                session.abort(f"malformed reply: {exc}")
+                return failed(session)
+
+        return guarded
+
+    return wrap
 
 
 class Participant:
     """One choreography actor: an identity, a transport endpoint, and the
-    engine state it needs to send and receive process tokens."""
+    engine state it needs to send and receive process tokens. ``chain`` is
+    the ``ChainSim``; ``acceptable_tasks`` is the receiver's negotiation
+    policy (None accepts any task)."""
 
     def __init__(
         self,
@@ -481,23 +486,20 @@ class Participant:
         root: TrustRoot,
         transport: Transport,
         chain,
-        chain_view: eng.ChainView,
-        clock: Clock,
         fee_policy: eng.FeePolicy,
         process_model,
         rng: random.Random,
-        config: ParticipantConfig | None = None,
+        acceptable_tasks: frozenset[int] | None = None,
     ):
         self.identity = identity
         self.root = root
         self.transport = transport
         self.chain = chain
-        self.chain_view = chain_view
-        self.clock = clock
+        self.chain_view = ProviderChainView(chain)
         self.fee_policy = fee_policy
         self.model = process_model
         self.rng = rng
-        self.config = config or ParticipantConfig()
+        self.acceptable_tasks = acceptable_tasks
         self.sessions: dict[tuple[int, str], HandoverSession] = {}
         self.holdings: list[eng.ProcessToken] = []
         self.process_data: dict[int, bytes] = {}
@@ -509,11 +511,11 @@ class Participant:
     def name(self) -> str:
         return self.identity.name
 
-    def _charge(self) -> None:
-        self.clock.charge(self.config.logic_cost, "logic")
+    def _charge(self, phase: str = "logic") -> None:
+        self.chain.advance_time(LOGIC_COST, phase)
 
     def _now(self) -> int:
-        return int(self.clock.now)
+        return int(self.chain.now)
 
     # --- sender side -------------------------------------------------------------
 
@@ -540,10 +542,11 @@ class Participant:
         try:
             return self.transport.request(self.name, session.peer, frame)
         except TransportTimeout as exc:
-            self.clock.charge(self.config.step_timeout, "logic")
+            self.chain.advance_time(STEP_TIMEOUT, "logic")
             session.abort(f"timeout: {exc}")
             return None
 
+    @_reply_guard(lambda session: False)
     def negotiate(self, session: HandoverSession) -> bool:
         """Step 1: mutual identification plus agreement on the terms."""
         self._charge()
@@ -560,7 +563,7 @@ class Participant:
             return False
         status, _, detail, cert_bytes, sig = unpack_fields(body, 5)
         if status != b"\x00":
-            session.abort(f"negotiation rejected: {detail.decode()}")
+            session.abort(f"negotiation rejected: {detail.decode(errors='replace')}")
             return False
         cert = Certificate.from_bytes(cert_bytes)
         try:
@@ -574,6 +577,7 @@ class Participant:
         session.peer_certificate = cert
         return True
 
+    @_reply_guard(lambda session: False)
     def transfer_data(self, session: HandoverSession, process_data: bytes) -> bool:
         """Step 2: ship the encrypted data ahead of the handover."""
         if session.state != SessionState.NEGOTIATING:
@@ -592,6 +596,7 @@ class Participant:
         session.advance(SessionState.DATA_TRANSFERRED)
         return True
 
+    @_reply_guard(lambda session: False)
     def exchange_addresses(self, session: HandoverSession) -> bool:
         """Step 3: swap identity-signed transaction addresses."""
         if session.state != SessionState.DATA_TRANSFERRED:
@@ -600,13 +605,13 @@ class Participant:
         own = make_attestation(
             self.identity, session.token.holder_key.key_hash, session.terms.process_id, self.rng
         )
-        session.own_attestation = own
         reply = self._request(session, make_frame(FrameType.ADDR_ATTEST, own.to_bytes()))
         if reply is None:
             return False
         kind, body = split_frame(reply)
         if kind == FrameType.ACK:
-            session.abort(f"address exchange rejected: {unpack_fields(body, 5)[2].decode()}")
+            detail = unpack_fields(body, 5)[2].decode(errors="replace")
+            session.abort(f"address exchange rejected: {detail}")
             return False
         if kind != FrameType.ADDR_ATTEST:
             session.abort("address exchange: unexpected reply")
@@ -624,6 +629,7 @@ class Participant:
         session.advance(SessionState.ADDRESSES_EXCHANGED)
         return True
 
+    @_reply_guard(lambda session: SenderOutcome(False, reason=session.abort_reason))
     def run_sender(self, session: HandoverSession) -> SenderOutcome:
         """Steps 4-6: template, receiver signature, finalize, broadcast."""
         if session.state != SessionState.ADDRESSES_EXCHANGED:
@@ -658,7 +664,7 @@ class Participant:
         if kind == FrameType.ACK:
             status, check_byte, detail, _, _ = unpack_fields(body, 5)
             check = check_byte[0] if status == b"\x01" and check_byte[0] else None
-            session.abort(f"receiver rejected template: {detail.decode()}", check)
+            session.abort(f"receiver rejected template: {detail.decode(errors='replace')}", check)
             abort_tx = self._publish_extraordinary_end(token)
             return SenderOutcome(
                 False, reason=session.abort_reason, check=check, abort_tx_id=abort_tx
@@ -675,7 +681,7 @@ class Participant:
             return SenderOutcome(False, reason=session.abort_reason)
         session.receiver_signature = receiver_sig
         session.advance(SessionState.RECEIVER_SIGNED)
-        self.clock.charge(self.config.logic_cost, "broadcast")
+        self._charge("broadcast")
         result = self.chain.broadcast(final)
         if not result.accepted:
             # receiver keeps the identity-signed template as proof of intent
@@ -695,7 +701,7 @@ class Participant:
             self.fee_policy,
             extraordinary=True,
         )
-        self.clock.charge(self.config.logic_cost, "broadcast")
+        self._charge("broadcast")
         result = self.chain.broadcast(tx)
         if result.accepted:
             if token in self.holdings:
@@ -709,7 +715,7 @@ class Participant:
         if session.role != Role.RECEIVER or session.state != SessionState.RECEIVER_SIGNED:
             return None
         template = session.template
-        self.clock.charge(self.config.logic_cost, "provider")
+        self._charge("provider")
         spender = self.chain_view.get_spender(template.tx.inputs[0].outpoint)
         if spender is None:
             return None
@@ -727,8 +733,20 @@ class Participant:
     # --- receiver side (frame handlers) ----------------------------------------------
 
     def on_request(self, src: str, frame: bytes) -> bytes:
-        kind, body = split_frame(frame)
+        """Answer one frame. A frame that does not parse, down to the
+        template's transaction bytes, is answered with a refusal and aborts
+        the open session with its sender."""
         self._charge()
+        try:
+            return self._dispatch(src, frame)
+        except (FrameError, EncodingError) as exc:
+            session = self._session_for(src)
+            if session is not None:
+                session.abort(f"malformed frame: {exc}")
+            return _ack(1, f"malformed frame: {exc}")
+
+    def _dispatch(self, src: str, frame: bytes) -> bytes:
+        kind, body = split_frame(frame)
         if kind == FrameType.NEGOTIATE:
             return self._on_negotiate(src, body)
         if kind == FrameType.DATA:
@@ -757,7 +775,7 @@ class Participant:
             return _ack(1, f"identity: {exc}")
         if not _rsa_verify(cert.public_key_der, sig, terms_bytes):
             return _ack(1, "identity: terms signature invalid")
-        acceptable = self.config.acceptable_tasks
+        acceptable = self.acceptable_tasks
         if acceptable is not None and terms.task_id not in acceptable:
             return _ack(1, f"task {terms.task_id} not acceptable")
         session = HandoverSession(Role.RECEIVER, src, terms)
@@ -794,7 +812,6 @@ class Participant:
         own = make_attestation(
             self.identity, session.receive_key.key_hash, session.terms.process_id, self.rng
         )
-        session.own_attestation = own
         session.advance(SessionState.ADDRESSES_EXCHANGED)
         return make_frame(FrameType.ADDR_ATTEST, own.to_bytes())
 
@@ -832,7 +849,7 @@ class Participant:
             receiver_key_hash=session.receive_key.key_hash,
             data_hash=received_hash,
         )
-        self.clock.charge(self.config.logic_cost, "provider")
+        self._charge("provider")
         try:
             verdict = eng.validate_template(template, expected, self.model, self.chain_view)
         except (eng.UnresolvableAncestor, eng.BrokenLineage) as exc:
@@ -920,7 +937,7 @@ class OwnerMonitor:
         holder = {(self.start_tx_id, walk.start.token_outputs[0][0]): owner.name}
         # one provider charge per token outpoint the walk followed
         for _ in range(len(walk.steps) + len(walk.unspent)):
-            owner.clock.charge(owner.config.logic_cost, "provider")
+            owner.chain.advance_time(LOGIC_COST, "provider")
         for step in walk.steps:
             tx_id = step.tx.tx_id
             kind = step.tx.kind.value
@@ -947,25 +964,23 @@ class OwnerMonitor:
         if sender == owner.name:
             att = owner.attestation_log.get(tx_id)
             return (att.certificate.subject, False) if att else (None, True)
-        owner.clock.charge(owner.config.logic_cost, "logic")
+        owner.chain.advance_time(LOGIC_COST, "logic")
         try:
             reply = owner.transport.request(
                 owner.name, sender, make_frame(FrameType.IDENTITY_QUERY, pack_fields(tx_id))
             )
         except TransportTimeout:
-            owner.clock.charge(owner.config.step_timeout, "logic")
+            owner.chain.advance_time(STEP_TIMEOUT, "logic")
             return None, True
-        kind, body = split_frame(reply)
-        if kind != FrameType.IDENTITY_REPLY:
-            return None, True
-        found, att_bytes = unpack_fields(body, 2)
-        if found != b"\x01":
-            return None, True
-        att = AddressAttestation.from_bytes(att_bytes)
         try:
-            owner.root.check(att.certificate, int(owner.clock.now))
-            if not _rsa_verify(att.certificate.public_key_der, att.signature, att.signed_payload()):
-                raise CertificateError("attestation signature invalid")
-        except CertificateError:
+            kind, body = split_frame(reply)
+            if kind != FrameType.IDENTITY_REPLY:
+                return None, True
+            found, att_bytes = unpack_fields(body, 2)
+            if found != b"\x01":
+                return None, True
+            att = AddressAttestation.from_bytes(att_bytes)
+            verify_attestation(att, owner.root, int(owner.chain.now), set())
+        except (FrameError, CertificateError):
             return None, True
         return att.certificate.subject, False

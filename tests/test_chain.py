@@ -174,16 +174,16 @@ def test_await_deeper_depth(funded):
     assert sim.confirmation_status(tx.tx_id).depth >= 3
 
 
-def test_phase_recorder_sees_all_advances(funded):
+def test_phase_seconds_sees_all_advances(funded):
     sim, key, outs, rng = funded
-    buckets = {}
-    sim.phase_recorder = lambda dt, phase: buckets.__setitem__(phase, buckets.get(phase, 0) + dt)
+    t0 = sim.now
     sim.advance_time(5.0, "task")
     tx, _ = payment([(outs[0].tx_id, 0, outs[0].value, key)], [outs[0].value - 1000], rng=rng)
     sim.broadcast(tx)
     sim.await_confirmation(tx.tx_id, 1)
-    assert buckets["task"] == 5.0
-    assert buckets["confirm"] > 0
+    assert sim.phase_seconds["task"] == 5.0
+    assert sim.phase_seconds["confirm"] > 0
+    assert sum(sim.phase_seconds.values()) == pytest.approx(sim.now - t0)
 
 
 # --- eviction --------------------------------------------------------------------------

@@ -475,12 +475,6 @@ def test_broken_lineage_reported(live):
     assert err.value.tx_id == rogue.tx_id
 
 
-def test_default_tx_estimate(models):
-    assert eng.default_tx_estimate(models[1]) == 3 + 2
-    assert eng.default_tx_estimate(models[3]) == 4 + 2 + 2
-    assert eng.default_tx_estimate(models[4]) == 5 + 2 + 2
-
-
 def test_template_without_data_block_raises():
     tx = EnrichedTransaction(
         inputs=(TxInput(b"\x21" * 32, 0, prev_value=50_000),),

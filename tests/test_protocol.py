@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chorchain import engine as eng
 from chorchain import protocol as P
@@ -36,7 +38,7 @@ def test_frame_errors():
 
 
 def test_negotiated_terms_roundtrip():
-    terms = P.NegotiatedTerms(42, 7, 123456, 99, b"reward-ref")
+    terms = P.NegotiatedTerms(42, 7, 123456)
     assert P.NegotiatedTerms.from_bytes(terms.to_bytes()) == terms
 
 
@@ -97,6 +99,15 @@ def test_attestation_wrong_signer_rejected():
         P.verify_attestation(swapped, root, 5, set())
 
 
+def test_certificate_with_non_utf8_name_is_a_frame_error():
+    cert = shared_identity("cert-check").certificate
+    garbled = P.pack_fields(
+        b"\xff\xfe", cert.public_key_der, b"\x00" * 8, b"\x00" * 8, b"root", cert.signature
+    )
+    with pytest.raises(P.FrameError, match="UTF-8"):
+        P.Certificate.from_bytes(garbled)
+
+
 def test_attestation_wire_roundtrip():
     root = P.TrustRoot(now=0)
     ident = root.issue("alice", now=0)
@@ -143,20 +154,19 @@ def test_empty_payload_allowed():
 class Env:
     """Two participants wired over an in-process transport and a simulator."""
 
-    def __init__(self, seed=21, model_id=1, receiver_cfg=None):
+    def __init__(self, seed=21, model_id=1, acceptable_tasks=None):
         self.rng = random.Random(seed)
         self.sim = ChainSim(SimConfig(seed=seed, block_interval_mean=6.0))
         self.transport = P.InProcTransport()
         self.root = shared_trust_root()
         self.fee = eng.FeePolicy()
         self.model = builtin_model(model_id)
-        self.clock = _SimClock(self.sim)
         self.participants = {}
         for name in ("owner", "alice", "bob"):
-            cfg = receiver_cfg if name != "owner" else None
             self.participants[name] = P.Participant(
-                shared_identity(name), self.root, self.transport, self.sim, self.sim,
-                self.clock, self.fee, self.model, self.rng, cfg,
+                shared_identity(name), self.root, self.transport, self.sim, self.fee,
+                self.model, self.rng,
+                acceptable_tasks=acceptable_tasks if name != "owner" else None,
             )
         owner_key = Keypair.generate(self.rng)
         funds = self.sim.grant(owner_key, [2_000_000])
@@ -179,18 +189,6 @@ class Env:
             session.fault_task_id = fault
         outcome = sender.run_sender(session)
         return session, outcome
-
-
-class _SimClock:
-    def __init__(self, sim):
-        self.sim = sim
-
-    def charge(self, dt, phase):
-        self.sim.advance_time(dt, phase)
-
-    @property
-    def now(self):
-        return self.sim.now
 
 
 def test_clean_handover_publishes_and_delivers_data():
@@ -248,7 +246,7 @@ def test_corrupted_data_source_rejected_at_check2():
 
 
 def test_negotiation_rejected_for_unacceptable_task():
-    env = Env(receiver_cfg=P.ParticipantConfig(acceptable_tasks=frozenset({9})))
+    env = Env(acceptable_tasks=frozenset({9}))
     sender = env.participants["owner"]
     session = sender.open_session("alice", P.NegotiatedTerms(1, 1, int(env.sim.now)))
     assert not sender.negotiate(session)
@@ -371,6 +369,119 @@ def test_replayed_attestation_aborts():
     assert b"replayed" in P.unpack_fields(body, 5)[2]
 
 
+# --- garbled frames ------------------------------------------------------------------
+
+
+def garble(data, truncate, position, mask):
+    """``data`` cut at a position, or with the byte there XOR-ed by ``mask``."""
+    k = position % len(data)
+    if truncate:
+        return data[:k]
+    return data[:k] + bytes([data[k] ^ mask]) + data[k + 1 :]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    kind=st.sampled_from(
+        [P.FrameType.NEGOTIATE, P.FrameType.DATA, P.FrameType.ADDR_ATTEST, P.FrameType.TEMPLATE_KEY]
+    ),
+    on_reply=st.booleans(),
+    truncate=st.booleans(),
+    position=st.integers(min_value=0, max_value=4096),
+    mask=st.integers(min_value=1, max_value=255),
+)
+def test_garbled_frame_or_reply_ends_the_handover_without_raising(
+    kind, on_reply, truncate, position, mask
+):
+    """One frame of the given kind, or the reply to it, is cut short or has
+    one byte flipped between the parties. The handover never raises, and the
+    sender's session ends published or aborted with a reason."""
+    env = Env()
+    alice = env.participants["alice"]
+
+    def endpoint(src, frame):
+        hit = P.split_frame(frame)[0] == kind
+        if hit and not on_reply:
+            frame = garble(frame, truncate, position, mask)
+        reply = alice.on_request(src, frame)
+        return garble(reply, truncate, position, mask) if hit and on_reply else reply
+
+    env.transport.register("alice", endpoint)
+    sender = env.owner()
+    session = sender.open_session("alice", P.NegotiatedTerms(1, 1, int(env.sim.now)))
+    if (
+        sender.negotiate(session)
+        and sender.transfer_data(session, b"payload-1")
+        and sender.exchange_addresses(session)
+    ):
+        sender.run_sender(session)
+    assert session.state in (P.SessionState.PUBLISHED, P.SessionState.ABORTED)
+    if session.state == P.SessionState.ABORTED:
+        assert session.abort_reason
+
+
+def test_truncated_frame_aborts_the_receivers_session():
+    env = Env()
+    alice = env.participants["alice"]
+    env.transport.register(
+        "alice",
+        lambda src, frame: alice.on_request(
+            src, frame[:-1] if P.split_frame(frame)[0] == P.FrameType.ADDR_ATTEST else frame
+        ),
+    )
+    sender = env.owner()
+    session = sender.open_session("alice", P.NegotiatedTerms(1, 1, int(env.sim.now)))
+    assert sender.negotiate(session) and sender.transfer_data(session, b"x")
+    assert not sender.exchange_addresses(session)
+    assert "malformed frame" in session.abort_reason
+    rsession = alice.sessions[(1, "owner")]
+    assert rsession.state == P.SessionState.ABORTED
+    assert "malformed frame" in rsession.abort_reason
+
+
+def test_signed_template_that_does_not_parse_is_refused():
+    """A certified sender's identity signature does not make its template
+    bytes parse; the receiver refuses them instead of raising."""
+    env = Env()
+    alice, owner = env.participants["alice"], env.owner()
+
+    def endpoint(src, frame):
+        kind, body = P.split_frame(frame)
+        if kind == P.FrameType.TEMPLATE_KEY:
+            tx_bytes, key_hash, data_hash, data_key, _ = P.unpack_fields(body, 5)
+            cut = tx_bytes[:10]
+            sig = owner.identity.sign(sha256(cut + data_key))
+            frame = P.make_frame(kind, P.pack_fields(cut, key_hash, data_hash, data_key, sig))
+        return alice.on_request(src, frame)
+
+    env.transport.register("alice", endpoint)
+    session, outcome = env.handover("owner", "alice", 1)
+    assert not outcome.published
+    assert "malformed frame" in session.abort_reason
+    assert alice.sessions[(1, "owner")].state == P.SessionState.ABORTED
+
+
+def test_truncated_reply_aborts_the_senders_session():
+    env = Env()
+    alice = env.participants["alice"]
+    env.transport.register("alice", lambda src, frame: alice.on_request(src, frame)[:-3])
+    sender = env.owner()
+    session = sender.open_session("alice", P.NegotiatedTerms(1, 1, int(env.sim.now)))
+    assert not sender.negotiate(session)
+    assert session.state == P.SessionState.ABORTED
+    assert session.abort_reason.startswith("malformed reply:")
+
+
+def test_refusal_detail_that_is_not_utf8_still_aborts():
+    env = Env()
+    refusal = P.make_frame(P.FrameType.ACK, P.pack_fields(b"\x01", b"\x00", b"\xff\xfe", b"", b""))
+    env.transport.register("alice", lambda src, frame: refusal)
+    sender = env.owner()
+    session = sender.open_session("alice", P.NegotiatedTerms(1, 1, int(env.sim.now)))
+    assert not sender.negotiate(session)
+    assert session.abort_reason.startswith("negotiation rejected:")
+
+
 # --- owner monitoring ----------------------------------------------------------------
 
 
@@ -412,6 +523,18 @@ def test_offline_participant_leaves_gap_but_monitoring_continues():
     assert handovers[0].participant == "alice"
     assert handovers[1].gap and handovers[1].participant is None
     assert len(handovers) == 3  # later handovers still observed
+
+
+def test_garbled_identity_reply_leaves_gap():
+    env = Env(model_id=1)
+    chain_of_three(env)
+    alice = env.participants["alice"]
+    env.transport.register("alice", lambda src, frame: alice.on_request(src, frame)[:-1])
+    report = P.OwnerMonitor(env.owner(), env.start_tx.tx_id, 1).collect()
+    handovers = [e for e in report.entries if e.kind == "handover"]
+    assert handovers[0].participant == "alice"
+    assert handovers[1].gap and handovers[1].participant is None
+    assert len(handovers) == 3
 
 
 def test_empty_report_when_nothing_new():

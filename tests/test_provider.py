@@ -2,7 +2,7 @@ import pytest
 
 from chorchain import engine as eng
 from chorchain.crypto import Keypair, sha256
-from chorchain.provider import NotFound, ProviderChainView, SimProvider
+from chorchain.provider import PROVIDER_QUERY_COST, ProviderChainView
 
 from conftest import make_instance
 
@@ -22,45 +22,44 @@ def populated(rng, fee_policy, funded_sim):
     return sim, start_tx, final, token
 
 
-def test_get_tx_records(populated):
-    sim, start_tx, final, _ = populated
-    provider = SimProvider(sim)
-    pending_or_confirmed = provider.get_tx(final.tx_id.hex())
-    assert pending_or_confirmed["state"] == "confirmed"
-    assert pending_or_confirmed["depth"] >= 1
-    assert pending_or_confirmed["kind"] == "handover"
+def test_each_query_is_billed_as_provider_time(populated):
+    sim, start_tx, final, token = populated
+    view = ProviderChainView(sim)
+    before, provider_before = sim.now, sim.phase_seconds.get("provider", 0.0)
+    assert view.get_transaction(final.tx_id) == final
+    assert view.get_spender((start_tx.tx_id, token.output_index)) == final.tx_id
+    assert sim.now - before == pytest.approx(2 * PROVIDER_QUERY_COST)
+    assert sim.phase_seconds["provider"] - provider_before == pytest.approx(
+        2 * PROVIDER_QUERY_COST
+    )
 
 
 def test_get_tx_mempool_state(rng, fee_policy, funded_sim):
     sim, owner_key, funds = funded_sim
     start_tx, _ = make_instance(sim, owner_key, funds, fee_policy, rng)
-    record = SimProvider(sim).get_tx(start_tx.tx_id.hex())
-    assert record["state"] == "pending" and record["depth"] == 0
+    assert ProviderChainView(sim).get_transaction(start_tx.tx_id) == start_tx
+    status = sim.confirmation_status(start_tx.tx_id)
+    assert status.state == "pending" and status.depth == 0
 
 
 def test_get_output_spender(populated):
     sim, start_tx, final, token = populated
-    provider = SimProvider(sim)
-    record = provider.get_output(start_tx.tx_id.hex(), token.output_index)
-    assert record["spent"] and record["spender"] == final.tx_id.hex()
-    tip = provider.get_output(final.tx_id.hex(), 0)
-    assert not tip["spent"] and tip["spender"] is None
+    view = ProviderChainView(sim)
+    assert view.get_spender((start_tx.tx_id, token.output_index)) == final.tx_id
+    assert view.get_spender((final.tx_id, 0)) is None
 
 
 def test_not_found(populated):
     sim, *_ = populated
-    provider = SimProvider(sim)
-    with pytest.raises(NotFound):
-        provider.get_tx("00" * 32)
-    with pytest.raises(NotFound):
-        provider.get_output("00" * 32, 0)
+    view = ProviderChainView(sim)
+    assert view.get_transaction(b"\x00" * 32) is None
+    assert view.get_spender((b"\x00" * 32, 0)) is None
 
 
 def test_provider_chain_view_supports_reconstruction(populated):
     sim, start_tx, final, _ = populated
-    view = ProviderChainView(SimProvider(sim))
+    view = ProviderChainView(sim)
     trace = eng.reconstruct_trace(view, start_tx.tx_id)
     assert trace.task_sequence() == (1,)
     direct = eng.reconstruct_trace(sim, start_tx.tx_id)
     assert trace == direct
-
