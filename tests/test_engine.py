@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from chorchain import engine as eng
+from chorchain import harness as H
 from chorchain import model as M
 from chorchain.crypto import Keypair, hash160, sha256
 from chorchain.encoding import (
@@ -473,6 +474,17 @@ def test_broken_lineage_reported(live):
     with pytest.raises(eng.BrokenLineage) as err:
         eng.reconstruct_trace(sim, live["start"].tx_id)
     assert err.value.tx_id == rogue.tx_id
+
+
+def test_default_tx_estimate(models):
+    # The start budget covers every planned transaction after the start;
+    # XOR picks resolve into one path and add none of their own.
+    def estimate(model_id, choices):
+        return H.planned_tx_count(H.build_plan(models[model_id], choices))
+
+    assert estimate(1, []) == 3 + 1 + 1  # 3 handovers, filler, end
+    assert estimate(3, []) == 4 + 1 + 1 + 2 + 1  # 4 handovers, split, join, 2 fillers, end
+    assert estimate(4, [0]) == estimate(4, [1]) == 4 + 1 + 1 + 2 + 1
 
 
 def test_template_without_data_block_raises():
