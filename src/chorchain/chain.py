@@ -47,6 +47,7 @@ from .encoding import (
 from .engine import Keypair, ScriptValidationError, Spendable, validate_transaction_scripts
 
 GENESIS_TIME = 1_700_000_000  # logical epoch; keeps timestamps in 4 bytes
+RELAY_MIN_FEE = 1  # satoshi; a transaction paying less is refused
 
 
 class ChainError(Exception):
@@ -70,7 +71,6 @@ class SimConfig:
     seed: int = 0
     block_interval_mean: float = 600.0
     block_capacity: int = 1500
-    relay_min_fee: int = 1
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,7 @@ class ChainIndex:
     in the mempool), and the spender of every spent outpoint, across blocks
     and mempool. A loaded dump is one; the simulator builds on one."""
 
-    def __init__(self, header: dict | None = None):
-        self.header = header or {}
+    def __init__(self):
         self.blocks: list[Block] = []
         self._tx_at: dict[bytes, tuple[EnrichedTransaction, int | None]] = {}
         self._spender: dict[tuple[bytes, int], bytes] = {}
@@ -227,7 +226,7 @@ class ChainSim(ChainIndex):
                 return "conflict", 0
             input_total += out.value
         fee = input_total - sum(o.value for o in tx.outputs)
-        if fee < self.config.relay_min_fee:
+        if fee < RELAY_MIN_FEE:
             return "fee-below-minimum", 0
         try:
             validate_transaction_scripts(tx, self)
@@ -386,7 +385,7 @@ class ChainSim(ChainIndex):
             "seed": self.config.seed,
             "block_interval_mean": self.config.block_interval_mean,
             "block_capacity": self.config.block_capacity,
-            "relay_min_fee": self.config.relay_min_fee,
+            "relay_min_fee": RELAY_MIN_FEE,
             "time": self.now,
         }
         lines = [json.dumps(header, sort_keys=True)]
@@ -408,10 +407,10 @@ def load_dump(text: str) -> ChainIndex:
     if not lines:
         raise DumpFormatError(1, "empty dump")
     try:
-        header = json.loads(lines[0])
+        json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise DumpFormatError(1, f"bad header: {exc}") from None
-    index = ChainIndex(header)
+    index = ChainIndex()
     blocks = index.blocks
     in_mempool = False
     unresolved: list[tuple[int, bytes]] = []  # (line, spent txid) not yet indexed

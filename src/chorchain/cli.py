@@ -10,8 +10,10 @@ import sys
 
 import click
 
+from .chain import DumpFormatError
 from .harness import (
     ScenarioConfig,
+    ScenarioError,
     audit as run_audit,
     read_metrics_csv,
     render_summary,
@@ -19,6 +21,10 @@ from .harness import (
     summarize as summarize_runs,
     write_metrics_csv,
 )
+from .model import ModelError
+
+# refusals of bad input: reported in one line, without a traceback
+_REFUSALS = (ScenarioError, ModelError, DumpFormatError)
 
 
 def _configure_logging() -> None:
@@ -60,7 +66,10 @@ def run(model, variant, verify, greedy, fault_step, seed, block_mean, fee, reps,
         fee_per_tx=fee,
         repetitions=reps,
     )
-    result = run_scenario(config)
+    try:
+        result = run_scenario(config)
+    except _REFUSALS as exc:
+        raise click.ClickException(str(exc)) from None
     out_dir = pathlib.Path(out)
     (out_dir / "chains").mkdir(parents=True, exist_ok=True)
     (out_dir / "traces").mkdir(parents=True, exist_ok=True)
@@ -96,9 +105,12 @@ def summarize(directory, as_json) -> None:
 @click.option("--model", "model_file", type=click.Path(exists=True, dir_okay=False), required=True)
 def audit(chain_file, model_file) -> None:
     """Verify every process instance recorded in a chain dump."""
-    report = run_audit(
-        pathlib.Path(chain_file).read_text(), pathlib.Path(model_file).read_text()
-    )
+    try:
+        report = run_audit(
+            pathlib.Path(chain_file).read_text(), pathlib.Path(model_file).read_text()
+        )
+    except _REFUSALS as exc:
+        raise click.ClickException(str(exc)) from None
     click.echo(report.to_json())
     if not report.all_clean:
         sys.exit(1)

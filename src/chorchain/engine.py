@@ -142,7 +142,6 @@ class ExpectedTerms:
     timestamp: int
     receiver_key_hash: bytes
     data_hash: bytes | None = None  # hash of the process data just received
-    timestamp_skew: int = TIMESTAMP_SKEW
 
 
 @dataclass(frozen=True)
@@ -344,7 +343,7 @@ def validate_template(
         return TemplateVerdict.reject(
             3, f"task id {block.task_id} does not match negotiated task {expected.task_id}"
         )
-    if abs(block.timestamp - expected.timestamp) > expected.timestamp_skew:
+    if abs(block.timestamp - expected.timestamp) > TIMESTAMP_SKEW:
         return TemplateVerdict.reject(3, "timestamp outside the agreed skew window")
 
     start_id = _find_start(chain_view, txin.prev_tx_id)
@@ -460,7 +459,6 @@ def build_join(
     now: int,
     fee_policy: FeePolicy,
     rng: random.Random,
-    attached_data_hash: bytes | None = None,
 ) -> tuple[EnrichedTransaction, ProcessToken]:
     """Merge parallel-path tokens (all already handed to the caller) back
     into a single token."""
@@ -474,7 +472,7 @@ def build_join(
     if merged_value <= 0:
         raise TokenValueError("joined tokens cannot pay the fee and survive")
     key = Keypair.generate(rng)
-    redeem = build_redeem_script(key.key_hash, attached_data_hash)
+    redeem = build_redeem_script(key.key_hash)
     tx = EnrichedTransaction(
         inputs=tuple(
             TxInput(t.tx_id, t.output_index, prev_value=t.value) for t in tokens
@@ -485,9 +483,7 @@ def build_join(
         ),
     )
     tx = _sign_inputs(tx, [t.holder_key for t in tokens], [t.redeem_script for t in tokens])
-    token = ProcessToken(
-        tokens[0].process_id, tx.tx_id, 0, merged_value, key, redeem, attached_data_hash
-    )
+    token = ProcessToken(tokens[0].process_id, tx.tx_id, 0, merged_value, key, redeem)
     return tx, token
 
 
@@ -496,7 +492,6 @@ def build_end(
     owner_key: Keypair,
     now: int,
     fee_policy: FeePolicy,
-    final_data_hash: bytes | None = None,
     extraordinary: bool = False,
 ) -> EnrichedTransaction:
     """Close the instance, returning the residual budget to the publisher.
@@ -507,8 +502,6 @@ def build_end(
     """
     if not extraordinary and token.holder_key.key_hash != owner_key.key_hash:
         raise EngineError("end transaction requires the owner to hold the token")
-    if final_data_hash is not None and final_data_hash != token.attached_data_hash:
-        raise EngineError("final data hash differs from the hash documented with the token")
     fee = fee_policy.per_tx_fee
     residual = token.value - fee
     if residual < 0:

@@ -25,6 +25,8 @@ import random
 import statistics
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import count
+from typing import Iterator
 
 from . import engine as eng
 from . import model as model_mod
@@ -135,80 +137,53 @@ def build_plan(model: ProcessModel, choices: list[int]) -> list[PlanStep]:
     """Compile the model plus XOR picks into the linear step list the
     harness executes (sequential actor turns; AND branches run in branch
     order, which is one legal interleaving)."""
-    by_id = model.node_by_id
-    pairs = model.split_joins
-    xor_splits = [n.node_id for n in model.nodes if n.kind == model_mod.NodeKind.XOR_SPLIT]
-    if len(choices) == 1 and len(xor_splits) > 1:
-        choices = choices * len(xor_splits)
-    if len(choices) < len(xor_splits):
-        raise ScenarioError(f"model has {len(xor_splits)} XOR splits, variant picks {len(choices)}")
-    cursor = 0
+    xor_splits = sum(n.kind == model_mod.NodeKind.XOR_SPLIT for n in model.nodes)
+    if len(choices) == 1 and xor_splits > 1:
+        choices = choices * xor_splits
+    if len(choices) < xor_splits:
+        raise ScenarioError(f"model has {xor_splits} XOR splits, variant picks {len(choices)}")
+    cursor = 0  # XOR picks taken so far, in walk order
 
-    def take_choice() -> int:
-        nonlocal cursor
-        cursor += 1
-        return choices[cursor - 1]
+    def branch(gateway: model_mod.Gateway, pick_no: int) -> tuple[model_mod.Step, ...]:
+        pick = choices[pick_no]
+        if not 0 <= pick < len(gateway.branches):
+            raise ScenarioError(f"variant picks branch {pick} of {len(gateway.branches)}")
+        return gateway.branches[pick]
+
+    def tasks_ahead(steps: tuple[model_mod.Step, ...], pick_nos: Iterator[int]) -> Iterator[int]:
+        """Tasks these steps will execute, in order. XOR picks are peeked,
+        not consumed; the main walk takes them later."""
+        for step in steps:
+            if isinstance(step, int):
+                yield step
+            elif step.kind == model_mod.NodeKind.AND_SPLIT:
+                raise ScenarioError("parallel block directly after a join is unsupported")
+            else:
+                yield from tasks_ahead(branch(step, next(pick_nos)), pick_nos)
 
     plan: list[PlanStep] = [PlanStart()]
 
-    def first_task_of(node_id: str, stop: str | None) -> int | None:
-        """Task that will proceed execution from this point, if any. XOR
-        picks are peeked, not consumed; the main walk takes them later."""
-        node = by_id[node_id]
-        peek = cursor
-        while True:
-            if node_id == stop or node.kind == model_mod.NodeKind.END:
-                return None
-            if node.kind == model_mod.NodeKind.TASK:
-                return node.task_id
-            if node.kind == model_mod.NodeKind.XOR_SPLIT:
-                branches = model.successors(node_id)
-                node_id = branches[choices[peek]]
-                peek += 1
-                node = by_id[node_id]
-                continue
-            if node.kind == model_mod.NodeKind.AND_SPLIT:
-                raise ScenarioError("parallel block directly after a join is unsupported")
-            node_id = model.successors(node_id)[0]
-            node = by_id[node_id]
-
-    def walk(node_id: str, holder: str, stop: str | None, skip_task: int | None) -> str:
-        """Emit steps from node_id until `stop`; returns the final holder."""
-        while True:
-            node = by_id[node_id]
-            if node_id == stop or node.kind == model_mod.NodeKind.END:
-                return holder
-            if node.kind == model_mod.NodeKind.TASK:
-                actor = participant_for(node.task_id)
-                if node.task_id == skip_task:
+    def walk(steps: tuple[model_mod.Step, ...], holder: str, skip_task: int | None) -> str:
+        """Emit the steps' plan; returns the final holder."""
+        nonlocal cursor
+        for i, step in enumerate(steps):
+            if isinstance(step, int):
+                actor = participant_for(step)
+                if step == skip_task:
                     skip_task = None  # handover already documented before the join
                 else:
-                    plan.append(PlanHandover(holder, actor, node.task_id))
-                plan.append(PlanTask(actor, node.task_id))
+                    plan.append(PlanHandover(holder, actor, step))
+                plan.append(PlanTask(actor, step))
                 holder = actor
-                node_id = model.successors(node_id)[0]
-                continue
-            if node.kind == model_mod.NodeKind.XOR_SPLIT:
-                join = pairs[node_id]
-                branches = model.successors(node_id)
-                pick = take_choice()
-                if not 0 <= pick < len(branches):
-                    raise ScenarioError(f"variant picks branch {pick} of {len(branches)}")
-                holder = walk(branches[pick], holder, join, skip_task)
+            elif step.kind == model_mod.NodeKind.XOR_SPLIT:
+                cursor += 1
+                holder = walk(branch(step, cursor - 1), holder, skip_task)
                 skip_task = None
-                node_id = model.successors(join)[0]
-                continue
-            if node.kind == model_mod.NodeKind.AND_SPLIT:
-                join = pairs[node_id]
-                branches = model.successors(node_id)
-                plan.append(PlanSplit(holder, len(branches)))
-                finals = [walk(branch, holder, join, None) for branch in branches]
-                after_join = model.successors(join)[0]
-                proceed_task = first_task_of(after_join, stop)
-                if proceed_task is None:
-                    proceed = OWNER
-                else:
-                    proceed = participant_for(proceed_task)
+            else:
+                plan.append(PlanSplit(holder, len(step.branches)))
+                finals = [walk(b, holder, None) for b in step.branches]
+                proceed_task = next(tasks_ahead(steps[i + 1 :], count(cursor)), None)
+                proceed = OWNER if proceed_task is None else participant_for(proceed_task)
                 # first finished branch hands over for the next task, the
                 # others return custody only
                 first, *rest = finals
@@ -218,14 +193,12 @@ def build_plan(model: ProcessModel, choices: list[int]) -> list[PlanStep]:
                     plan.append(PlanHandover(first, proceed, proceed_task))
                 for other in rest:
                     plan.append(PlanHandover(other, proceed, eng.FILLER_TASK_ID, filler=True))
-                plan.append(PlanJoin(proceed, len(branches)))
+                plan.append(PlanJoin(proceed, len(step.branches)))
                 holder = proceed
                 skip_task = proceed_task
-                node_id = after_join
-                continue
-            node_id = model.successors(node_id)[0]  # joins already consumed
+        return holder
 
-    final_holder = walk(model.successors(model.start.node_id)[0], OWNER, None, None)
+    final_holder = walk(model.body, OWNER, None)
     if final_holder != OWNER:
         plan.append(PlanHandover(final_holder, OWNER, eng.FILLER_TASK_ID, filler=True))
     plan.append(PlanEnd(OWNER))
@@ -391,10 +364,7 @@ class _Run:
         return self._collect(duration, phase_seconds)
 
     def _participants(self, transport: proto.InProcTransport) -> dict[str, proto.Participant]:
-        names = [OWNER] + sorted(
-            {participant_for(n.task_id) for n in self.model.nodes if n.kind == model_mod.NodeKind.TASK},
-            key=lambda s: int(s[1:]),
-        )
+        names = [OWNER] + [participant_for(t) for t in sorted(self.model.task_ids)]
         root = shared_trust_root()
         out = {}
         for name in names:

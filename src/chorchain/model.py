@@ -6,18 +6,24 @@ Legal behaviour is the set of task sequences the graph can produce, where an
 XOR block contributes one branch and an AND block contributes every
 interleaving of its branches.
 
-Two independent views of that language exist side by side:
+Validation parses the graph once into :attr:`ProcessModel.body`, a tree of
+steps: a task id, or a :class:`Gateway` whose branches are step sequences
+of their own. This module is the only place that pairs splits with joins;
+the harness's plan compiler walks the tree.
+
+Two independent views of the language exist side by side:
 
 * :func:`enumerate_valid_traces` materializes it by recursive descent over
-  the block structure (used as the oracle in tests), and
+  the parsed block tree (used as the oracle in tests), and
 * :func:`check_conformance` replays a trace against a token-marking
-  semantics of the graph without ever enumerating.
+  semantics of the edge list, without enumerating and without reading the
+  tree.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
 from typing import Iterator
@@ -57,17 +63,26 @@ class Node:
 
 
 @dataclass(frozen=True)
+class Gateway:
+    """One split/join block: ``kind`` is the split's kind, and each branch
+    is the step sequence between split and join, in edge-declaration order."""
+
+    kind: NodeKind
+    branches: tuple[tuple["Step", ...], ...]
+
+
+Step = int | Gateway  # a task id, or a block
+
+
+@dataclass(frozen=True)
 class ProcessModel:
     model_id: int
     nodes: tuple[Node, ...]
     edges: tuple[tuple[str, str], ...]
+    body: tuple[Step, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _validate(self)
-
-    @property
-    def node_by_id(self) -> dict[str, Node]:
-        return {n.node_id: n for n in self.nodes}
+        object.__setattr__(self, "body", _validate(self))
 
     def successors(self, node_id: str) -> list[str]:
         return [b for a, b in self.edges if a == node_id]
@@ -86,16 +101,6 @@ class ProcessModel:
     @property
     def task_ids(self) -> frozenset[int]:
         return frozenset(n.task_id for n in self.nodes if n.kind == NodeKind.TASK)
-
-    @property
-    def split_joins(self) -> dict[str, str]:
-        """Mapping from each split node to its matching join."""
-        pairs: dict[str, str] = {}
-        _walk_blocks(self, self.successors(self.start.node_id)[0], pairs)
-        return pairs
-
-    def count(self, kind: NodeKind) -> int:
-        return sum(1 for n in self.nodes if n.kind == kind)
 
 
 class EventKind(str, Enum):
@@ -189,7 +194,8 @@ def load_model(document: str) -> ProcessModel:
     return ProcessModel(model_id, nodes, edges)
 
 
-def _validate(model: ProcessModel) -> None:
+def _validate(model: ProcessModel) -> tuple[Step, ...]:
+    """Check the graph and return its parsed block tree."""
     ids = [n.node_id for n in model.nodes]
     if len(set(ids)) != len(ids):
         dup = next(i for i in ids if ids.count(i) > 1)
@@ -267,7 +273,7 @@ def _validate(model: ProcessModel) -> None:
 
     # split/join block structure
     pairs: dict[str, str] = {}
-    terminal = _walk_blocks(model, model.successors(starts[0].node_id)[0], pairs)
+    body, terminal = _parse(model, by_id, model.successors(starts[0].node_id)[0], pairs)
     if by_id[terminal].kind != NodeKind.END:
         raise ModelError("dangling join outside any block", terminal)
     unmatched = [n.node_id for n in model.nodes if n.kind in _JOINS and n.node_id not in pairs.values()]
@@ -276,21 +282,27 @@ def _validate(model: ProcessModel) -> None:
     for split_id, join_id in pairs.items():
         if len(model.predecessors(join_id)) != len(model.successors(split_id)):
             raise ModelError("join arity differs from its split", join_id)
+    return body
 
 
-def _walk_blocks(model: ProcessModel, node_id: str, pairs: dict[str, str]) -> str:
-    """Walk a linear segment, pairing splits with joins; returns the join or
-    end node that terminates the segment."""
-    by_id = model.node_by_id
+def _parse(
+    model: ProcessModel, by_id: dict[str, Node], node_id: str, pairs: dict[str, str]
+) -> tuple[tuple[Step, ...], str]:
+    """Parse a linear segment into steps, pairing each split with its join
+    in ``pairs``; returns the steps and the join or end node that terminates
+    the segment."""
+    steps: list[Step] = []
     while True:
         node = by_id[node_id]
         if node.kind in _JOINS or node.kind == NodeKind.END:
-            return node_id
+            return tuple(steps), node_id
         if node.kind in _SPLITS:
-            exits = {_walk_blocks(model, succ, pairs) for succ in model.successors(node_id)}
-            if len(exits) != 1:
+            branches, exits = zip(
+                *(_parse(model, by_id, succ, pairs) for succ in model.successors(node_id))
+            )
+            if len(set(exits)) != 1:
                 raise ModelError("split branches converge on different joins", node_id)
-            join_id = exits.pop()
+            join_id = exits[0]
             join = by_id[join_id]
             if join.kind != _MATCHING_JOIN[node.kind]:
                 raise ModelError(
@@ -299,8 +311,10 @@ def _walk_blocks(model: ProcessModel, node_id: str, pairs: dict[str, str]) -> st
             if join_id in pairs.values():
                 raise ModelError("join matched by two splits", join_id)
             pairs[node_id] = join_id
+            steps.append(Gateway(node.kind, branches))
             node_id = model.successors(join_id)[0]
             continue
+        steps.append(node.task_id)
         node_id = model.successors(node_id)[0]
 
 
@@ -318,39 +332,29 @@ def _interleave(parts: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
             yield (p[0],) + tail
 
 
-def _language(model: ProcessModel, node_id: str, stop: str | None) -> Iterator[tuple[int, ...]]:
-    by_id = model.node_by_id
-    pairs = model.split_joins
-    node = by_id[node_id]
-    if node_id == stop or node.kind == NodeKind.END:
+def _language(steps: tuple[Step, ...]) -> Iterator[tuple[int, ...]]:
+    if not steps:
         yield ()
         return
-    if node.kind in _JOINS:
-        yield from _language(model, model.successors(node_id)[0], stop)
+    head, rest = steps[0], steps[1:]
+    if isinstance(head, int):
+        for tail in _language(rest):
+            yield (head,) + tail
         return
-    if node.kind == NodeKind.TASK:
-        for tail in _language(model, model.successors(node_id)[0], stop):
-            yield (node.task_id,) + tail
-        return
-    if node.kind == NodeKind.XOR_SPLIT:
-        join = pairs[node_id]
-        for branch in model.successors(node_id):
-            for chosen in _language(model, branch, join):
-                for tail in _language(model, model.successors(join)[0], stop):
+    if head.kind == NodeKind.XOR_SPLIT:
+        for branch in head.branches:
+            for chosen in _language(branch):
+                for tail in _language(rest):
                     yield chosen + tail
         return
-    if node.kind == NodeKind.AND_SPLIT:
-        join = pairs[node_id]
-        branch_langs = [list(_language(model, b, join)) for b in model.successors(node_id)]
-        combos: list[list[tuple[int, ...]]] = [[]]
-        for lang in branch_langs:
-            combos = [c + [seq] for c in combos for seq in lang]
-        for combo in combos:
-            for merged in _interleave(combo):
-                for tail in _language(model, model.successors(join)[0], stop):
-                    yield merged + tail
-        return
-    yield from _language(model, model.successors(node_id)[0], stop)  # START
+    branch_langs = [list(_language(b)) for b in head.branches]
+    combos: list[list[tuple[int, ...]]] = [[]]
+    for lang in branch_langs:
+        combos = [c + [seq] for c in combos for seq in lang]
+    for combo in combos:
+        for merged in _interleave(combo):
+            for tail in _language(rest):
+                yield merged + tail
 
 
 def enumerate_valid_traces(model: ProcessModel, max_interleavings: int) -> set[tuple[int, ...]]:
@@ -360,8 +364,7 @@ def enumerate_valid_traces(model: ProcessModel, max_interleavings: int) -> set[t
     interleavings of their branches. Generation order is deterministic
     (depth-first in edge-declaration order), so truncation is reproducible.
     """
-    first_task = model.successors(model.start.node_id)[0]
-    return set(islice(_language(model, first_task, None), max_interleavings))
+    return set(islice(_language(model.body), max_interleavings))
 
 
 # --- conformance ------------------------------------------------------------------
@@ -375,7 +378,6 @@ def _edge_key(a: str, b: str) -> str:
 
 def _silent_closure(model: ProcessModel, states: set[Marking]) -> set[Marking]:
     """All markings reachable by firing split/join nodes only."""
-    by_id = model.node_by_id
     seen = set(states)
     frontier = list(states)
     while frontier:

@@ -21,8 +21,8 @@ is also how it proves the sender really broadcast what both parties signed.
 Identities are RSA certificates issued by a single self-signed trust root;
 transaction keys are separate, fresh per handover. All messages are tagged
 binary frames (one length-prefixed byte string per field), carried by the
-in-process channel. A frame or reply that does not parse aborts the session
-instead of raising.
+in-process channel. A frame or reply that does not parse, and a frame that
+arrives out of protocol order, aborts the session instead of raising.
 
 Each participant holds one handle on the chain, the simulator: it charges
 its protocol work there as simulated time, broadcasts there, and reads the
@@ -45,7 +45,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import engine as eng
 from .crypto import Keypair, sha256
-from .encoding import EncodingError, deserialize_transaction, serialize_transaction
+from .encoding import EncodingError, TxKind, deserialize_transaction, serialize_transaction
 from .provider import ProviderChainView
 
 STEP_TIMEOUT = 30.0  # simulated seconds per awaited reply
@@ -328,14 +328,14 @@ class Transport(Protocol):
 class InProcTransport:
     """Reliable synchronous channel; faults are injected via rules.
 
-    A rule is ``(predicate, mode)`` with predicate(src, dst, frame_type) and
-    mode ``"drop"`` (request never answered -> timeout at the caller). Rules
-    apply once each unless marked sticky.
+    A rule is a predicate(src, dst, frame_type); the first request it
+    matches is never answered (a timeout at the caller), and the rule is
+    spent.
     """
 
     def __init__(self):
         self._endpoints: dict[str, Callable[[str, bytes], bytes]] = {}
-        self._rules: list[tuple[Callable[[str, str, FrameType], bool], bool]] = []
+        self._rules: list[Callable[[str, str, FrameType], bool]] = []
 
     def register(self, name: str, handler: Callable[[str, bytes], bytes]) -> None:
         self._endpoints[name] = handler
@@ -343,17 +343,14 @@ class InProcTransport:
     def unregister(self, name: str) -> None:
         self._endpoints.pop(name, None)
 
-    def drop_when(
-        self, predicate: Callable[[str, str, FrameType], bool], sticky: bool = False
-    ) -> None:
-        self._rules.append((predicate, sticky))
+    def drop_when(self, predicate: Callable[[str, str, FrameType], bool]) -> None:
+        self._rules.append(predicate)
 
     def request(self, src: str, dst: str, frame: bytes) -> bytes:
         kind, _ = split_frame(frame)
-        for i, (predicate, sticky) in enumerate(self._rules):
+        for i, predicate in enumerate(self._rules):
             if predicate(src, dst, kind):
-                if not sticky:
-                    del self._rules[i]
+                del self._rules[i]
                 raise TransportTimeout(f"{kind.name} from {src} to {dst} dropped")
         handler = self._endpoints.get(dst)
         if handler is None:
@@ -387,6 +384,13 @@ _ORDER = [
     SessionState.RECEIVER_SIGNED,
     SessionState.PUBLISHED,
 ]
+
+# the receiver session state each in-session frame is admitted in
+_ADMITTED_IN = {
+    FrameType.DATA: SessionState.NEGOTIATING,
+    FrameType.ADDR_ATTEST: SessionState.DATA_TRANSFERRED,
+    FrameType.TEMPLATE_KEY: SessionState.ADDRESSES_EXCHANGED,
+}
 
 
 @dataclass(frozen=True)
@@ -427,14 +431,13 @@ class HandoverSession:
     template_bytes: bytes = b""
     template_identity_sig: bytes = b""
     receiver_signature: bytes = b""
-    published_tx_id: bytes | None = None
     token: "eng.ProcessToken | None" = None  # sender side: the token being handed over
     fault_task_id: int | None = None  # injected: template built off the negotiated task
 
     def advance(self, state: SessionState) -> None:
         if self.state == SessionState.ABORTED:
             raise ProtocolError("session already aborted")
-        if _ORDER.index(state) <= _ORDER.index(self.state):
+        if _ORDER.index(state) != _ORDER.index(self.state) + 1:
             raise ProtocolError(f"illegal transition {self.state.value} -> {state.value}")
         self.state = state
 
@@ -687,7 +690,6 @@ class Participant:
             # receiver keeps the identity-signed template as proof of intent
             session.abort(f"broadcast: {result.reason}")
             return SenderOutcome(False, reason=session.abort_reason)
-        session.published_tx_id = final.tx_id
         session.advance(SessionState.PUBLISHED)
         self.attestation_log[final.tx_id] = session.peer_attestation
         self.holdings.remove(token)
@@ -726,7 +728,6 @@ class Participant:
         token = eng.token_from_handover(final, session.receive_key, session.data_hash)
         self.holdings.append(token)
         self.process_data[token.process_id] = session.plaintext
-        session.published_tx_id = final.tx_id
         session.advance(SessionState.PUBLISHED)
         return token
 
@@ -746,18 +747,27 @@ class Participant:
             return _ack(1, f"malformed frame: {exc}")
 
     def _dispatch(self, src: str, frame: bytes) -> bytes:
+        """Route a frame. An in-session frame is admitted only in the one
+        session state that follows its predecessor; out of order, it is
+        refused and aborts the session."""
         kind, body = split_frame(frame)
         if kind == FrameType.NEGOTIATE:
             return self._on_negotiate(src, body)
-        if kind == FrameType.DATA:
-            return self._on_data(src, body)
-        if kind == FrameType.ADDR_ATTEST:
-            return self._on_addr_attest(src, body)
-        if kind == FrameType.TEMPLATE_KEY:
-            return self._on_template_key(src, body)
         if kind == FrameType.IDENTITY_QUERY:
-            return self._on_identity_query(src, body)
-        return _ack(1, f"unexpected frame {kind.name}")
+            return self._on_identity_query(body)
+        if kind not in _ADMITTED_IN:
+            return _ack(1, f"unexpected frame {kind.name}")
+        session = self._session_for(src)
+        if session is None:
+            return _ack(1, "no open session")
+        if session.state != _ADMITTED_IN[kind]:
+            session.abort(f"{kind.name} out of order in state {session.state.value}")
+            return _ack(1, session.abort_reason)
+        if kind == FrameType.DATA:
+            return self._on_data(session, body)
+        if kind == FrameType.ADDR_ATTEST:
+            return self._on_addr_attest(session, body)
+        return self._on_template_key(session, body)
 
     def _session_for(self, src: str) -> HandoverSession | None:
         for (pid, peer), session in self.sessions.items():
@@ -786,18 +796,12 @@ class Participant:
             0, "", self.identity.certificate.to_bytes(), self.identity.sign(terms_echo)
         )
 
-    def _on_data(self, src: str, body: bytes) -> bytes:
-        session = self._session_for(src)
-        if session is None:
-            return _ack(1, "no open session")
+    def _on_data(self, session: HandoverSession, body: bytes) -> bytes:
         session.ciphertext = EncryptedProcessData.from_bytes(body)
         session.advance(SessionState.DATA_TRANSFERRED)
         return _ack(0, "")
 
-    def _on_addr_attest(self, src: str, body: bytes) -> bytes:
-        session = self._session_for(src)
-        if session is None:
-            return _ack(1, "no open session")
+    def _on_addr_attest(self, session: HandoverSession, body: bytes) -> bytes:
         att = AddressAttestation.from_bytes(body)
         try:
             verify_attestation(att, self.root, self._now(), self._seen_nonces)
@@ -815,10 +819,7 @@ class Participant:
         session.advance(SessionState.ADDRESSES_EXCHANGED)
         return make_frame(FrameType.ADDR_ATTEST, own.to_bytes())
 
-    def _on_template_key(self, src: str, body: bytes) -> bytes:
-        session = self._session_for(src)
-        if session is None or session.state != SessionState.ADDRESSES_EXCHANGED:
-            return _ack(1, "no session awaiting a template")
+    def _on_template_key(self, session: HandoverSession, body: bytes) -> bytes:
         tx_bytes, receiver_key_hash, data_hash, data_key, identity_sig = unpack_fields(body, 5)
         if not _rsa_verify(
             session.peer_certificate.public_key_der, identity_sig, sha256(tx_bytes + data_key)
@@ -836,11 +837,11 @@ class Participant:
             session.abort("process data fails authentication", 2)
             return _reject(2, "process data fails authentication")
         received_hash = sha256(plaintext)
-        template = eng.HandoverTemplate(
-            deserialize_transaction(tx_bytes),
-            receiver_key_hash,
-            data_hash or None,
-        )
+        tx = deserialize_transaction(tx_bytes)
+        if tx.kind != TxKind.HANDOVER:
+            session.abort("template is not a handover")
+            return _ack(1, session.abort_reason)
+        template = eng.HandoverTemplate(tx, receiver_key_hash, data_hash or None)
         session.template = template
         expected = eng.ExpectedTerms(
             process_id=session.terms.process_id,
@@ -870,7 +871,7 @@ class Participant:
         session.advance(SessionState.RECEIVER_SIGNED)
         return make_frame(FrameType.RECEIVER_SIG, pack_fields(signature))
 
-    def _on_identity_query(self, src: str, body: bytes) -> bytes:
+    def _on_identity_query(self, body: bytes) -> bytes:
         (tx_id,) = unpack_fields(body, 1)
         att = self.attestation_log.get(tx_id)
         if att is None:

@@ -130,3 +130,48 @@ def test_import_loads_no_network_modules():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "model,variant,message",
+    [("4", "2", "variant picks branch 2 of 2"), ("2", "7", "variant picks branch 7 of 2")],
+)
+def test_run_refusal_is_one_line_without_traceback(runner, tmp_path, model, variant, message):
+    out = tmp_path / "refused"
+    result = runner.invoke(
+        main, ["run", "--model", model, "--variant", variant, "--out", str(out)]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [f"Error: {message}"]
+    assert not out.exists()
+
+
+def test_audit_refuses_non_hex_line_in_one_line(runner, tmp_path):
+    out = tmp_path / "run"
+    runner.invoke(main, ["run", "--model", "1", "--seed", "9", "--out", str(out)])
+    dump_file = out / "chains" / "rep0.chain"
+    lines = dump_file.read_text().splitlines()
+    lines.insert(2, "not-hex")
+    dump_file.write_text("\n".join(lines) + "\n")
+    model_file = tmp_path / "model1.json"
+    model_file.write_text(files("chorchain.models").joinpath("model1.json").read_text())
+    result = runner.invoke(main, ["audit", "--chain", str(dump_file), "--model", str(model_file)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    [line] = result.output.splitlines()
+    assert line.startswith("Error: line 3: bad transaction")
+
+
+def test_audit_refuses_invalid_model_in_one_line(runner, tmp_path):
+    out = tmp_path / "run"
+    runner.invoke(main, ["run", "--model", "1", "--seed", "9", "--out", str(out)])
+    model_file = tmp_path / "broken.json"
+    model_file.write_text("{not json")
+    result = runner.invoke(
+        main, ["audit", "--chain", str(out / "chains" / "rep0.chain"), "--model", str(model_file)]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    [line] = result.output.splitlines()
+    assert line.startswith("Error: model document is not valid JSON")

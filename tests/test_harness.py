@@ -56,6 +56,72 @@ def test_plan_model4_respects_xor_choice():
         assert H.planned_tx_count(plan) == 9  # 4 handovers, split, join, 2 fillers, end
 
 
+_PIN_PREFIX = [
+    ("PlanStart", None, None, None, None),
+    ("PlanHandover", "owner", "p1", 1, False),
+    ("PlanTask", "p1", None, 1, None),
+]
+_PIN_SPLIT = [
+    ("PlanSplit", "p1", None, None, None),
+    ("PlanHandover", "p1", "p2", 2, False),
+    ("PlanTask", "p2", None, 2, None),
+    ("PlanHandover", "p1", "p3", 3, False),
+    ("PlanTask", "p3", None, 3, None),
+]
+
+
+def _pin_join(task):
+    actor = f"p{task}"
+    return [
+        ("PlanHandover", "p2", actor, task, False),
+        ("PlanHandover", "p3", actor, FILLER_TASK_ID, True),
+        ("PlanJoin", actor, None, None, None),
+        ("PlanTask", actor, None, task, None),
+    ]
+
+
+def _pin_seq(*pairs):
+    out = []
+    for sender, task in pairs:
+        actor = f"p{task}"
+        out += [("PlanHandover", sender, actor, task, False), ("PlanTask", actor, None, task, None)]
+    return out
+
+
+def _pin_tail(holder):
+    return [
+        ("PlanHandover", holder, "owner", FILLER_TASK_ID, True),
+        ("PlanEnd", "owner", None, None, None),
+    ]
+
+
+# every plan of the built-in models: (step type, actor or sender, receiver,
+# task id, filler); a change here changes what every scenario executes
+PINNED_PLANS = {
+    (1, 0): _PIN_PREFIX + _pin_seq(("p1", 2), ("p2", 3)) + _pin_tail("p3"),
+    (2, 0): _PIN_PREFIX + _pin_seq(("p1", 2), ("p2", 4)) + _pin_tail("p4"),
+    (2, 1): _PIN_PREFIX + _pin_seq(("p1", 3), ("p3", 4)) + _pin_tail("p4"),
+    (3, 0): _PIN_PREFIX + _PIN_SPLIT + _pin_join(4) + _pin_tail("p4"),
+    (4, 0): _PIN_PREFIX + _PIN_SPLIT + _pin_join(4) + _pin_tail("p4"),
+    (4, 1): _PIN_PREFIX + _PIN_SPLIT + _pin_join(5) + _pin_tail("p5"),
+}
+
+
+@pytest.mark.parametrize("model_id,pick", sorted(PINNED_PLANS))
+def test_every_plan_is_pinned(model_id, pick):
+    def row(step):
+        return (
+            type(step).__name__,
+            getattr(step, "actor", getattr(step, "sender", None)),
+            getattr(step, "receiver", None),
+            getattr(step, "task_id", None),
+            getattr(step, "filler", None),
+        )
+
+    plan = H.build_plan(H.builtin_model(model_id), [pick])
+    assert [row(s) for s in plan] == PINNED_PLANS[model_id, pick]
+
+
 def test_fault_step_validated():
     with pytest.raises(H.ScenarioError, match="fault step"):
         H.run_scenario(H.ScenarioConfig(model_id=1, fault_step=9))
@@ -66,6 +132,10 @@ def test_bad_variant_rejected():
         H.run_scenario(H.ScenarioConfig(model_id=2, variant="7"))
     with pytest.raises(H.ScenarioError):
         H.run_scenario(H.ScenarioConfig(model_id=2, variant="zebra"))
+    # model 4's XOR block follows its AND block, so the join peeks the pick
+    for variant in ("2", "7", "-1"):
+        with pytest.raises(H.ScenarioError, match=f"variant picks branch {variant} of 2"):
+            H.run_scenario(H.ScenarioConfig(model_id=4, variant=variant))
 
 
 # --- fault-free runs -----------------------------------------------------------------

@@ -36,10 +36,39 @@ def test_load_builtin_models(models):
     for mid, (tasks, xor_splits, xor_joins) in table.items():
         m = models[mid]
         assert m.model_id == mid
-        assert m.count(M.NodeKind.TASK) == tasks
-        assert m.count(M.NodeKind.XOR_SPLIT) == xor_splits
-    assert models[3].count(M.NodeKind.AND_SPLIT) == 1
-    assert models[4].count(M.NodeKind.AND_SPLIT) == 1
+        assert sum(n.kind == M.NodeKind.TASK for n in m.nodes) == tasks
+        assert sum(n.kind == M.NodeKind.XOR_SPLIT for n in m.nodes) == xor_splits
+    assert sum(n.kind == M.NodeKind.AND_SPLIT for n in models[3].nodes) == 1
+    assert sum(n.kind == M.NodeKind.AND_SPLIT for n in models[4].nodes) == 1
+
+
+def test_builtin_models_parse_into_block_trees(models):
+    xor, and_ = M.NodeKind.XOR_SPLIT, M.NodeKind.AND_SPLIT
+    assert models[1].body == (1, 2, 3)
+    assert models[2].body == (1, M.Gateway(xor, ((2,), (3,))), 4)
+    assert models[3].body == (1, M.Gateway(and_, ((2,), (3,))), 4)
+    assert models[4].body == (1, M.Gateway(and_, ((2,), (3,))), M.Gateway(xor, ((4,), (5,))))
+
+
+def test_nested_blocks_and_empty_branches_parse():
+    nodes = [
+        {"id": "s", "kind": "start"},
+        {"id": "x", "kind": "xor_split"},
+        {"id": "a", "kind": "and_split"},
+        {"id": "t1", "kind": "task", "task_id": 1},
+        {"id": "t2", "kind": "task", "task_id": 2},
+        {"id": "aj", "kind": "and_join"},
+        {"id": "xj", "kind": "xor_join"},
+        {"id": "e", "kind": "end"},
+    ]
+    edges = [
+        ("s", "x"), ("x", "a"), ("x", "xj"), ("a", "t1"), ("a", "t2"),
+        ("t1", "aj"), ("t2", "aj"), ("aj", "xj"), ("xj", "e"),
+    ]
+    m = M.load_model(doc(nodes, edges))
+    inner = M.Gateway(M.NodeKind.AND_SPLIT, ((1,), (2,)))
+    assert m.body == (M.Gateway(M.NodeKind.XOR_SPLIT, ((inner,), ())),)
+    assert M.enumerate_valid_traces(m, 10) == {(1, 2), (2, 1), ()}
 
 
 def test_parse_error():

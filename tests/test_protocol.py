@@ -1,7 +1,8 @@
+import functools
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from chorchain import engine as eng
@@ -367,6 +368,118 @@ def test_replayed_attestation_aborts():
     kind, body = P.split_frame(reply)
     assert kind == P.FrameType.ACK
     assert b"replayed" in P.unpack_fields(body, 5)[2]
+
+
+def test_session_cannot_skip_a_state():
+    session = P.HandoverSession(P.Role.RECEIVER, "owner")
+    with pytest.raises(P.ProtocolError, match="illegal transition"):
+        session.advance(P.SessionState.ADDRESSES_EXCHANGED)
+    session.advance(P.SessionState.DATA_TRANSFERRED)
+    with pytest.raises(P.ProtocolError, match="illegal transition"):
+        session.advance(P.SessionState.DATA_TRANSFERRED)
+
+
+def capture_handover_frames(env):
+    """The frames the owner sends alice in one clean handover, in order."""
+    frames = []
+    alice = env.participants["alice"]
+
+    def endpoint(src, frame):
+        frames.append(frame)
+        return alice.on_request(src, frame)
+
+    env.transport.register("alice", endpoint)
+    _, outcome = env.handover("owner", "alice", 1)
+    assert outcome.published
+    return frames
+
+
+def ack_status(reply):
+    kind, body = P.split_frame(reply)
+    assert kind == P.FrameType.ACK
+    status, _, detail, _, _ = P.unpack_fields(body, 5)
+    return status[0], detail.decode()
+
+
+def test_second_data_frame_is_refused_and_aborts():
+    negotiate, data, _, _ = capture_handover_frames(Env())
+    alice = Env().participants["alice"]
+    alice.on_request("owner", negotiate)
+    assert ack_status(alice.on_request("owner", data)) == (0, "")
+    status, detail = ack_status(alice.on_request("owner", data))
+    assert status == 1 and detail == "DATA out of order in state data_transferred"
+    session = alice.sessions[(1, "owner")]
+    assert session.state == P.SessionState.ABORTED
+    assert session.abort_reason == detail
+
+
+def test_attestation_before_data_is_refused_and_aborts():
+    negotiate, _, attest, template = capture_handover_frames(Env())
+    alice = Env().participants["alice"]
+    alice.on_request("owner", negotiate)
+    status, detail = ack_status(alice.on_request("owner", attest))
+    assert status == 1 and detail == "ADDR_ATTEST out of order in state negotiating"
+    assert alice.sessions[(1, "owner")].state == P.SessionState.ABORTED
+    # the aborted session admits nothing more
+    assert ack_status(alice.on_request("owner", template)) == (1, "no open session")
+
+
+@functools.cache
+def captured_frames():
+    return tuple(capture_handover_frames(Env()))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(order=st.lists(st.integers(min_value=0, max_value=3), max_size=10))
+@example(order=[0, 1, 2, 3])
+@example(order=[0, 1, 1, 2, 3])
+@example(order=[0, 2, 3])
+@example(order=[0, 1, 2, 3, 0, 1, 2, 3])
+def test_replayed_frames_in_any_order_never_raise(order):
+    """Frames of a real handover, replayed at a fresh receiver in any order
+    and with repeats, are answered; an out-of-order frame aborts the
+    session, and only the captured order can reach the receiver's
+    signature."""
+    frames = captured_frames()
+    alice = Env().participants["alice"]
+    kinds = []
+    for i in order:
+        kind, _ = P.split_frame(alice.on_request("owner", frames[i]))
+        kinds.append(kind)
+    if P.FrameType.RECEIVER_SIG in kinds:
+        assert order[: kinds.index(P.FrameType.RECEIVER_SIG) + 1][-4:] == [0, 1, 2, 3]
+    for session in alice.sessions.values():
+        if session.state == P.SessionState.ABORTED:
+            assert session.abort_reason
+
+
+def test_template_that_is_not_a_handover_is_refused():
+    """A certified sender's identity signature does not make an input-less
+    transaction a handover; the receiver refuses it instead of raising."""
+    from chorchain.encoding import EnrichedTransaction, deserialize_transaction, serialize_transaction
+
+    env = Env()
+    alice, owner = env.participants["alice"], env.owner()
+
+    def endpoint(src, frame):
+        kind, body = P.split_frame(frame)
+        if kind == P.FrameType.TEMPLATE_KEY:
+            tx_bytes, key_hash, data_hash, data_key, _ = P.unpack_fields(body, 5)
+            tx = deserialize_transaction(tx_bytes)
+            bare = serialize_transaction(
+                EnrichedTransaction(inputs=(), outputs=tuple(o for _, o in tx.token_outputs))
+            )
+            sig = owner.identity.sign(sha256(bare + data_key))
+            frame = P.make_frame(kind, P.pack_fields(bare, key_hash, data_hash, data_key, sig))
+        return alice.on_request(src, frame)
+
+    env.transport.register("alice", endpoint)
+    session, outcome = env.handover("owner", "alice", 1)
+    assert not outcome.published
+    assert "template is not a handover" in session.abort_reason
+    rsession = alice.sessions[(1, "owner")]
+    assert rsession.state == P.SessionState.ABORTED
+    assert rsession.abort_reason == "template is not a handover"
 
 
 # --- garbled frames ------------------------------------------------------------------
