@@ -301,12 +301,6 @@ class ChainSim(ChainIndex):
         self.now = target
         return produced
 
-    def mine_pending(self) -> Block:
-        """Force a block at the current instant (test and tooling hook)."""
-        block = self._produce_block()
-        self._next_block_at = self.now + self._interval()
-        return block
-
     def _produce_block(self) -> Block:
         block = Block(len(self.blocks), int(self.now), produced_at=self.now)
         # fee priority, then arrival; a child enters the heap once its last

@@ -54,7 +54,12 @@ def main() -> None:
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 def run(model, variant, verify, greedy, fault_step, seed, block_mean, fee, reps, out) -> None:
     """Execute one scenario and write metrics, chain dumps, and traces."""
-    fault = None if fault_step == "none" else int(fault_step)
+    try:
+        fault = None if fault_step == "none" else int(fault_step)
+    except ValueError:
+        raise click.ClickException(
+            f"fault step {fault_step!r} is neither a handover number nor 'none'"
+        ) from None
     config = ScenarioConfig(
         model_id=model,
         variant=variant,

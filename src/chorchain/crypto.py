@@ -145,8 +145,11 @@ else:
 
 
 # --- elliptic-curve arithmetic ---------------------------------------------------
-# Verification and key recovery compute u1*G + u2*Q; signing and key
-# derivation compute k*G. Both run over Jacobian points with affine addends.
+# Verification computes u1*G + u2*Q; signing and key derivation compute k*G.
+# Key recovery computes both: u2*R on the ladder below, with no G half, and
+# u1*G on the fixed-base comb. Its two candidates per x(R) are then u1*G
+# plus and minus u2*R, so recovering both costs about one verification, not
+# one per candidate. Everything runs over Jacobian points with affine addends.
 #
 # secp256k1 has the endomorphism lambda*(x, y) = (beta*x, y), with beta a
 # cube root of unity mod P and lambda the matching one mod N. Each scalar splits as
@@ -330,7 +333,8 @@ _G_LAMBDA_TABLE = _signed_table(_endo(_G_ODD))
 
 
 def _shamir(u1: int, u2: int, q: tuple[int, int]) -> tuple[int, int] | None:
-    """u1*G + u2*Q, the verification and key-recovery hot path.
+    """u1*G + u2*Q, the verification hot path; key recovery calls it with
+    u1 = 0, which leaves the G halves' digits empty.
 
     u1 and u2 are split into GLV halves, and the four products
     a*G + b*(lambda*G) + c*Q + d*(lambda*Q) share one double-and-add ladder
@@ -383,38 +387,73 @@ def _shamir(u1: int, u2: int, q: tuple[int, int]) -> tuple[int, int] | None:
     return _to_affine((x, y, z))
 
 
-# Fixed-base window table for G: _G_WINDOW[j][i] = i * 16^j * G, affine, with
-# None for i = 0. A G-multiplication is then at most 64 mixed additions and
-# no doublings, which is what signing and key derivation cost. Each row's
-# base is made affine (one inversion per row) so the row is built with mixed
-# additions; the whole table is then normalised with one batch inversion.
-def _build_g_window() -> list[list[tuple[int, int] | None]]:
-    rows = []
-    base = (GX, GY)
-    for _ in range(64):
-        row = [_from_affine(base)]
-        for _ in range(14):
-            row.append(_add_affine(row[-1], *base))
-        rows.append(row)
-        base = _to_affine(_jac_double(row[7]))  # 16 * base
-    flat = _batch_to_affine([p for row in rows for p in row])
-    return [[None] + flat[15 * j : 15 * j + 15] for j in range(64)]
+# Fixed-base comb for G (Lim & Lee; Guide, algorithms 3.44 and 3.45). A
+# scalar below 2^256 is read as a comb of 8 teeth spaced 32 bits apart: at
+# column j, tooth i is bit j + 32*i. _G_COMB[0][u] is the sum of 2^(32*i)*G
+# over the teeth i set in u, for u = 1..255, and _G_COMB[1][u] is
+# 2^16 * _G_COMB[0][u], so one pass over columns 15..0 reads column j from
+# the first table and column j + 16 from the second: 15 doublings and at most
+# 32 mixed additions. The 2 x 255 points are built from the sixteen bases
+# 2^(16*m)*G with mixed additions and normalised with one batch inversion.
+def _build_g_comb() -> tuple[list[tuple[int, int] | None], list[tuple[int, int] | None]]:
+    base = _from_affine((GX, GY))
+    bases = [base]
+    for _ in range(15):
+        for _ in range(16):
+            base = _jac_double(base)
+        bases.append(base)
+    bases = _batch_to_affine(bases)  # bases[m] = 2^(16*m) * G
+    points = []
+    for teeth in (bases[0::2], bases[1::2]):  # 2^(32*i) * G, then 2^(32*i + 16) * G
+        table = [_INF]
+        for u in range(1, 256):
+            top = u.bit_length() - 1
+            rest = u ^ (1 << top)
+            table.append(_add_affine(table[rest], *teeth[top]))
+        points += table[1:]
+    flat = _batch_to_affine(points)
+    return [None] + flat[:255], [None] + flat[255:]
 
 
-_G_WINDOW = _build_g_window()
+_G_COMB = _build_g_comb()
 
 
 def _mul_g(k: int) -> tuple[int, int] | None:
-    acc = _INF
-    k %= N
-    j = 0
-    while k:
-        nib = k & 0xF
-        if nib:
-            acc = _add_affine(acc, *_G_WINDOW[j][nib])
-        k >>= 4
-        j += 1
-    return _to_affine(acc)
+    """k*G over the comb. bits[255 - p] is bit p of k, so bits[31 - j::32]
+    spells column j's teeth, tooth 7 first. The doubling and the mixed
+    addition are _shamir's, inlined."""
+    bits = format(k % N, "0256b")
+    low, high = _G_COMB
+    x, y, z = _INF
+    for j in range(15, -1, -1):
+        if z:  # double
+            ysq = y * y % P
+            s = 4 * x * ysq % P
+            m = 3 * x * x % P
+            z = 2 * y * z % P
+            x = (m * m - 2 * s) % P
+            y = (m * (s - x) - 8 * ysq * ysq) % P
+        for addend in (low[int(bits[31 - j :: 32], 2)], high[int(bits[15 - j :: 32], 2)]):
+            if addend is None:
+                continue
+            x2, y2 = addend
+            if not z:
+                x, y, z = x2, y2, 1
+                continue
+            zz = z * z % P
+            h = (x2 * zz - x) % P
+            r = (y2 * zz * z - y) % P
+            if not h:
+                x, y, z = _jac_double((x, y, z)) if not r else _INF
+                continue
+            hh = h * h % P
+            hhh = hh * h % P
+            v = x * hh % P
+            nx = (r * r - hhh - 2 * v) % P
+            y = (r * (v - nx) - y * hhh) % P
+            x = nx
+            z = z * h % P
+    return _to_affine((x, y, z))
 
 
 # --- key handling ---------------------------------------------------------------
@@ -460,10 +499,6 @@ class Keypair:
     @classmethod
     def generate(cls, rng: random.Random) -> "Keypair":
         return cls(rng.randrange(1, N))
-
-    @classmethod
-    def from_seed(cls, seed: bytes) -> "Keypair":
-        return cls(int.from_bytes(sha256(seed), "big") % (N - 1) + 1)
 
     # The keypair is frozen, so each derived value is computed once and kept
     # in the instance dict. The public names stay plain properties, and each
@@ -610,11 +645,14 @@ def recovered_keys(digest: bytes, signature: bytes) -> Iterator[bytes]:
     """Lazily yield every compressed public key that verifies the signature.
 
     For each curve point R with x(R) = r (x = r, then r + N; even y, then
-    odd y) the candidate is Q = r^-1 (s*R - e*G) = (-e*r^-1)*G + (s*r^-1)*R,
-    computed in one joint multiplication. Q satisfies the verification
-    equation by construction, so no re-verification is needed; a caller
-    comparing against a known key hash gets the usual 2^-160 bound. A
-    malformed signature yields nothing.
+    odd y) the candidate is Q = r^-1 (s*R - e*G) = u1*G + u2*R with
+    u1 = -e*r^-1 and u2 = s*r^-1. The two R of one x are negatives of each
+    other, so with B = u1*G (the comb, once) and A = u2*R for the even R
+    (one ladder per x), the candidates are B + A and then B - A; a candidate
+    at infinity is skipped. Q satisfies the verification equation by
+    construction, so no re-verification is needed; a caller comparing
+    against a known key hash gets the usual 2^-160 bound. A malformed
+    signature yields nothing.
     """
     try:
         r, s = _split_sig(signature)
@@ -622,14 +660,15 @@ def recovered_keys(digest: bytes, signature: bytes) -> Iterator[bytes]:
         return
     e = int.from_bytes(digest, "big") % N
     rinv = pow(r, -1, N)
-    u1 = -e * rinv % N
+    b = _from_affine(_mul_g(-e * rinv % N))
     u2 = s * rinv % N
     for x in (r, r + N):
-        for odd in (False, True):
-            big_r = _lift_x(x, odd)
-            if big_r is None:
-                continue
-            q = _shamir(u1, u2, big_r)
+        big_r = _lift_x(x, odd=False)
+        if big_r is None:
+            continue
+        a = _from_affine(_shamir(0, u2, big_r))
+        for addend in (a, (a[0], P - a[1], a[2])):  # u2*R, then u2*(-R)
+            q = _to_affine(_jac_add(b, addend))
             if q is not None:
                 yield encode_pubkey(q)
 

@@ -214,10 +214,6 @@ def planned_tx_count(plan: list[PlanStep]) -> int:
     return sum(isinstance(s, (PlanHandover, PlanSplit, PlanJoin, PlanEnd)) for s in plan)
 
 
-def planned_task_sequence(plan: list[PlanStep]) -> tuple[int, ...]:
-    return tuple(s.task_id for s in plan if isinstance(s, PlanTask))
-
-
 # --- metrics --------------------------------------------------------------------------
 
 PHASES = ("task", "logic", "provider", "broadcast", "confirm", "idle")
@@ -241,12 +237,6 @@ class RunMetrics:
     confirmation_waits: tuple[float, ...]
     detection: str  # "" | "detected" | "missed"
     aborted: bool
-
-    @property
-    def phase_fractions(self) -> dict[str, float]:
-        if self.duration <= 0:
-            return {p: 0.0 for p in PHASES}
-        return {p: self.phase_seconds.get(p, 0.0) / self.duration for p in PHASES}
 
     @property
     def verification_overhead(self) -> float:
@@ -442,7 +432,11 @@ class _Run:
                     if not config.greedy:
                         self._await(outcome.tx_id)
                     rsession = receiver.sessions[(self.process_id, step.sender)]
-                    receiver.confirm_receipt(rsession)
+                    if receiver.confirm_receipt(rsession) is None:
+                        raise ScenarioError(
+                            f"{step.receiver} refused the published handover: "
+                            f"{rsession.abort_reason or 'not found on chain'}"
+                        )
                     data[step.receiver] = data.get(step.sender, b"")
                 else:
                     self.aborted = True
@@ -711,6 +705,17 @@ def _value_tally(view: ChainIndex, walk: eng.InstanceWalk) -> tuple[int, int, bo
 
 
 def _verify_instance_signatures(view: ChainIndex, trace_txs: list) -> list[str]:
+    """Script issues of every transaction, and the receiver signature of
+    every handover.
+
+    A handover's receiver is known on chain only by the payee key hash of
+    its token's redeem script. Once the token is spent, the spending input
+    reveals a public key; if that key hashes to the payee, the signature is
+    checked against it directly. Otherwise the key is recovered from the
+    signature and compared by hash. Both give the same verdict: a key that
+    verifies is one of the recovered ones, and two keys with the same
+    hash160 are equal short of a collision.
+    """
     issues = []
     for tx in trace_txs:
         try:
@@ -729,19 +734,24 @@ def _verify_instance_signatures(view: ChainIndex, trace_txs: list) -> list[str]:
                     issues.append(f"{tx.tx_id.hex()[:16]}: receiver signature malformed")
                 continue
             spender = view.get_transaction(spender_id)
-            redeem = b""
+            unlocking = None
             for txin in spender.inputs:
                 if txin.outpoint == (tx.tx_id, index) and txin.unlocking.redeem_script:
-                    redeem = txin.unlocking.redeem_script
-            if not redeem:
+                    unlocking = txin.unlocking
+            if unlocking is None:
                 issues.append(f"{tx.tx_id.hex()[:16]}: token spend reveals no redeem script")
                 continue
             try:
-                payee = parse_redeem_script(redeem).payee_key_hash
+                payee = parse_redeem_script(unlocking.redeem_script).payee_key_hash
             except UnsupportedScriptShape as exc:
                 issues.append(f"{tx.tx_id.hex()[:16]}: token spend redeem script: {exc}")
                 continue
-            if not eng.verify_with_key_hash(digest, block.receiver_signature, payee):
+            key = unlocking.public_key
+            if eng.hash160(key) == payee:
+                valid = eng.verify(digest, block.receiver_signature, key)
+            else:
+                valid = eng.verify_with_key_hash(digest, block.receiver_signature, payee)
+            if not valid:
                 issues.append(f"{tx.tx_id.hex()[:16]}: receiver signature invalid")
     return issues
 

@@ -340,9 +340,6 @@ class InProcTransport:
     def register(self, name: str, handler: Callable[[str, bytes], bytes]) -> None:
         self._endpoints[name] = handler
 
-    def unregister(self, name: str) -> None:
-        self._endpoints.pop(name, None)
-
     def drop_when(self, predicate: Callable[[str, str, FrameType], bool]) -> None:
         self._rules.append(predicate)
 

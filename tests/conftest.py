@@ -4,7 +4,7 @@ import pytest
 
 from chorchain import engine as eng
 from chorchain.chain import ChainSim, SimConfig
-from chorchain.crypto import Keypair
+from chorchain.crypto import N, Keypair, sha256
 from chorchain.harness import builtin_model
 
 
@@ -30,6 +30,11 @@ def funded_sim(rng):
     owner_key = Keypair.generate(rng)
     funds = sim.grant(owner_key, [5_000_000, 1_000_000])
     return sim, owner_key, funds
+
+
+def keypair_from_seed(seed: bytes) -> Keypair:
+    """A keypair whose secret is derived from ``seed``, for fixed test keys."""
+    return Keypair(int.from_bytes(sha256(seed), "big") % (N - 1) + 1)
 
 
 def make_instance(sim, owner_key, funds, fee_policy, rng, process_id=1, estimate=8):

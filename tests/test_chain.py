@@ -26,6 +26,15 @@ from chorchain.encoding import (
     signing_digest,
 )
 
+from conftest import keypair_from_seed
+
+
+def mine_pending(sim: ChainSim):
+    """Force a block at the current instant and reschedule the next one."""
+    block = sim._produce_block()
+    sim._next_block_at = sim.now + sim._interval()
+    return block
+
 
 def payment(parents, out_values, keys_out=None, rng=None):
     """Key-hash payment spending (tx_id, idx, value, key) parents."""
@@ -127,7 +136,7 @@ def test_block_orders_by_fee_priority(funded):
     rich, _ = payment([(outs[0].tx_id, 1, outs[1].value, key)], [outs[1].value - 50_000], rng=rng)
     assert sim.broadcast(cheap).accepted
     assert sim.broadcast(rich).accepted
-    block = sim.mine_pending()
+    block = mine_pending(sim)
     assert [t.tx_id for t in block.txs] == [rich.tx_id, cheap.tx_id]
 
 
@@ -139,7 +148,7 @@ def test_block_capacity_respected():
     for out in outs:
         tx, _ = payment([(out.tx_id, out.output_index, out.value, key)], [out.value - 1000], rng=rng)
         assert sim.broadcast(tx).accepted
-    block = sim.mine_pending()
+    block = mine_pending(sim)
     assert len(block.txs) == 2
     assert len(sim.mempool_ids) == 3
 
@@ -241,7 +250,7 @@ def test_refused_forced_conflict_leaves_the_mempool_as_it_was(funded):
     assert state() == before == ([h.tx_id, c.tx_id], h.tx_id, c.tx_id, before[3])
     assert [s.state for s in before[3]] == ["pending", "pending"]
     assert sim.confirmation_status(winner.tx_id).state == "unknown"
-    block = sim.mine_pending()
+    block = mine_pending(sim)
     assert [tx.tx_id for tx in block.txs] == [h.tx_id, c.tx_id]
 
 
@@ -270,7 +279,7 @@ def test_readmitted_evicted_transaction_confirms_once(funded):
     assert sim.mempool_ids == [alt.tx_id, h.tx_id]
     # equal fees: h's heap entry from its first admission would put it
     # ahead of alt; its second admission comes after alt
-    block = sim.mine_pending()
+    block = mine_pending(sim)
     assert [tx.tx_id for tx in block.txs] == [alt.tx_id, h.tx_id]
     assert sim.await_confirmation(h.tx_id, 2) > 0
     assert sim.confirmation_status(h.tx_id).state == "confirmed"
@@ -321,7 +330,7 @@ def scan_selection(mempool, capacity):
     return chosen
 
 
-DAG_KEY = Keypair.from_seed(b"mempool dag")
+DAG_KEY = keypair_from_seed(b"mempool dag")
 
 
 def signed_spend(sim, outpoints, fee, n_out):
@@ -355,7 +364,7 @@ def test_ready_heap_selects_what_the_scan_selects(data):
 
     def mine():
         expected = scan_selection(dict(sim._mempool), capacity)
-        block = sim.mine_pending()
+        block = mine_pending(sim)
         assert [tx.tx_id for tx in block.txs] == expected
 
     ops = st.sampled_from(["spend", "spend", "spend", "mine", "conflict", "conflict", "again"])
@@ -464,7 +473,7 @@ def test_dump_line_spending_one_outpoint_twice_refused(funded):
     sim, key, outs, rng = funded
     tx, _ = payment([(outs[0].tx_id, 0, outs[0].value, key)], [outs[0].value - 1000], rng=rng)
     assert sim.broadcast(tx).accepted
-    sim.mine_pending()
+    mine_pending(sim)
     lines = sim.dump().splitlines()
     idx = lines.index(encoding.tx_to_hex(tx))
     lines[idx] = _input_listed_twice(bytes.fromhex(lines[idx])).hex()
@@ -558,7 +567,7 @@ def test_grant_serializes_once_whatever_its_size(sim, monkeypatch, outputs):
         return real(tx)
 
     monkeypatch.setattr(encoding, "serialize_transaction", counting)
-    key = Keypair.from_seed(b"faucet")
+    key = keypair_from_seed(b"faucet")
     funds = sim.grant(key, [10_000 + i for i in range(outputs)])
     assert calls == [outputs]
     assert len({f.tx_id for f in funds}) == 1 and len(funds) == outputs

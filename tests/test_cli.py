@@ -147,6 +147,20 @@ def test_run_refusal_is_one_line_without_traceback(runner, tmp_path, model, vari
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fault_step", ["x", "1.5", ""])
+def test_run_refuses_a_non_numeric_fault_step_in_one_line(runner, tmp_path, fault_step):
+    out = tmp_path / "refused"
+    result = runner.invoke(
+        main, ["run", "--model", "1", "--fault-step", fault_step, "--out", str(out)]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [
+        f"Error: fault step {fault_step!r} is neither a handover number nor 'none'"
+    ]
+    assert not out.exists()
+
+
 def test_audit_refuses_non_hex_line_in_one_line(runner, tmp_path):
     out = tmp_path / "run"
     runner.invoke(main, ["run", "--model", "1", "--seed", "9", "--out", str(out)])

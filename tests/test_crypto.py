@@ -2,10 +2,12 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chorchain import crypto
+
+from conftest import keypair_from_seed
 
 
 def test_ripemd160_known_vectors():
@@ -25,7 +27,7 @@ def test_hash160_is_sha256_then_ripemd():
 
 
 def test_sign_is_deterministic():
-    kp = crypto.Keypair.from_seed(b"alpha")
+    kp = keypair_from_seed(b"alpha")
     digest = crypto.sha256(b"payload")
     assert crypto.sign(digest, kp) == crypto.sign(digest, kp)
 
@@ -50,7 +52,7 @@ def test_signature_lengths_are_71_or_72():
 
 
 def test_tampered_signature_rejected():
-    kp = crypto.Keypair.from_seed(b"beta")
+    kp = keypair_from_seed(b"beta")
     digest = crypto.sha256(b"m")
     sig = bytearray(crypto.sign(digest, kp))
     sig[9] ^= 0x01
@@ -58,14 +60,14 @@ def test_tampered_signature_rejected():
 
 
 def test_missing_sighash_byte_rejected():
-    kp = crypto.Keypair.from_seed(b"gamma")
+    kp = keypair_from_seed(b"gamma")
     digest = crypto.sha256(b"m")
     sig = crypto.sign(digest, kp)
     assert not crypto.verify(digest, sig[:-1], kp.public_key)
 
 
 def test_high_s_rejected():
-    kp = crypto.Keypair.from_seed(b"delta")
+    kp = keypair_from_seed(b"delta")
     digest = crypto.sha256(b"m")
     sig = crypto.sign(digest, kp)
     r, s = crypto.der_decode(sig[:-1])
@@ -84,7 +86,7 @@ def test_recovery_finds_signer():
 
 
 def test_pubkey_roundtrip():
-    kp = crypto.Keypair.from_seed(b"epsilon")
+    kp = keypair_from_seed(b"epsilon")
     assert crypto.encode_pubkey(crypto.decode_pubkey(kp.public_key)) == kp.public_key
 
 
@@ -98,7 +100,7 @@ def test_bad_pubkey_rejected():
 def test_der_strictness():
     with pytest.raises(crypto.SignatureError):
         crypto.der_decode(b"\x30\x00")
-    kp = crypto.Keypair.from_seed(b"zeta")
+    kp = keypair_from_seed(b"zeta")
     sig = crypto.sign(crypto.sha256(b"x"), kp)[:-1]
     r, s = crypto.der_decode(sig)
     padded = b"\x30" + bytes([len(sig)]) + b"\x02" + bytes([34]) + b"\x00\x00" + sig[4:36]
@@ -227,7 +229,7 @@ def test_windowed_shamir_matches_separate_multiplications(u1, u2, q):
 
 
 def test_windowed_shamir_edge_cases():
-    q = crypto.Keypair.from_seed(b"edge").point
+    q = keypair_from_seed(b"edge").point
     u = 0x1234567890ABCDEF << 100
     for u1, u2, pt in [
         (0, 0, q), (0, u, q), (u, 0, q), (u, u, G), (u, crypto.N - u, G),
@@ -345,6 +347,83 @@ def test_import_time_tables_keep_their_size():
     for table in (crypto._G_TABLE, crypto._G_LAMBDA_TABLE):
         assert len(table) == 2 ** crypto._G_WIDTH == 256
         assert sum(entry is not None for entry in table) == 128
-    assert len(crypto._G_WINDOW) == 64
-    assert {len(row) for row in crypto._G_WINDOW} == {16}
-    assert all(row[0] is None for row in crypto._G_WINDOW)
+    assert len(crypto._G_COMB) == 2
+    for table in crypto._G_COMB:
+        assert len(table) == 256 and table[0] is None
+        assert sum(entry is not None for entry in table) == 255
+
+
+# --- fixed-base comb and one-ladder key recovery
+
+
+@pytest.mark.parametrize("u", [1, 2, 3, 0b10100101, 128, 255])
+def test_comb_tables_hold_the_teeth_sums(u):
+    teeth = sum(1 << (32 * i) for i in range(8) if u >> i & 1)
+    low, high = crypto._G_COMB
+    assert low[u] == _ref_mul(teeth, G)
+    assert high[u] == _ref_mul(teeth << 16, G)
+
+
+# 2^j and 2^j - 1 at the comb's column (16), tooth (32) and scalar (256) edges
+COMB_EDGES = [0, 1, crypto.N - 1] + [
+    k for j in (15, 16, 31, 32, 255) for k in (2**j, 2**j - 1)
+]
+
+
+def test_comb_mul_g_at_column_and_tooth_boundaries():
+    for k in COMB_EDGES:
+        assert crypto._mul_g(k) == _ref_mul(k, G), k
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.sampled_from(COMB_EDGES), secrets, st.integers(0, 2**256 - 1)))
+def test_comb_mul_g_matches_reference(k):
+    assert crypto._mul_g(k) == _ref_mul(k, G)
+
+
+def _raw_signature(r, s):
+    return crypto.der_encode(r, s) + bytes([crypto.SIGHASH_ALL])
+
+
+# r below P - N also has the candidates of x = r + N
+sig_r = st.one_of(
+    st.integers(min_value=1, max_value=crypto.P - crypto.N - 1),
+    st.integers(min_value=1, max_value=crypto.N - 1),
+)
+sig_s = st.integers(min_value=1, max_value=crypto.N // 2)
+recovery_digests = st.one_of(st.just(bytes(32)), st.just(crypto.N.to_bytes(32, "big")), digests)
+
+
+@settings(max_examples=40, deadline=None)
+@given(recovery_digests, sig_r, sig_s)
+def test_recovered_keys_match_textbook_recovery_for_any_scalars(digest, r, s):
+    signature = _raw_signature(r, s)
+    assert list(crypto.recovered_keys(digest, signature)) == _ref_recover(digest, signature)
+
+
+def _lifts(r):
+    return sum(
+        crypto._lift_x(x, odd) is not None for x in (r, r + crypto.N) for odd in (False, True)
+    )
+
+
+def test_recovered_keys_of_an_x_above_n_come_in_fours():
+    r = next(r for r in range(1, crypto.P - crypto.N) if _lifts(r) == 4)
+    signature = _raw_signature(r, 12345)
+    for digest in (bytes(32), crypto.sha256(b"m")):
+        keys = list(crypto.recovered_keys(digest, signature))
+        assert len(keys) == 4 and keys == _ref_recover(digest, signature)
+
+
+@settings(max_examples=25, deadline=None)
+@given(secrets, sig_s)
+@example(1, 1)  # R = G, even y: B + A is infinity
+@example(crypto.N - 1, 1)  # R = -G, odd y: B - A is infinity
+def test_recovered_keys_skip_the_candidate_at_infinity(k, s):
+    """With e = s*k, the candidate of R = k*G is r^-1 (s*R - e*G) = infinity."""
+    r = _ref_mul(k, G)[0] % crypto.N
+    digest = (s * k % crypto.N).to_bytes(32, "big")
+    signature = _raw_signature(r, s)
+    keys = list(crypto.recovered_keys(digest, signature))
+    assert keys == _ref_recover(digest, signature)
+    assert len(keys) == _lifts(r) - 1

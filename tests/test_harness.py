@@ -14,6 +14,10 @@ from chorchain.engine import FILLER_TASK_ID
 # --- planning ---------------------------------------------------------------------
 
 
+def planned_task_sequence(plan):
+    return tuple(s.task_id for s in plan if isinstance(s, H.PlanTask))
+
+
 def test_plan_model1():
     plan = H.build_plan(H.builtin_model(1), [0])
     handovers = H.planned_handovers(plan)
@@ -24,13 +28,13 @@ def test_plan_model1():
         ("p3", "owner", FILLER_TASK_ID),
     ]
     assert H.planned_tx_count(plan) == 5
-    assert H.planned_task_sequence(plan) == (1, 2, 3)
+    assert planned_task_sequence(plan) == (1, 2, 3)
 
 
 def test_plan_model2_variants():
     for pick, executed in ((0, 2), (1, 3)):
         plan = H.build_plan(H.builtin_model(2), [pick])
-        assert H.planned_task_sequence(plan) == (1, executed, 4)
+        assert planned_task_sequence(plan) == (1, executed, 4)
 
 
 def test_plan_model3_has_split_join_and_fillers():
@@ -50,7 +54,7 @@ def test_plan_model3_has_split_join_and_fillers():
 def test_plan_model4_respects_xor_choice():
     for pick, last in ((0, 4), (1, 5)):
         plan = H.build_plan(H.builtin_model(4), [pick])
-        assert H.planned_task_sequence(plan)[-1] == last
+        assert planned_task_sequence(plan)[-1] == last
         proceed = [h for h in H.planned_handovers(plan) if h.task_id == last]
         assert proceed[0].receiver == f"p{last}"
         assert H.planned_tx_count(plan) == 9  # 4 handovers, split, join, 2 fillers, end
@@ -157,13 +161,14 @@ def test_executed_tasks_match_plan():
     events = result.trace_reports[0]["events"]
     tasks = tuple(e["task_id"] for e in events if e["kind"] == "handover" and not e["filler"])
     plan = H.build_plan(H.builtin_model(4), [1])
-    assert tasks == H.planned_task_sequence(plan)
+    assert tasks == planned_task_sequence(plan)
 
 
 def test_phase_fractions_sum_to_one():
     result = H.run_scenario(H.ScenarioConfig(model_id=2, seed=5))
     run = result.runs[0]
-    assert abs(sum(run.phase_fractions.values()) - 1.0) < 1e-9
+    fractions = [run.phase_seconds.get(p, 0.0) / run.duration for p in H.PHASES]
+    assert abs(sum(fractions) - 1.0) < 1e-9
     assert run.phase_seconds["confirm"] > 0
 
 
@@ -206,6 +211,33 @@ def test_fault_injection_detected_and_recorded():
     events = result.trace_reports[0]["events"]
     assert events[-1]["kind"] == "end" and events[-1]["extraordinary"]
     assert result.trace_reports[0]["verdict"] == "conformant"  # prefix of a legal run
+
+
+@pytest.mark.parametrize("greedy", [False, True])
+def test_receiver_refusing_the_published_handover_stops_the_run(monkeypatch, greedy):
+    """The receiver compares the published transaction against the template
+    it signed. Here its copy of the template differs by one satoshi, so it
+    refuses the receipt, and the run stops there with the receiver's reason."""
+    from dataclasses import replace
+
+    from chorchain import protocol as proto
+
+    original = proto.Participant.confirm_receipt
+
+    def confirm_against_another_template(self, session):
+        tx = session.template.tx
+        token = replace(tx.outputs[0], value=tx.outputs[0].value - 1)
+        other = replace(tx, outputs=(token,) + tx.outputs[1:])
+        session.template = replace(session.template, tx=other)
+        return original(self, session)
+
+    monkeypatch.setattr(proto.Participant, "confirm_receipt", confirm_against_another_template)
+    with pytest.raises(
+        H.ScenarioError,
+        match="^p1 refused the published handover: "
+        "published transaction does not match the signed template$",
+    ):
+        H.run_scenario(H.ScenarioConfig(model_id=1, seed=5, greedy=greedy))
 
 
 # --- metrics io and summaries -----------------------------------------------------------
@@ -490,6 +522,116 @@ def test_any_single_edit_of_an_instance_line_is_flagged_or_refused(data, model_i
     assert not report.all_clean
 
 
+def _handovers_with_revealed_keys(dump):
+    """(handover, spending input's unlocking) for every spent handover token."""
+    from chorchain.chain import load_dump
+    from chorchain.encoding import TxKind
+
+    view = load_dump(dump)
+    out = []
+    for tx in view.all_transactions():
+        if tx.kind == TxKind.HANDOVER:
+            outpoint = (tx.tx_id, tx.token_outputs[0][0])
+            spender = view.get_transaction(view.get_spender(outpoint))
+            (txin,) = [txin for txin in spender.inputs if txin.outpoint == outpoint]
+            out.append((tx, txin.unlocking))
+    return out
+
+
+@pytest.mark.parametrize("model_id", [1, 2, 3, 4])
+def test_revealed_key_verdict_equals_key_recovery_verdict(model_id):
+    """The audit checks a spent handover's receiver signature against the key
+    its spender reveals; for every handover of the seed-11 dumps, genuine or
+    with one signature byte flipped, that verdict is key recovery's."""
+    from chorchain import crypto
+    from chorchain.encoding import parse_redeem_script, signing_digest
+
+    dump, _, _ = _seed11_dump(model_id)
+    handovers = _handovers_with_revealed_keys(dump)
+    assert handovers
+    for tx, unlocking in handovers:
+        payee = parse_redeem_script(unlocking.redeem_script).payee_key_hash
+        assert crypto.hash160(unlocking.public_key) == payee
+        digest = signing_digest(tx)
+        signature = tx.data_block.receiver_signature
+        flipped = signature[:40] + bytes([signature[40] ^ 0x10]) + signature[41:]
+        for sig, valid in ((signature, True), (flipped, False)):
+            assert crypto.verify(digest, sig, unlocking.public_key) is valid
+            assert crypto.verify_with_key_hash(digest, sig, payee) is valid
+
+
+def _last_handover_and_end(model_id):
+    """The seed-11 dump's lines, the END's line index and the line index of
+    the handover whose token the END spends."""
+    from chorchain.encoding import TxKind, tx_from_hex
+
+    _, lines, instance = _seed11_dump(model_id)
+    end_at = instance[-1]
+    end = tx_from_hex(lines[end_at])
+    (handover_at,) = [i for i in instance if tx_from_hex(lines[i]).tx_id == end.inputs[0].prev_tx_id]
+    assert tx_from_hex(lines[handover_at]).kind == TxKind.HANDOVER
+    return list(lines), handover_at, end_at
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), model_id=st.sampled_from([1, 2, 3, 4]))
+def test_flipped_receiver_signature_digit_is_flagged(data, model_id):
+    """A hex digit of the last handover's receiver signature is flipped and
+    the END is relinked to the edited handover. The audit flags the
+    receiver signature, and the END's input signature, which covers the
+    relinked outpoint; nothing else."""
+    from dataclasses import replace
+
+    from chorchain.encoding import tx_from_hex, tx_to_hex
+
+    lines, handover_at, end_at = _last_handover_and_end(model_id)
+    handover, end = tx_from_hex(lines[handover_at]), tx_from_hex(lines[end_at])
+    signature = handover.data_block.receiver_signature.hex()
+    pos = data.draw(st.integers(0, len(signature) - 1))
+    digit = data.draw(st.sampled_from([c for c in "0123456789abcdef" if c != signature[pos]]))
+    lines[handover_at] = lines[handover_at].replace(
+        signature, signature[:pos] + digit + signature[pos + 1:]
+    )
+    handover = tx_from_hex(lines[handover_at])
+    relinked = replace(end.inputs[0], prev_tx_id=handover.tx_id)
+    end = replace(end, inputs=(relinked,) + end.inputs[1:])
+    lines[end_at] = tx_to_hex(end)
+    (inst,) = H.audit("\n".join(lines) + "\n", model_doc(model_id)).instances
+    assert inst.signature_issues == [
+        f"{handover.tx_id.hex()[:16]}: receiver signature invalid",
+        f"{end.tx_id.hex()[:16]}: input 0 signature invalid",
+    ]
+    assert inst.lineage_issues == [] and inst.conformant and inst.value_conserved
+
+
+@pytest.mark.parametrize("model_id", [1, 2, 3, 4])
+def test_spender_revealing_another_key_is_flagged_once(model_id):
+    """The END spends the last handover's token with another key, signing
+    with that key. The script check flags the key; the receiver signature,
+    which the payee did make, is still found valid by key recovery."""
+    import random
+    from dataclasses import replace
+
+    from chorchain.crypto import Keypair, sign
+    from chorchain.encoding import signing_digest, tx_from_hex, tx_to_hex
+
+    lines, _, end_at = _last_handover_and_end(model_id)
+    end = tx_from_hex(lines[end_at])
+    other = Keypair.generate(random.Random(model_id))
+    unlocking = replace(
+        end.inputs[0].unlocking,
+        signature=sign(signing_digest(end), other),
+        public_key=other.public_key,
+    )
+    end = replace(end, inputs=(replace(end.inputs[0], unlocking=unlocking),) + end.inputs[1:])
+    lines[end_at] = tx_to_hex(end)
+    (inst,) = H.audit("\n".join(lines) + "\n", model_doc(model_id)).instances
+    assert inst.signature_issues == [
+        f"{end.tx_id.hex()[:16]}: input 0 public key does not hash to the payee"
+    ]
+    assert inst.lineage_issues == [] and inst.conformant and inst.value_conserved
+
+
 def test_audit_reports_orphans_of_a_deleted_start():
     from chorchain.encoding import tx_from_hex
 
@@ -539,4 +681,4 @@ def test_reconstructed_path_matches_configured_path_all_variants():
         events = result.trace_reports[0]["events"]
         tasks = tuple(e["task_id"] for e in events if e["kind"] == "handover" and not e["filler"])
         plan = H.build_plan(H.builtin_model(model_id), [int(v) for v in variant.split(",")])
-        assert tasks == H.planned_task_sequence(plan), (model_id, variant)
+        assert tasks == planned_task_sequence(plan), (model_id, variant)

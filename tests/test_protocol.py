@@ -625,10 +625,19 @@ def test_owner_collects_identities_in_order():
     assert not any(e.gap for e in handovers)
 
 
+def take_offline(transport, name):
+    """Every later request to ``name`` times out, as to an unknown endpoint."""
+
+    def unreachable(src, frame):
+        raise P.TransportTimeout(f"endpoint {name!r} unreachable")
+
+    transport.register(name, unreachable)
+
+
 def test_offline_participant_leaves_gap_but_monitoring_continues():
     env = Env(model_id=1)
     chain_of_three(env)
-    env.transport.unregister("alice")  # alice cannot answer identity queries
+    take_offline(env.transport, "alice")  # alice cannot answer identity queries
     monitor = P.OwnerMonitor(env.owner(), env.start_tx.tx_id, 1)
     report = monitor.collect()
     handovers = [e for e in report.entries if e.kind == "handover"]
