@@ -392,11 +392,12 @@ class ChainSim(ChainIndex):
 
 
 def load_dump(text: str) -> ChainIndex:
-    """The chain index of a dump, built line by line. A repeated txid, a
-    second spend of an outpoint, or an input spending a transaction that only
-    a later line holds raises :class:`DumpFormatError` with the offending
-    line's number. An input whose transaction no line holds is left to the
-    audit."""
+    """The chain index of a dump, built line by line. A block line whose
+    height is not the previous height + 1 (the first is 0) or whose timestamp
+    is below the previous block's, a repeated txid, a second spend of an
+    outpoint, or an input spending a transaction that only a later line holds
+    raises :class:`DumpFormatError` with the offending line's number. An
+    input whose transaction no line holds is left to the audit."""
     lines = text.splitlines()
     if not lines:
         raise DumpFormatError(1, "empty dump")
@@ -422,9 +423,16 @@ def load_dump(text: str) -> ChainIndex:
             if len(parts) != 3:
                 raise DumpFormatError(line_no, "block line needs height and timestamp")
             try:
-                blocks.append(Block(int(parts[1]), int(parts[2])))
+                block = Block(int(parts[1]), int(parts[2]))
             except ValueError:
                 raise DumpFormatError(line_no, "block height/timestamp not integers") from None
+            if block.height != len(blocks):
+                raise DumpFormatError(line_no, f"block height {block.height}, expected {len(blocks)}")
+            if blocks and block.timestamp < blocks[-1].timestamp:
+                raise DumpFormatError(
+                    line_no, f"block timestamp {block.timestamp} before {blocks[-1].timestamp}"
+                )
+            blocks.append(block)
             continue
         try:
             tx = tx_from_hex(line)

@@ -18,7 +18,8 @@ import hashlib
 import hmac
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Iterator
 
 # --- secp256k1 domain parameters ---------------------------------------------
@@ -157,14 +158,24 @@ else:
 # & Vanstone, CRYPTO 2001; Hankerson, Menezes & Vanstone, Guide to Elliptic
 # Curve Cryptography, section 3.5), so u1*G + u2*Q is a sum of four
 # half-length products that one interleaved wNAF ladder computes with about
-# 129 doublings instead of 256 (Guide, algorithm 3.51).
+# 129 doublings instead of 256 (Guide, algorithm 3.51). Each half's wNAF is
+# kept sparse, as (position, digit) pairs for the nonzero digits only, and
+# the ladder merges the four lists into one schedule of about 70 additions,
+# in descending position, with the doublings counted off between them.
 #
 # Every point the ladder adds is affine (Z = 1): the odd multiples of G and
-# lambda*G are tabled once at import, those of Q are built per call and
-# normalised with one shared inversion (Montgomery's trick, Guide section
-# 2.2.5), and lambda*Q's cost one multiplication by beta each. Each ladder
-# addition is therefore the mixed Jacobian-affine one (Guide, algorithm
-# 3.22), which skips every product with Z2.
+# lambda*G are tabled once at import, those of Q are normalised with one
+# shared inversion (Montgomery's trick, Guide section 2.2.5), and lambda*Q's
+# cost one multiplication by beta each. Each ladder addition is therefore
+# the mixed Jacobian-affine one (Guide, algorithm 3.22), which skips every
+# product with Z2. Q's two tables depend on the key alone, so verify keeps
+# those of the last few keys (_key_tables): an audit checks the receiver's
+# signature and then the spend of the same token under one key. Only the
+# tables are kept, never a verdict.
+#
+# verify never makes the ladder's result affine. x(R) = X/Z^2 reduces to r
+# mod N exactly when x(R) is r or r + N (the latter only below P), so it
+# compares X with r*Z^2 and (r + N)*Z^2 mod P, which saves the inversion.
 
 _BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
 _LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
@@ -306,24 +317,27 @@ def _glv_split(k: int) -> tuple[int, int]:
     return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
 
 
-def _wnaf(k: int, width: int) -> list[int]:
-    """Width-w non-adjacent form of a signed k, least significant digit first.
+def _wnaf(k: int, width: int) -> list[tuple[int, int]]:
+    """The nonzero digits of the width-w non-adjacent form of a signed k, as
+    (position, digit) pairs, least significant first.
 
-    Every digit is 0 or odd with |d| < 2^(w-1), and any nonzero digit is
-    followed by at least w - 1 zeros. A negative k gives the negated digits
-    of -k, so a negative GLV half needs no separate negation.
+    Every digit is odd with |d| < 2^(w-1), and nonzero digits sit at least w
+    positions apart. A negative k gives the negated digits of -k, so a
+    negative GLV half needs no separate negation.
     """
-    digits: list[int] = []
+    digits: list[tuple[int, int]] = []
     full = 1 << width
+    pos = 0
     while k:
         zeros = (k & -k).bit_length() - 1  # also right for negative k
-        digits += [0] * zeros
         k >>= zeros
+        pos += zeros
         d = k & (full - 1)
         if d > full >> 1:
             d -= full
-        digits.append(d)
-        k = (k - d) >> 1
+        digits.append((pos, d))
+        k = (k - d) >> width  # k - d is a multiple of 2^w
+        pos += width
     return digits
 
 
@@ -332,59 +346,82 @@ _G_TABLE = _signed_table(_G_ODD)
 _G_LAMBDA_TABLE = _signed_table(_endo(_G_ODD))
 
 
-def _shamir(u1: int, u2: int, q: tuple[int, int]) -> tuple[int, int] | None:
-    """u1*G + u2*Q, the verification hot path; key recovery calls it with
-    u1 = 0, which leaves the G halves' digits empty.
+def _q_tables(q: tuple[int, int]) -> tuple[list, list]:
+    """The signed width-5 tables of Q and lambda*Q."""
+    odd = _odd_multiples(q, _Q_WIDTH)
+    return _signed_table(odd), _signed_table(_endo(odd))
+
+
+@lru_cache(maxsize=16)
+def _key_tables(public_key: bytes) -> tuple[list, list] | None:
+    """_q_tables of a compressed key, None when the bytes do not decode."""
+    try:
+        return _q_tables(decode_pubkey(public_key))
+    except SignatureError:
+        return None
+
+
+def _ladder(u1: int, u2: int, q_table: list, q_lambda_table: list) -> tuple[int, int, int]:
+    """u1*G + u2*Q as a Jacobian point, given Q's signed tables.
 
     u1 and u2 are split into GLV halves, and the four products
     a*G + b*(lambda*G) + c*Q + d*(lambda*Q) share one double-and-add ladder
     over the halves' width-8 (G) and width-5 (Q) NAFs, adding affine odd
-    multiples (Guide, algorithm 3.51). The doubling is _jac_double's and the
-    addition _add_affine's (Guide, algorithm 3.22), inlined because they run
-    about 129 and 70 times per call.
+    multiples (Guide, algorithm 3.51). The schedule holds one (position,
+    addend) per nonzero digit, highest position first; the running sum sits
+    at position ``at`` and is doubled down to each addend's position. The
+    doubling is _jac_double's and the addition _add_affine's (Guide,
+    algorithm 3.22), inlined because they run about 129 and 70 times per call.
     """
-    odd = _odd_multiples(q, _Q_WIDTH)
     a, b = _glv_split(u1 % N)
     c, d = _glv_split(u2 % N)
-    steps: list[list[tuple[int, int]]] = []  # steps[i]: addends after doubling i
+    schedule: list[tuple[int, tuple[int, int] | None]] = []
     for k, table, width in (
         (a, _G_TABLE, _G_WIDTH),
         (b, _G_LAMBDA_TABLE, _G_WIDTH),
-        (c, _signed_table(odd), _Q_WIDTH),
-        (d, _signed_table(_endo(odd)), _Q_WIDTH),
+        (c, q_table, _Q_WIDTH),
+        (d, q_lambda_table, _Q_WIDTH),
     ):
-        digits = _wnaf(k, width)
-        steps.extend([] for _ in range(len(digits) - len(steps)))
-        for i, digit in enumerate(digits):
-            if digit:
-                steps[i].append(table[digit])
+        schedule += [(pos, table[digit]) for pos, digit in _wnaf(k, width)]
+    schedule.sort(key=itemgetter(0), reverse=True)
+    schedule.append((0, None))  # the doublings left below the last addend
     x, y, z = _INF
-    for addends in reversed(steps):
-        if z:  # double
+    at = schedule[0][0]
+    for pos, addend in schedule:
+        for _ in range(at - pos if z else 0):  # double
             ysq = y * y % P
             s = 4 * x * ysq % P
             m = 3 * x * x % P
             z = 2 * y * z % P
             x = (m * m - 2 * s) % P
             y = (m * (s - x) - 8 * ysq * ysq) % P
-        for x2, y2 in addends:  # mixed add
-            if not z:
-                x, y, z = x2, y2, 1
-                continue
-            zz = z * z % P
-            h = (x2 * zz - x) % P
-            r = (y2 * zz * z - y) % P
-            if not h:
-                x, y, z = _jac_double((x, y, z)) if not r else _INF
-                continue
-            hh = h * h % P
-            hhh = hh * h % P
-            v = x * hh % P
-            nx = (r * r - hhh - 2 * v) % P
-            y = (r * (v - nx) - y * hhh) % P
-            x = nx
-            z = z * h % P
-    return _to_affine((x, y, z))
+        at = pos
+        if addend is None:
+            break
+        x2, y2 = addend  # mixed add
+        if not z:
+            x, y, z = x2, y2, 1
+            continue
+        zz = z * z % P
+        h = (x2 * zz - x) % P
+        r = (y2 * zz * z - y) % P
+        if not h:
+            x, y, z = _jac_double((x, y, z)) if not r else _INF
+            continue
+        hh = h * h % P
+        hhh = hh * h % P
+        v = x * hh % P
+        nx = (r * r - hhh - 2 * v) % P
+        y = (r * (v - nx) - y * hhh) % P
+        x = nx
+        z = z * h % P
+    return x, y, z
+
+
+def _shamir(u1: int, u2: int, q: tuple[int, int]) -> tuple[int, int] | None:
+    """u1*G + u2*Q, affine, with Q's tables built for this call; key
+    recovery calls it with u1 = 0, which leaves the G halves' digits empty."""
+    return _to_affine(_ladder(u1, u2, *_q_tables(q)))
 
 
 # Fixed-base comb for G (Lim & Lee; Guide, algorithms 3.44 and 3.45). A
@@ -553,6 +590,8 @@ def der_decode(sig: bytes) -> tuple[int, int]:
     i = 2
 
     def read_int(i: int) -> tuple[int, int]:
+        if len(sig) < i + 2:
+            raise SignatureError("truncated DER integer")
         if sig[i] != 0x02:
             raise SignatureError("expected DER integer")
         ln = sig[i + 1]
@@ -629,16 +668,26 @@ def _split_sig(signature: bytes) -> tuple[int, int]:
 
 
 def verify(digest: bytes, signature: bytes, public_key: bytes) -> bool:
-    """Check a signature produced by :func:`sign` against a compressed key."""
+    """Check a signature produced by :func:`sign` against a compressed key.
+
+    The key's ladder tables come from :func:`_key_tables`, and x(R) is
+    compared with r in Jacobian coordinates: X = r*Z^2, or (r + N)*Z^2 when
+    r + N < P, since x(R) mod N = r allows exactly those two values.
+    """
     try:
         r, s = _split_sig(signature)
-        q = decode_pubkey(public_key)
     except SignatureError:
+        return False
+    tables = _key_tables(bytes(public_key))
+    if tables is None:
         return False
     e = int.from_bytes(digest, "big") % N
     sinv = pow(s, -1, N)
-    pt = _shamir(e * sinv % N, r * sinv % N, q)
-    return pt is not None and pt[0] % N == r
+    x, _, z = _ladder(e * sinv % N, r * sinv % N, *tables)
+    if not z:
+        return False
+    zz = z * z % P
+    return x == r * zz % P or (r + N < P and x == (r + N) * zz % P)
 
 
 def recovered_keys(digest: bytes, signature: bytes) -> Iterator[bytes]:

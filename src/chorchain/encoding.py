@@ -386,8 +386,9 @@ class EnrichedTransaction:
     def token_outputs(self) -> tuple[tuple[int, TxOutput], ...]:
         return tuple((i, o) for i, o in enumerate(self.outputs) if o.kind == OutputKind.SCRIPT_HASH)
 
-    # The transaction is frozen, so its block and id are computed once and
-    # kept in the instance dict; the public names stay plain properties.
+    # The transaction is frozen, so its block, id and signing digest are
+    # computed once and kept in the instance dict; the public names stay plain
+    # properties and functions.
     @cached_property
     def _data_block(self) -> DataBlock | None:
         outs = self.data_outputs
@@ -401,6 +402,31 @@ class EnrichedTransaction:
     @cached_property
     def _tx_id(self) -> bytes:
         return sha256d(serialize_transaction(self))
+
+    @cached_property
+    def _signing_digest(self) -> bytes:
+        """See :func:`signing_digest`."""
+        inputs = tuple(
+            TxInput(i.prev_tx_id, i.prev_output_index, Unlocking(), prev_value=i.prev_value)
+            for i in self.inputs
+        )
+        outputs = []
+        for out in self.outputs:
+            if out.kind == OutputKind.DATA:
+                block = out.data_block
+                if block.kind == TxKind.HANDOVER:
+                    out = TxOutput.data(
+                        DataBlock(
+                            TxKind.HANDOVER,
+                            block.process_id,
+                            block.timestamp,
+                            block.task_id,
+                            TEMPLATE_SIGNATURE,
+                        )
+                    )
+            outputs.append(out)
+        stripped = EnrichedTransaction(inputs, tuple(outputs), self.version, self.locktime)
+        return sha256d(serialize_transaction(stripped))
 
     @property
     def data_block(self) -> DataBlock | None:
@@ -550,29 +576,11 @@ def signing_digest(tx: EnrichedTransaction) -> bytes:
     block's receiver-signature field forced to the fixed 72-byte placeholder.
     The sender's input signatures and the receiver's embedded signature are
     both taken over this digest, so either party can later prove what terms
-    were signed.
+    were signed. The transaction computes it once and keeps it, like its id,
+    so the audit's receiver-signature check and script validation share one
+    serialization.
     """
-    inputs = tuple(
-        TxInput(i.prev_tx_id, i.prev_output_index, Unlocking(), prev_value=i.prev_value)
-        for i in tx.inputs
-    )
-    outputs = []
-    for out in tx.outputs:
-        if out.kind == OutputKind.DATA:
-            block = out.data_block
-            if block.kind == TxKind.HANDOVER:
-                out = TxOutput.data(
-                    DataBlock(
-                        TxKind.HANDOVER,
-                        block.process_id,
-                        block.timestamp,
-                        block.task_id,
-                        TEMPLATE_SIGNATURE,
-                    )
-                )
-        outputs.append(out)
-    stripped = EnrichedTransaction(inputs, tuple(outputs), tx.version, tx.locktime)
-    return sha256d(serialize_transaction(stripped))
+    return tx._signing_digest
 
 
 def tx_to_hex(tx: EnrichedTransaction) -> str:

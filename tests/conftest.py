@@ -45,3 +45,25 @@ def make_instance(sim, owner_key, funds, fee_policy, rng, process_id=1, estimate
     result = sim.broadcast(start_tx)
     assert result.accepted, result.reason
     return start_tx, token
+
+
+DER_EDITS = ("envelope", "r", "s", "cut body", "cut")
+
+
+def tamper_der(signature: bytes, edit: str, value: int) -> bytes:
+    """signature with one DER length byte set to value (r's length to value
+    bytes short of the whole body, so value 0 leaves nothing for s); or its
+    DER body cut to value bytes, the envelope length set to match and the
+    hash-type byte kept; or the whole signature so cut."""
+    body = signature[:-1]
+    at, length = {
+        "envelope": (1, value),
+        "r": (3, (body[1] - 2 - value) % 256),
+        "s": (5 + body[3], value),
+    }.get(edit, (None, None))
+    if at is not None:
+        return body[:at] + bytes([length]) + body[at + 1:] + signature[-1:]
+    if edit == "cut body":
+        cut = value % len(body)
+        return (body[:1] + bytes([max(cut - 2, 0)]) + body[2:cut])[:cut] + signature[-1:]
+    return signature[: value % len(signature)]

@@ -26,7 +26,7 @@ from chorchain.encoding import (
     signing_digest,
 )
 
-from conftest import keypair_from_seed
+from conftest import keypair_from_seed, tamper_der
 
 
 def mine_pending(sim: ChainSim):
@@ -444,6 +444,34 @@ def test_dump_parse_errors_carry_line_numbers():
     assert err.value.line_no == idx + 1
 
 
+@pytest.mark.parametrize(
+    "at, edit, message",
+    [
+        (0, lambda h, t: (1, t), "block height 1, expected 0"),
+        (2, lambda h, t: (h + 1, t), "block height 3, expected 2"),
+        (2, lambda h, t: (h - 1, t), "block height 1, expected 2"),
+        (3, lambda h, t: (h, t - 100), "before"),
+    ],
+    ids=["first_is_not_0", "height_skips", "height_repeats", "time_goes_back"],
+)
+def test_block_lines_must_count_up_in_time(at, edit, message):
+    lines = run_fixed_scenario(5).splitlines()
+    block_lines = [i for i, l in enumerate(lines) if l.startswith("block ")]
+    idx = block_lines[at]
+    _, height, timestamp = lines[idx].split()
+    lines[idx] = "block %d %d" % edit(int(height), int(timestamp))
+    with pytest.raises(DumpFormatError, match=message) as err:
+        load_dump("\n".join(lines))
+    assert err.value.line_no == idx + 1
+
+
+def test_block_timestamps_may_repeat():
+    lines = run_fixed_scenario(5).splitlines()
+    first, second = [i for i, l in enumerate(lines) if l.startswith("block ")][:2]
+    lines[second] = "block 1 " + lines[first].split()[2]
+    assert len(load_dump("\n".join(lines)).blocks) == 6
+
+
 def _input_listed_twice(raw: bytes) -> bytes:
     """The wire bytes of a one-input transaction with that input listed twice."""
     assert raw[4] == 1 and raw[41] < 0xFD  # one input, one-byte script length
@@ -467,6 +495,23 @@ def test_transaction_spending_one_outpoint_twice_refused(funded):
     assert result.reason == "invalid: two inputs spend the same outpoint"
     assert sim.mempool_ids == []
     assert sim.get_spender(twice.inputs[0].outpoint) is None
+
+
+@pytest.mark.parametrize("edit", ["r", "cut body"])
+def test_broadcast_refuses_a_der_signature_without_s(funded, edit):
+    """r's length covering s, or the body cut just after the tag of s."""
+    from dataclasses import replace
+
+    sim, key, outs, rng = funded
+    tx, _ = payment([(outs[0].tx_id, 0, outs[0].value, key)], [outs[0].value - 1000], rng=rng)
+    txin = tx.inputs[0]
+    signature = txin.unlocking.signature
+    bad = tamper_der(signature, edit, 0 if edit == "r" else 5 + signature[3])
+    tampered = replace(tx, inputs=(replace(txin, unlocking=replace(txin.unlocking, signature=bad)),))
+    result = sim.broadcast(tampered)
+    assert not result.accepted
+    assert result.reason == "script: input 0 signature invalid"
+    assert sim.mempool_ids == []
 
 
 def test_dump_line_spending_one_outpoint_twice_refused(funded):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from chorchain import crypto
 
-from conftest import keypair_from_seed
+from conftest import DER_EDITS, keypair_from_seed, tamper_der
 
 
 def test_ripemd160_known_vectors():
@@ -427,3 +427,151 @@ def test_recovered_keys_skip_the_candidate_at_infinity(k, s):
     keys = list(crypto.recovered_keys(digest, signature))
     assert keys == _ref_recover(digest, signature)
     assert len(keys) == _lifts(r) - 1
+
+
+# --- sparse wNAF, the key-table memo and the inversion-free x(R) test
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(-(2**260), 2**260), st.sampled_from([0, 1, -1, 2**128, -(2**128) + 1])),
+       st.sampled_from([5, 8]))
+def test_sparse_wnaf_recombines_into_spaced_odd_digits(k, width):
+    digits = crypto._wnaf(k, width)
+    assert sum(d << pos for pos, d in digits) == k
+    for pos, d in digits:
+        assert d % 2 == 1 and abs(d) < 1 << (width - 1)
+    positions = [pos for pos, _ in digits]
+    assert all(b - a >= width for a, b in zip(positions, positions[1:]))
+
+
+def _ref_verify(digest, signature, public_key):
+    """Textbook check: x(e/s*G + r/s*Q) mod N == r, over plain double-and-add."""
+    try:
+        r, s = crypto._split_sig(signature)
+        q = crypto.decode_pubkey(public_key)
+    except crypto.SignatureError:
+        return False
+    w = pow(s, -1, crypto.N)
+    e = int.from_bytes(digest, "big") % crypto.N
+    pt = _ref_add(_ref_mul(e * w, G), _ref_mul(r * w, q))
+    return pt is not None and pt[0] % crypto.N == r
+
+
+def _flip_s(signature):
+    """The signature with the lowest bit of s flipped: still strict DER."""
+    return signature[:-2] + bytes([signature[-2] ^ 1]) + signature[-1:]
+
+
+@pytest.mark.parametrize("flipped_first", [False, True])
+def test_verify_keeps_tables_not_verdicts(flipped_first):
+    kp = keypair_from_seed(b"memo")
+    digest = crypto.sha256(b"memo")
+    genuine = crypto.sign(digest, kp)
+    flipped = _flip_s(genuine)
+    order = [(flipped, False), (genuine, True)] if flipped_first else [(genuine, True), (flipped, False)]
+    crypto._key_tables.cache_clear()
+    for key in (kp.public_key, bytearray(kp.public_key)):
+        for sig, valid in order:
+            assert _ref_verify(digest, sig, bytes(key)) is valid
+            assert crypto.verify(digest, sig, key) is valid
+    assert crypto._key_tables.cache_info().currsize == 1
+
+
+def _off_curve_x():
+    return next(x for x in range(1, 100) if crypto._lift_x(x, False) is None)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        b"\x04" + bytes(32),
+        b"\x05" + keypair_from_seed(b"prefix").public_key[1:],
+        b"\x02" + _off_curve_x().to_bytes(32, "big"),
+        b"\x03" + crypto.P.to_bytes(32, "big"),
+        keypair_from_seed(b"short").public_key[:-1],
+        b"",
+    ],
+)
+def test_verify_refuses_undecodable_keys_every_time(key):
+    kp = keypair_from_seed(b"prefix")
+    digest = crypto.sha256(b"undecodable")
+    sig = crypto.sign(digest, kp)
+    for _ in range(2):
+        assert crypto._key_tables(key) is None
+        assert not _ref_verify(digest, sig, key)
+        assert crypto.verify(digest, sig, key) is False
+    assert crypto.verify(digest, sig, kp.public_key)
+
+
+def _key_for_x_above_n(digest, r, s):
+    """Q = u2^-1 (R - u1*G) for the even R with x(R) = r + N, so that the
+    ladder's point for (r, s) over Q is R itself."""
+    w = pow(s, -1, crypto.N)
+    u1 = int.from_bytes(digest, "big") * w % crypto.N
+    u2 = r * w % crypto.N
+    big_r = crypto._lift_x(r + crypto.N, False)
+    q = _ref_mul(pow(u2, -1, crypto.N), _ref_add(big_r, _ref_mul(crypto.N - u1, G)))
+    return crypto.encode_pubkey(q)
+
+
+def test_verify_accepts_an_x_above_n():
+    r = next(r for r in range(1, crypto.P - crypto.N) if crypto._lift_x(r + crypto.N, False))
+    digest = crypto.sha256(b"above n")
+    for s in (1, 12345, crypto.N // 2):
+        key = _key_for_x_above_n(digest, r, s)
+        sig = _raw_signature(r, s)
+        assert _ref_verify(digest, sig, key) and crypto.verify(digest, sig, key)
+        other = crypto.sha256(b"other")
+        assert not _ref_verify(other, sig, key) and not crypto.verify(other, sig, key)
+
+
+@pytest.mark.parametrize("r", [1, 12345, crypto.N - 1])
+def test_verify_refuses_a_sum_at_infinity(r):
+    """With Q = -(e/r)*G the ladder's point e/s*G + r/s*Q is infinity,
+    whose Jacobian X = 0 equals r*Z^2 = 0."""
+    digest = crypto.sha256(b"infinity")
+    e = int.from_bytes(digest, "big") % crypto.N
+    key = crypto.encode_pubkey(_ref_mul(-e * pow(r, -1, crypto.N), G))
+    sig = _raw_signature(r, 777)
+    assert not _ref_verify(digest, sig, key)
+    assert crypto.verify(digest, sig, key) is False
+
+
+@settings(max_examples=40, deadline=None)
+@given(digests, secrets, st.booleans())
+def test_verify_matches_textbook_reference(digest, secret, flip):
+    kp = crypto.Keypair(secret)
+    sig = crypto.sign(digest, kp)
+    if flip:
+        sig = _flip_s(sig)
+    assert crypto.verify(digest, sig, kp.public_key) is _ref_verify(digest, sig, kp.public_key)
+
+
+# --- tampered DER lengths
+
+
+@settings(max_examples=150, deadline=None)
+@given(digests, secrets, st.sampled_from(DER_EDITS), st.integers(0, 255))
+@example(bytes(32), 1, "r", 0)  # r's length covers s
+@example(bytes(32), 1, "cut body", 38)  # ends on the tag of s
+def test_tampered_der_lengths_are_refused_as_signature_errors(digest, secret, edit, value):
+    kp = crypto.Keypair(secret)
+    signature = crypto.sign(digest, kp)
+    bad = tamper_der(signature, edit, value)
+    if bad == signature:
+        return
+    try:
+        r, s = crypto.der_decode(bad[:-1])
+    except crypto.SignatureError:
+        assert next(crypto.recovered_keys(digest, bad), None) is None
+    else:  # the edit happens to spell another strict encoding
+        assert crypto.der_encode(r, s) == bad[:-1]
+    assert crypto.verify(digest, bad, kp.public_key) is False
+
+
+def test_der_integer_running_past_the_end_is_refused():
+    with pytest.raises(crypto.SignatureError, match="truncated"):
+        crypto.der_decode(bytes.fromhex("3006020401010101"))
+    signature = bytes.fromhex("300602040101010101")
+    assert crypto.verify(bytes(32), signature, keypair_from_seed(b"der").public_key) is False
+    assert list(crypto.recovered_keys(bytes(32), signature)) == []

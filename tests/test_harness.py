@@ -4,11 +4,13 @@ import json
 import statistics
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from chorchain import harness as H
 from chorchain.engine import FILLER_TASK_ID
+
+from conftest import DER_EDITS, tamper_der
 
 
 # --- planning ---------------------------------------------------------------------
@@ -602,6 +604,33 @@ def test_flipped_receiver_signature_digit_is_flagged(data, model_id):
         f"{end.tx_id.hex()[:16]}: input 0 signature invalid",
     ]
     assert inst.lineage_issues == [] and inst.conformant and inst.value_conserved
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([1, 2, 3, 4]), st.sampled_from(DER_EDITS), st.integers(0, 255))
+@example(4, "r", 0)  # r's length covers s
+def test_tampered_der_length_in_an_input_signature_is_flagged(model_id, edit, value):
+    """One DER length byte of the first handover's input signature is edited,
+    or the signature is cut. The audit flags that input instead of raising."""
+    from dataclasses import replace
+
+    from chorchain.encoding import TxKind, tx_from_hex, tx_to_hex
+
+    _, lines, instance = _seed11_dump(model_id)
+    at = next(i for i in instance if tx_from_hex(lines[i]).kind == TxKind.HANDOVER)
+    handover = tx_from_hex(lines[at])
+    txin = handover.inputs[0]
+    signature = txin.unlocking.signature
+    bad = tamper_der(signature, edit, value)
+    if bad in (signature, b""):
+        return
+    edited = replace(handover, inputs=(replace(txin, unlocking=replace(txin.unlocking, signature=bad)),))
+    lines = list(lines)
+    lines[at] = tx_to_hex(edited)
+    report = H.audit("\n".join(lines) + "\n", model_doc(model_id))
+    (inst,) = report.instances
+    assert f"{edited.tx_id.hex()[:16]}: input 0 signature invalid" in inst.signature_issues
+    assert not report.all_clean
 
 
 @pytest.mark.parametrize("model_id", [1, 2, 3, 4])
