@@ -146,36 +146,34 @@ else:
 
 
 # --- elliptic-curve arithmetic ---------------------------------------------------
-# Verification computes u1*G + u2*Q; signing and key derivation compute k*G.
-# Key recovery computes both: u2*R on the ladder below, with no G half, and
-# u1*G on the fixed-base comb. Its two candidates per x(R) are then u1*G
-# plus and minus u2*R, so recovering both costs about one verification, not
-# one per candidate. Everything runs over Jacobian points with affine addends.
+# Verification computes u1*G + u2*Q; signing and key derivation compute k*G;
+# key recovery computes u2*R and adds u1*G. Every one of these products is a
+# list of (position, affine addend) pairs, and one double-and-add loop,
+# _double_and_add, sums 2^position * addend over the list, highest position
+# first, over Jacobian points. It holds the only inlined doubling and mixed
+# Jacobian-affine addition (Guide to Elliptic Curve Cryptography, algorithm
+# 3.22, which skips every product with Z2 = 1).
 #
-# secp256k1 has the endomorphism lambda*(x, y) = (beta*x, y), with beta a
-# cube root of unity mod P and lambda the matching one mod N. Each scalar splits as
-# k = k1 + k2*lambda (mod N) with |k1| and |k2| near 2^128 (Gallant, Lambert
-# & Vanstone, CRYPTO 2001; Hankerson, Menezes & Vanstone, Guide to Elliptic
-# Curve Cryptography, section 3.5), so u1*G + u2*Q is a sum of four
-# half-length products that one interleaved wNAF ladder computes with about
-# 129 doublings instead of 256 (Guide, algorithm 3.51). Each half's wNAF is
-# kept sparse, as (position, digit) pairs for the nonzero digits only, and
-# the ladder merges the four lists into one schedule of about 70 additions,
-# in descending position, with the doublings counted off between them.
+# G has one table, a fixed-base comb (Lim & Lee, CRYPTO 1994; Guide,
+# algorithms 3.44 and 3.45): a scalar's comb columns are 16 positions, 15..0,
+# with at most two addends each. Q is not known in advance, so u2*Q uses the
+# endomorphism lambda*(x, y) = (beta*x, y), with beta a cube root of unity mod
+# P and lambda the matching one mod N: u2 splits as c + d*lambda (mod N) with
+# |c| and |d| near 2^128 (Gallant, Lambert & Vanstone, CRYPTO 2001; Guide,
+# section 3.5), and the nonzero digits of their width-5 NAFs address the odd
+# multiples of Q and lambda*Q. Merged with u1's comb columns, that is one list
+# of about 129 doublings and 75 additions (Guide, algorithm 3.51).
 #
-# Every point the ladder adds is affine (Z = 1): the odd multiples of G and
-# lambda*G are tabled once at import, those of Q are normalised with one
-# shared inversion (Montgomery's trick, Guide section 2.2.5), and lambda*Q's
-# cost one multiplication by beta each. Each ladder addition is therefore
-# the mixed Jacobian-affine one (Guide, algorithm 3.22), which skips every
-# product with Z2. Q's two tables depend on the key alone, so verify keeps
-# those of the last few keys (_key_tables): an audit checks the receiver's
-# signature and then the spend of the same token under one key. Only the
-# tables are kept, never a verdict.
+# Q's odd multiples are made affine with one shared inversion (Montgomery's
+# trick, Guide section 2.2.5), and lambda*Q's cost one multiplication by beta
+# each. They depend on the key alone, so verify keeps those of the last few
+# keys (_key_tables): an audit checks the receiver's signature and then the
+# spend of the same token under one key. Only the tables are kept, never a
+# verdict.
 #
-# verify never makes the ladder's result affine. x(R) = X/Z^2 reduces to r
-# mod N exactly when x(R) is r or r + N (the latter only below P), so it
-# compares X with r*Z^2 and (r + N)*Z^2 mod P, which saves the inversion.
+# verify never makes the loop's result affine. x(R) = X/Z^2 reduces to r mod
+# N exactly when x(R) is r or r + N (the latter only below P), so it compares
+# X with r*Z^2 and (r + N)*Z^2 mod P, which saves the inversion.
 
 _BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
 _LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
@@ -185,8 +183,7 @@ _B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
 _A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
 _B2 = _A1
 
-# wNAF widths of the G and Q tables: 2^(w-2) odd multiples each
-_G_WIDTH = 8
+# wNAF width of the Q tables: 2^(w-2) odd multiples each
 _Q_WIDTH = 5
 
 
@@ -203,36 +200,8 @@ def _jac_double(p: tuple[int, int, int]) -> tuple[int, int, int]:
     return nx, ny, nz
 
 
-def _jac_add(p: tuple[int, int, int], q: tuple[int, int, int]) -> tuple[int, int, int]:
-    if not p[2]:
-        return q
-    if not q[2]:
-        return p
-    x1, y1, z1 = p
-    x2, y2, z2 = q
-    z1sq = z1 * z1 % P
-    z2sq = z2 * z2 % P
-    u1 = x1 * z2sq % P
-    u2 = x2 * z1sq % P
-    s1 = y1 * z2sq * z2 % P
-    s2 = y2 * z1sq * z1 % P
-    if u1 == u2:
-        if s1 != s2:
-            return _INF
-        return _jac_double(p)
-    h = (u2 - u1) % P
-    r = (s2 - s1) % P
-    hsq = h * h % P
-    hcu = hsq * h % P
-    u1hsq = u1 * hsq % P
-    nx = (r * r - hcu - 2 * u1hsq) % P
-    ny = (r * (u1hsq - nx) - s1 * hcu) % P
-    nz = h * z1 * z2 % P
-    return nx, ny, nz
-
-
 def _add_affine(p: tuple[int, int, int], x2: int, y2: int) -> tuple[int, int, int]:
-    """Jacobian p plus the affine point (x2, y2): _jac_add with Z2 = 1."""
+    """Jacobian p plus the affine point (x2, y2)."""
     x, y, z = p
     if not z:
         return x2, y2, 1
@@ -282,19 +251,110 @@ def _batch_to_affine(points: list[tuple[int, int, int]]) -> list[tuple[int, int]
     return out
 
 
+def _double_and_add(schedule: list[tuple[int, tuple[int, int]]]) -> tuple[int, int, int]:
+    """The sum of 2^position * addend over (position, affine addend) pairs in
+    descending position, as a Jacobian point.
+
+    The running sum is doubled down from one position to the next and the
+    addend added there; while it is at infinity the doublings are skipped.
+    The doubling is _jac_double's and the addition _add_affine's, inlined
+    because a verify runs them about 129 and 75 times.
+    """
+    x, y, z = _INF
+    at = 0
+    for pos, addend in (*schedule, (0, None)):  # (0, None): the doublings below the last addend
+        for _ in range(at - pos if z else 0):  # double
+            ysq = y * y % P
+            s = 4 * x * ysq % P
+            m = 3 * x * x % P
+            z = 2 * y * z % P
+            x = (m * m - 2 * s) % P
+            y = (m * (s - x) - 8 * ysq * ysq) % P
+        at = pos
+        if addend is None:
+            break
+        x2, y2 = addend  # mixed add
+        if not z:
+            x, y, z = x2, y2, 1
+            continue
+        zz = z * z % P
+        h = (x2 * zz - x) % P
+        r = (y2 * zz * z - y) % P
+        if not h:
+            x, y, z = _jac_double((x, y, z)) if not r else _INF
+            continue
+        hh = h * h % P
+        hhh = hh * h % P
+        v = x * hh % P
+        nx = (r * r - hhh - 2 * v) % P
+        y = (r * (v - nx) - y * hhh) % P
+        x = nx
+        z = z * h % P
+    return x, y, z
+
+
+# The comb reads a scalar below 2^256 as 8 teeth spaced 32 bits apart: at
+# column j, tooth i is bit j + 32*i. _G_COMB[0][u] is the sum of 2^(32*i)*G
+# over the teeth i set in u, for u = 1..255, and _G_COMB[1][u] is
+# 2^16 * _G_COMB[0][u], so column j reads the first table at bits j + 32*i
+# and the second at bits j + 16 + 32*i: 15 doublings and at most 32 mixed
+# additions for k*G. The 2 x 255 points are built from the sixteen bases
+# 2^(16*m)*G with mixed additions and normalised with one batch inversion.
+def _build_g_comb() -> tuple[list[tuple[int, int] | None], list[tuple[int, int] | None]]:
+    base = _from_affine((GX, GY))
+    bases = [base]
+    for _ in range(15):
+        for _ in range(16):
+            base = _jac_double(base)
+        bases.append(base)
+    bases = _batch_to_affine(bases)  # bases[m] = 2^(16*m) * G
+    points = []
+    for teeth in (bases[0::2], bases[1::2]):  # 2^(32*i) * G, then 2^(32*i + 16) * G
+        table = [_INF]
+        for u in range(1, 256):
+            top = u.bit_length() - 1
+            rest = u ^ (1 << top)
+            table.append(_add_affine(table[rest], *teeth[top]))
+        points += table[1:]
+    flat = _batch_to_affine(points)
+    return [None] + flat[:255], [None] + flat[255:]
+
+
+_G_COMB = _build_g_comb()
+
+
+def _comb(k: int) -> list[tuple[int, tuple[int, int]]]:
+    """k*G as a _double_and_add schedule: the nonzero comb columns, 15..0.
+    bits[255 - p] is bit p of k, so bits[31 - j::32] spells column j's teeth,
+    tooth 7 first."""
+    bits = format(k % N, "0256b")
+    low, high = _G_COMB
+    return [
+        (j, addend)
+        for j in range(15, -1, -1)
+        for addend in (low[int(bits[31 - j :: 32], 2)], high[int(bits[15 - j :: 32], 2)])
+        if addend
+    ]
+
+
+def _mul_g(k: int) -> tuple[int, int] | None:
+    """k*G, affine."""
+    return _to_affine(_double_and_add(_comb(k)))
+
+
 def _odd_multiples(pt: tuple[int, int], width: int) -> list[tuple[int, int]]:
     """pt, 3*pt, ..., (2^(width-1) - 1)*pt, affine."""
     p = _from_affine(pt)
-    twice = _jac_double(p)
+    twice = _to_affine(_jac_double(p))
     out = [p]
     for _ in range((1 << (width - 2)) - 1):
-        out.append(_jac_add(out[-1], twice))
+        out.append(_add_affine(out[-1], *twice))
     return _batch_to_affine(out)
 
 
 def _signed_table(odd: list[tuple[int, int]]) -> list[tuple[int, int] | None]:
-    """Ladder lookup by a signed odd wNAF digit d: table[d] = d*pt for d > 0,
-    and table[d] = |d|*(-pt) through negative indexing for d < 0."""
+    """Lookup by a signed odd wNAF digit d: table[d] = d*pt for d > 0, and
+    table[d] = |d|*(-pt) through negative indexing for d < 0."""
     size = 4 * len(odd)  # 2^width
     table: list[tuple[int, int] | None] = [None] * size
     for i, (x, y) in enumerate(odd):
@@ -341,11 +401,6 @@ def _wnaf(k: int, width: int) -> list[tuple[int, int]]:
     return digits
 
 
-_G_ODD = _odd_multiples((GX, GY), _G_WIDTH)
-_G_TABLE = _signed_table(_G_ODD)
-_G_LAMBDA_TABLE = _signed_table(_endo(_G_ODD))
-
-
 def _q_tables(q: tuple[int, int]) -> tuple[list, list]:
     """The signed width-5 tables of Q and lambda*Q."""
     odd = _odd_multiples(q, _Q_WIDTH)
@@ -362,135 +417,15 @@ def _key_tables(public_key: bytes) -> tuple[list, list] | None:
 
 
 def _ladder(u1: int, u2: int, q_table: list, q_lambda_table: list) -> tuple[int, int, int]:
-    """u1*G + u2*Q as a Jacobian point, given Q's signed tables.
-
-    u1 and u2 are split into GLV halves, and the four products
-    a*G + b*(lambda*G) + c*Q + d*(lambda*Q) share one double-and-add ladder
-    over the halves' width-8 (G) and width-5 (Q) NAFs, adding affine odd
-    multiples (Guide, algorithm 3.51). The schedule holds one (position,
-    addend) per nonzero digit, highest position first; the running sum sits
-    at position ``at`` and is doubled down to each addend's position. The
-    doubling is _jac_double's and the addition _add_affine's (Guide,
-    algorithm 3.22), inlined because they run about 129 and 70 times per call.
-    """
-    a, b = _glv_split(u1 % N)
+    """u1*G + u2*Q as a Jacobian point, given Q's signed tables: u1's comb
+    columns merged with the width-5 NAF digits of u2's GLV halves c and d,
+    which address Q's and lambda*Q's tables."""
     c, d = _glv_split(u2 % N)
-    schedule: list[tuple[int, tuple[int, int] | None]] = []
-    for k, table, width in (
-        (a, _G_TABLE, _G_WIDTH),
-        (b, _G_LAMBDA_TABLE, _G_WIDTH),
-        (c, q_table, _Q_WIDTH),
-        (d, q_lambda_table, _Q_WIDTH),
-    ):
-        schedule += [(pos, table[digit]) for pos, digit in _wnaf(k, width)]
+    schedule = _comb(u1)
+    for k, table in ((c, q_table), (d, q_lambda_table)):
+        schedule += [(pos, table[digit]) for pos, digit in _wnaf(k, _Q_WIDTH)]
     schedule.sort(key=itemgetter(0), reverse=True)
-    schedule.append((0, None))  # the doublings left below the last addend
-    x, y, z = _INF
-    at = schedule[0][0]
-    for pos, addend in schedule:
-        for _ in range(at - pos if z else 0):  # double
-            ysq = y * y % P
-            s = 4 * x * ysq % P
-            m = 3 * x * x % P
-            z = 2 * y * z % P
-            x = (m * m - 2 * s) % P
-            y = (m * (s - x) - 8 * ysq * ysq) % P
-        at = pos
-        if addend is None:
-            break
-        x2, y2 = addend  # mixed add
-        if not z:
-            x, y, z = x2, y2, 1
-            continue
-        zz = z * z % P
-        h = (x2 * zz - x) % P
-        r = (y2 * zz * z - y) % P
-        if not h:
-            x, y, z = _jac_double((x, y, z)) if not r else _INF
-            continue
-        hh = h * h % P
-        hhh = hh * h % P
-        v = x * hh % P
-        nx = (r * r - hhh - 2 * v) % P
-        y = (r * (v - nx) - y * hhh) % P
-        x = nx
-        z = z * h % P
-    return x, y, z
-
-
-def _shamir(u1: int, u2: int, q: tuple[int, int]) -> tuple[int, int] | None:
-    """u1*G + u2*Q, affine, with Q's tables built for this call; key
-    recovery calls it with u1 = 0, which leaves the G halves' digits empty."""
-    return _to_affine(_ladder(u1, u2, *_q_tables(q)))
-
-
-# Fixed-base comb for G (Lim & Lee; Guide, algorithms 3.44 and 3.45). A
-# scalar below 2^256 is read as a comb of 8 teeth spaced 32 bits apart: at
-# column j, tooth i is bit j + 32*i. _G_COMB[0][u] is the sum of 2^(32*i)*G
-# over the teeth i set in u, for u = 1..255, and _G_COMB[1][u] is
-# 2^16 * _G_COMB[0][u], so one pass over columns 15..0 reads column j from
-# the first table and column j + 16 from the second: 15 doublings and at most
-# 32 mixed additions. The 2 x 255 points are built from the sixteen bases
-# 2^(16*m)*G with mixed additions and normalised with one batch inversion.
-def _build_g_comb() -> tuple[list[tuple[int, int] | None], list[tuple[int, int] | None]]:
-    base = _from_affine((GX, GY))
-    bases = [base]
-    for _ in range(15):
-        for _ in range(16):
-            base = _jac_double(base)
-        bases.append(base)
-    bases = _batch_to_affine(bases)  # bases[m] = 2^(16*m) * G
-    points = []
-    for teeth in (bases[0::2], bases[1::2]):  # 2^(32*i) * G, then 2^(32*i + 16) * G
-        table = [_INF]
-        for u in range(1, 256):
-            top = u.bit_length() - 1
-            rest = u ^ (1 << top)
-            table.append(_add_affine(table[rest], *teeth[top]))
-        points += table[1:]
-    flat = _batch_to_affine(points)
-    return [None] + flat[:255], [None] + flat[255:]
-
-
-_G_COMB = _build_g_comb()
-
-
-def _mul_g(k: int) -> tuple[int, int] | None:
-    """k*G over the comb. bits[255 - p] is bit p of k, so bits[31 - j::32]
-    spells column j's teeth, tooth 7 first. The doubling and the mixed
-    addition are _shamir's, inlined."""
-    bits = format(k % N, "0256b")
-    low, high = _G_COMB
-    x, y, z = _INF
-    for j in range(15, -1, -1):
-        if z:  # double
-            ysq = y * y % P
-            s = 4 * x * ysq % P
-            m = 3 * x * x % P
-            z = 2 * y * z % P
-            x = (m * m - 2 * s) % P
-            y = (m * (s - x) - 8 * ysq * ysq) % P
-        for addend in (low[int(bits[31 - j :: 32], 2)], high[int(bits[15 - j :: 32], 2)]):
-            if addend is None:
-                continue
-            x2, y2 = addend
-            if not z:
-                x, y, z = x2, y2, 1
-                continue
-            zz = z * z % P
-            h = (x2 * zz - x) % P
-            r = (y2 * zz * z - y) % P
-            if not h:
-                x, y, z = _jac_double((x, y, z)) if not r else _INF
-                continue
-            hh = h * h % P
-            hhh = hh * h % P
-            v = x * hh % P
-            nx = (r * r - hhh - 2 * v) % P
-            y = (r * (v - nx) - y * hhh) % P
-            x = nx
-            z = z * h % P
-    return _to_affine((x, y, z))
+    return _double_and_add(schedule)
 
 
 # --- key handling ---------------------------------------------------------------
@@ -696,12 +631,13 @@ def recovered_keys(digest: bytes, signature: bytes) -> Iterator[bytes]:
     For each curve point R with x(R) = r (x = r, then r + N; even y, then
     odd y) the candidate is Q = r^-1 (s*R - e*G) = u1*G + u2*R with
     u1 = -e*r^-1 and u2 = s*r^-1. The two R of one x are negatives of each
-    other, so with B = u1*G (the comb, once) and A = u2*R for the even R
-    (one ladder per x), the candidates are B + A and then B - A; a candidate
-    at infinity is skipped. Q satisfies the verification equation by
-    construction, so no re-verification is needed; a caller comparing
-    against a known key hash gets the usual 2^-160 bound. A malformed
-    signature yields nothing.
+    other, so with B = u1*G (the comb, once, affine) and A = u2*R for the
+    even R (one ladder per x, Jacobian), the candidates are B + A and then
+    B - A, each one mixed addition of B and one inversion; when B is at
+    infinity the candidate is A itself, and a candidate at infinity is
+    skipped. Q satisfies the verification equation by construction, so no
+    re-verification is needed; a caller comparing against a known key hash
+    gets the usual 2^-160 bound. A malformed signature yields nothing.
     """
     try:
         r, s = _split_sig(signature)
@@ -709,15 +645,15 @@ def recovered_keys(digest: bytes, signature: bytes) -> Iterator[bytes]:
         return
     e = int.from_bytes(digest, "big") % N
     rinv = pow(r, -1, N)
-    b = _from_affine(_mul_g(-e * rinv % N))
+    b = _mul_g(-e * rinv % N)
     u2 = s * rinv % N
     for x in (r, r + N):
         big_r = _lift_x(x, odd=False)
         if big_r is None:
             continue
-        a = _from_affine(_shamir(0, u2, big_r))
+        a = _ladder(0, u2, *_q_tables(big_r))
         for addend in (a, (a[0], P - a[1], a[2])):  # u2*R, then u2*(-R)
-            q = _to_affine(_jac_add(b, addend))
+            q = _to_affine(_add_affine(addend, *b) if b else addend)
             if q is not None:
                 yield encode_pubkey(q)
 

@@ -321,6 +321,13 @@ class TxOutput:
         return decode_data_block(pushes[0])
 
 
+# which of (signature, public key, redeem script) are non-empty in the
+# unlockings Unlocking.from_script returns
+_UNLOCKING_SHAPES = frozenset(
+    {(False, False, False), (False, False, True), (True, True, False), (True, True, True)}
+)
+
+
 @dataclass(frozen=True)
 class Unlocking:
     """Parameters rendering the referenced locking script true.
@@ -335,7 +342,15 @@ class Unlocking:
     redeem_script: bytes = b""
 
     def to_script(self) -> bytes:
-        return b"".join(_push(p) for p in (self.signature, self.public_key, self.redeem_script) if p)
+        """The pushes of the non-empty fields. An empty field is not pushed,
+        so a shape that :meth:`from_script` cannot give back is refused."""
+        fields = (self.signature, self.public_key, self.redeem_script)
+        if tuple(map(bool, fields)) not in _UNLOCKING_SHAPES:
+            raise TransactionInvariantError(
+                "unlocking must be empty, a redeem script alone, or a signature and key"
+                " with or without a redeem script"
+            )
+        return b"".join(_push(p) for p in fields if p)
 
     @classmethod
     def from_script(cls, script: bytes) -> "Unlocking":
@@ -491,6 +506,10 @@ def _check_structure(tx: EnrichedTransaction) -> None:
 # --- wire format ---------------------------------------------------------------------
 
 
+# the bytes that follow a varint's first byte, by that byte (none below 0xFD)
+_VARINT_SIZES = {0xFD: 2, 0xFE: 4, 0xFF: 8}
+
+
 def _varint(n: int) -> bytes:
     if n < 0xFD:
         return bytes([n])
@@ -517,8 +536,7 @@ class _Reader:
         first = self.take(1)[0]
         if first < 0xFD:
             return first
-        size = {0xFD: 2, 0xFE: 4, 0xFF: 8}[first]
-        return int.from_bytes(self.take(size), "little")
+        return int.from_bytes(self.take(_VARINT_SIZES[first]), "little")
 
     def done(self) -> bool:
         return self.pos == len(self.data)

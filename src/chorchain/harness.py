@@ -369,17 +369,19 @@ class _Run:
             )
         return out
 
-    def _await(self, tx_id: bytes) -> None:
-        self.sim.await_confirmation(tx_id, CONFIRMATION_DEPTH)
+    def _record(self, tx_id: bytes) -> None:
+        """Count a published transaction as the instance's, and wait for its
+        confirmation unless the run is greedy, which waits for all at the end."""
+        self.instance_txs.append(tx_id)
+        if not self.config.greedy:
+            self.sim.await_confirmation(tx_id, CONFIRMATION_DEPTH)
 
     def _broadcast_plain(self, tx) -> None:
         self.sim.advance_time(proto.LOGIC_COST, "broadcast")
         result = self.sim.broadcast(tx)
         if not result.accepted:
             raise ScenarioError(f"broadcast rejected: {result.reason}")
-        self.instance_txs.append(tx.tx_id)
-        if not self.config.greedy:
-            self._await(tx.tx_id)
+        self._record(tx.tx_id)
 
     def _run_verified(self) -> None:
         config = self.config
@@ -428,9 +430,7 @@ class _Run:
                     session.fault_task_id = 1 + (step.task_id % 250)
                 outcome = sender.run_sender(session)
                 if outcome.published:
-                    self.instance_txs.append(outcome.tx_id)
-                    if not config.greedy:
-                        self._await(outcome.tx_id)
+                    self._record(outcome.tx_id)
                     rsession = receiver.sessions[(self.process_id, step.sender)]
                     if receiver.confirm_receipt(rsession) is None:
                         raise ScenarioError(
@@ -444,9 +444,7 @@ class _Run:
                         "detected" if outcome.check == 3 and outcome.abort_tx_id else "missed"
                     )
                     if outcome.abort_tx_id:
-                        self.instance_txs.append(outcome.abort_tx_id)
-                        if not config.greedy:
-                            self._await(outcome.abort_tx_id)
+                        self._record(outcome.abort_tx_id)
                     break
             elif isinstance(step, PlanTask):
                 self._sleep_task(step.task_id)
@@ -486,7 +484,7 @@ class _Run:
 
         if config.greedy:
             for tx_id in self.instance_txs:
-                self._await(tx_id)
+                self.sim.await_confirmation(tx_id, CONFIRMATION_DEPTH)
         self._start_tx_id = start_tx.tx_id if start_tx is not None else None
 
     def _collect(

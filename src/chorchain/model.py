@@ -142,16 +142,6 @@ class ExecutionTrace:
         end = self.end_event
         return end is not None and not end.extraordinary
 
-    def check_timestamps(self) -> None:
-        """Timestamps must be non-decreasing along every token lineage."""
-        last: dict[tuple[int, ...], int] = {}
-        for e in self.events:
-            for depth in range(len(e.lineage) + 1):
-                prefix = e.lineage[:depth]
-                if prefix in last and e.timestamp < last[prefix]:
-                    raise ValueError(f"timestamp regression on lineage {e.lineage}")
-            last[e.lineage] = e.timestamp
-
 
 @dataclass(frozen=True)
 class Conformant:

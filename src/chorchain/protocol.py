@@ -45,7 +45,14 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import engine as eng
 from .crypto import Keypair, sha256
-from .encoding import EncodingError, TxKind, deserialize_transaction, serialize_transaction
+from .encoding import (
+    _VARINT_SIZES,
+    EncodingError,
+    TxKind,
+    _varint,
+    deserialize_transaction,
+    serialize_transaction,
+)
 from .provider import ProviderChainView
 
 STEP_TIMEOUT = 30.0  # simulated seconds per awaited reply
@@ -83,12 +90,12 @@ class FrameType(Enum):
     IDENTITY_REPLY = 0x08
 
 
-def _varint(n: int) -> bytes:
-    if n < 0xFD:
-        return bytes([n])
-    if n <= 0xFFFF:
-        return b"\xfd" + n.to_bytes(2, "little")
-    return b"\xfe" + n.to_bytes(4, "little")
+def _fixed(field: bytes, width: int, name: str) -> bytes:
+    """A fixed-width frame field, checked before it is read as a number or
+    used as a hash or nonce."""
+    if len(field) != width:
+        raise FrameError(f"{name} is {len(field)} bytes, not {width}")
+    return field
 
 
 def pack_fields(*fields: bytes) -> bytes:
@@ -96,18 +103,19 @@ def pack_fields(*fields: bytes) -> bytes:
 
 
 def unpack_fields(data: bytes, count: int) -> list[bytes]:
+    """The ``count`` fields of :func:`pack_fields` output. Anything else is a
+    FrameError, a length prefix that is not in shortest form included."""
     out = []
     pos = 0
     for _ in range(count):
         if pos >= len(data):
             raise FrameError("frame truncated")
         first = data[pos]
-        if first < 0xFD:
-            ln, pos = first, pos + 1
-        elif first == 0xFD:
-            ln, pos = int.from_bytes(data[pos + 1 : pos + 3], "little"), pos + 3
-        else:
-            ln, pos = int.from_bytes(data[pos + 1 : pos + 5], "little"), pos + 5
+        prefix = data[pos : pos + 1 + _VARINT_SIZES.get(first, 0)]
+        ln = int.from_bytes(prefix[1:], "little") if first >= 0xFD else first
+        if prefix != _varint(ln):
+            raise FrameError("field length prefix truncated or not in shortest form")
+        pos += len(prefix)
         if pos + ln > len(data):
             raise FrameError("frame field runs past end")
         out.append(data[pos : pos + ln])
@@ -165,8 +173,8 @@ class Certificate:
         return cls(
             subject_name,
             key,
-            int.from_bytes(nb, "big"),
-            int.from_bytes(na, "big"),
+            int.from_bytes(_fixed(nb, 8, "not_before"), "big"),
+            int.from_bytes(_fixed(na, 8, "not_after"), "big"),
             issuer_name,
             sig,
         )
@@ -261,7 +269,13 @@ class AddressAttestation:
     @classmethod
     def from_bytes(cls, data: bytes) -> "AddressAttestation":
         key_hash, pid, nonce, cert, sig = unpack_fields(data, 5)
-        return cls(key_hash, int.from_bytes(pid, "big"), nonce, Certificate.from_bytes(cert), sig)
+        return cls(
+            _fixed(key_hash, 20, "attested key hash"),
+            int.from_bytes(_fixed(pid, 2, "process id"), "big"),
+            _fixed(nonce, NONCE_SIZE, "attestation nonce"),
+            Certificate.from_bytes(cert),
+            sig,
+        )
 
 
 def make_attestation(
@@ -294,7 +308,8 @@ class EncryptedProcessData:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EncryptedProcessData":
-        return cls(*unpack_fields(data, 3))
+        key_id, nonce, ciphertext = unpack_fields(data, 3)
+        return cls(_fixed(key_id, 8, "key id"), _fixed(nonce, 12, "data nonce"), ciphertext)
 
 
 def new_data_key(rng: random.Random) -> bytes:
@@ -406,7 +421,11 @@ class NegotiatedTerms:
     @classmethod
     def from_bytes(cls, data: bytes) -> "NegotiatedTerms":
         pid, task, ts = unpack_fields(data, 3)
-        return cls(int.from_bytes(pid, "big"), int.from_bytes(task, "big"), int.from_bytes(ts, "big"))
+        return cls(
+            int.from_bytes(_fixed(pid, 2, "process id"), "big"),
+            int.from_bytes(_fixed(task, 1, "task id"), "big"),
+            int.from_bytes(_fixed(ts, 4, "timestamp"), "big"),
+        )
 
 
 @dataclass
@@ -870,7 +889,7 @@ class Participant:
 
     def _on_identity_query(self, body: bytes) -> bytes:
         (tx_id,) = unpack_fields(body, 1)
-        att = self.attestation_log.get(tx_id)
+        att = self.attestation_log.get(_fixed(tx_id, 32, "transaction id"))
         if att is None:
             return make_frame(FrameType.IDENTITY_REPLY, pack_fields(b"\x00", b""))
         return make_frame(FrameType.IDENTITY_REPLY, pack_fields(b"\x01", att.to_bytes()))

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chorchain import encoding as enc
@@ -282,3 +282,26 @@ def test_transaction_id_and_block_computed_once(monkeypatch):
     twin = enc.EnrichedTransaction(tx.inputs, tx.outputs)
     assert twin == tx and hash(twin) == hash(tx) and len({tx, twin}) == 1
     assert repr(twin) == repr(tx)
+
+
+# --- unlocking scripts -----------------------------------------------------------
+
+
+unlocking_fields = st.one_of(st.just(b""), st.binary(min_size=1, max_size=255))
+
+
+@settings(max_examples=200, deadline=None)
+@given(unlocking_fields, unlocking_fields, unlocking_fields)
+@example(b"", b"\x02" * 33, b"\x01" * 59)  # parsed back with the fields shifted, if written
+def test_unlocking_round_trips_or_is_refused(signature, public_key, redeem_script):
+    """Empty fields are not pushed, so only the shapes from_script can give
+    back serialize: empty, a redeem script alone, and a signature and key
+    with or without a redeem script. Every other shape is refused."""
+    unlocking = enc.Unlocking(signature, public_key, redeem_script)
+    shape = (bool(signature), bool(public_key), bool(redeem_script))
+    returnable = shape[:2] in ((False, False), (True, True))
+    if returnable:
+        assert enc.Unlocking.from_script(unlocking.to_script()) == unlocking
+    else:
+        with pytest.raises(enc.TransactionInvariantError):
+            unlocking.to_script()

@@ -399,7 +399,6 @@ def test_reconstruct_split_join_trace(live):
     assert kinds.count(M.EventKind.HANDOVER) == 3
     assert trace.events[-1].kind == M.EventKind.END
     assert trace.task_sequence() == (1, 2, 3)
-    trace.check_timestamps()
     # branch lineages diverge under the split
     lineages = {e.lineage for e in trace.events if e.kind == M.EventKind.HANDOVER}
     assert ((0,) in lineages) and ((1,) in lineages)

@@ -279,15 +279,6 @@ def test_both_xor_branches_deviates(models):
     assert not verdict.ok and verdict.position == 3
 
 
-def test_timestamp_regression_detected():
-    events = (
-        M.TraceEvent(M.EventKind.START, 10),
-        M.TraceEvent(M.EventKind.HANDOVER, 5, task_id=1),
-    )
-    with pytest.raises(ValueError, match="regression"):
-        M.ExecutionTrace(events).check_timestamps()
-
-
 def prefix_closure(traces):
     out = set()
     for t in traces:

@@ -38,6 +38,34 @@ def test_frame_errors():
         P.unpack_fields(P.pack_fields(b"a", b"b"), 1)  # trailing bytes
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    fields=st.lists(st.binary(max_size=300), max_size=3),
+    edit=st.one_of(
+        st.none(),
+        st.tuples(st.integers(min_value=0, max_value=400), st.binary(max_size=9)),
+    ),
+)
+@example(fields=[b"ab"], edit=(0, b"\xff\x02\x00\x00\x00"))  # 0xFF read as 4 bytes
+@example(fields=[b"ab"], edit=(0, b"\xfd\x02\x00"))  # 0xFD for a length below 0xFD
+@example(fields=[b"ab"], edit=(0, b"\xfe\x02\x00\x00\x00"))
+@example(fields=[bytes(300)], edit=(0, b"\xfe\x2c\x01\x00\x00"))  # 0xFE below 2^16
+def test_unpack_fields_accepts_only_what_pack_fields_writes(fields, edit):
+    """A packed frame, with bytes spliced in at a position; whatever
+    unpack_fields accepts, pack_fields writes back byte for byte."""
+    data = P.pack_fields(*fields)
+    if edit is not None:
+        at, spliced = edit
+        at = min(at, len(data))
+        data = data[:at] + spliced + data[at + 1 :]
+    count = len(fields)
+    try:
+        out = P.unpack_fields(data, count)
+    except P.FrameError:
+        return
+    assert P.pack_fields(*out) == data
+
+
 def test_negotiated_terms_roundtrip():
     terms = P.NegotiatedTerms(42, 7, 123456)
     assert P.NegotiatedTerms.from_bytes(terms.to_bytes()) == terms
@@ -593,6 +621,136 @@ def test_refusal_detail_that_is_not_utf8_still_aborts():
     session = sender.open_session("alice", P.NegotiatedTerms(1, 1, int(env.sim.now)))
     assert not sender.negotiate(session)
     assert session.abort_reason.startswith("negotiation rejected:")
+
+
+# --- fixed-width frame fields ---------------------------------------------------------
+
+
+def replace_negotiate(env, rewrite):
+    """Route the owner's NEGOTIATE to alice as ``rewrite(terms, cert, sig)``
+    returns it; every other frame passes unchanged."""
+    alice = env.participants["alice"]
+
+    def endpoint(src, frame):
+        kind, body = P.split_frame(frame)
+        if kind == P.FrameType.NEGOTIATE:
+            frame = P.make_frame(kind, P.pack_fields(*rewrite(*P.unpack_fields(body, 3))))
+        return alice.on_request(src, frame)
+
+    env.transport.register("alice", endpoint)
+
+
+def test_unsigned_certificate_with_a_wide_validity_field_aborts():
+    """A 9-byte not_before is refused as it is parsed, before the receiver
+    re-encodes the certificate to check its signature."""
+    env = Env()
+
+    def rewrite(terms, cert_bytes, sig):
+        subject, key, _, na, issuer, _ = P.unpack_fields(cert_bytes, 6)
+        wide = P.pack_fields(subject, key, b"\x01" + bytes(8), na, issuer, b"")
+        return terms, wide, sig
+
+    replace_negotiate(env, rewrite)
+    sender = env.owner()
+    session = sender.open_session("alice", P.NegotiatedTerms(1, 1, int(env.sim.now)))
+    assert not sender.negotiate(session)
+    assert session.state == P.SessionState.ABORTED
+    assert session.abort_reason.startswith("negotiation rejected: malformed frame:")
+    assert "not_before is 9 bytes, not 8" in session.abort_reason
+    assert env.participants["alice"].sessions == {}
+
+
+def test_certified_terms_with_a_wide_process_id_abort():
+    """Terms the certified owner really signed, with a 3-byte process id, are
+    refused instead of overflowing when the receiver echoes them."""
+    env = Env()
+    owner = env.owner()
+
+    def rewrite(terms, cert_bytes, sig):
+        _, task, ts = P.unpack_fields(terms, 3)
+        wide = P.pack_fields(b"\x01\x00\x01", task, ts)
+        return wide, cert_bytes, owner.identity.sign(wide)
+
+    replace_negotiate(env, rewrite)
+    session = owner.open_session("alice", P.NegotiatedTerms(1, 1, int(env.sim.now)))
+    assert not owner.negotiate(session)
+    assert session.state == P.SessionState.ABORTED
+    assert "process id is 3 bytes, not 2" in session.abort_reason
+    assert env.participants["alice"].sessions == {}
+
+
+def test_certified_receiver_attesting_a_short_key_hash_aborts():
+    """A 19-byte key hash, attested under alice's real identity, would lock
+    the handover to an output the encoder refuses; the sender aborts on the
+    reply instead."""
+    env = Env()
+    alice = env.participants["alice"]
+
+    def endpoint(src, frame):
+        reply = alice.on_request(src, frame)
+        if P.split_frame(frame)[0] == P.FrameType.ADDR_ATTEST:
+            att = P.make_attestation(alice.identity, b"\x01" * 19, 1, random.Random(9))
+            reply = P.make_frame(P.FrameType.ADDR_ATTEST, att.to_bytes())
+        return reply
+
+    env.transport.register("alice", endpoint)
+    sender = env.owner()
+    session = sender.open_session("alice", P.NegotiatedTerms(1, 1, int(env.sim.now)))
+    assert sender.negotiate(session) and sender.transfer_data(session, b"x")
+    if sender.exchange_addresses(session):
+        sender.run_sender(session)
+    assert session.state == P.SessionState.ABORTED
+    assert session.abort_reason == "malformed reply: attested key hash is 19 bytes, not 20"
+
+
+def test_data_frame_with_a_short_nonce_aborts():
+    """The DATA frame is not signed, and a 7-byte AES-GCM nonce would make
+    the decryption raise once the key arrives; the receiver refuses it when
+    the frame arrives."""
+    env = Env()
+    alice = env.participants["alice"]
+
+    def endpoint(src, frame):
+        kind, body = P.split_frame(frame)
+        if kind == P.FrameType.DATA:
+            key_id, nonce, ciphertext = P.unpack_fields(body, 3)
+            frame = P.make_frame(kind, P.pack_fields(key_id, nonce[:7], ciphertext))
+        return alice.on_request(src, frame)
+
+    env.transport.register("alice", endpoint)
+    sender = env.owner()
+    session = sender.open_session("alice", P.NegotiatedTerms(1, 1, int(env.sim.now)))
+    assert sender.negotiate(session)
+    if sender.transfer_data(session, b"x") and sender.exchange_addresses(session):
+        sender.run_sender(session)
+    assert session.state == P.SessionState.ABORTED
+    assert session.abort_reason == "data transfer not acknowledged"
+    rsession = alice.sessions[(1, "owner")]
+    assert rsession.abort_reason == "malformed frame: data nonce is 7 bytes, not 12"
+
+
+@pytest.mark.parametrize(
+    "cls, fields, message",
+    [
+        (P.NegotiatedTerms, (b"\x00\x01", b"", b"\x00" * 4), "task id is 0 bytes, not 1"),
+        (P.NegotiatedTerms, (b"\x00\x01", b"\x01", b"\x00" * 5), "timestamp is 5 bytes, not 4"),
+        (P.AddressAttestation, (b"\x01" * 20, b"\x00", b"\x00" * 16, b"", b""), "process id"),
+        (P.AddressAttestation, (b"\x01" * 20, b"\x00\x01", b"\x00" * 15, b"", b""), "nonce"),
+        (P.EncryptedProcessData, (b"\x00" * 9, b"\x00" * 12, b""), "key id is 9 bytes, not 8"),
+        (P.Certificate, (b"x", b"key", bytes(8), bytes(7), b"root", b""), "not_after is 7 bytes"),
+    ],
+)
+def test_fixed_width_fields_are_frame_errors(cls, fields, message):
+    with pytest.raises(P.FrameError, match=message):
+        cls.from_bytes(P.pack_fields(*fields))
+
+
+def test_identity_query_for_a_short_transaction_id_is_refused():
+    alice = Env().participants["alice"]
+    query = P.make_frame(P.FrameType.IDENTITY_QUERY, P.pack_fields(bytes(31)))
+    assert ack_status(alice.on_request("owner", query)) == (
+        1, "malformed frame: transaction id is 31 bytes, not 32"
+    )
 
 
 # --- owner monitoring ----------------------------------------------------------------
