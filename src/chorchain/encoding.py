@@ -583,7 +583,12 @@ def deserialize_transaction(data: bytes) -> EnrichedTransaction:
     if not r.done():
         raise TransactionInvariantError("trailing bytes after transaction")
     tx = EnrichedTransaction(tuple(inputs), tuple(outputs), version, locktime)
-    _check_structure(tx)
+    # Serializing also checks the structure. Only the canonical encoding
+    # parses, so the bytes read are the bytes the id is taken over, and the
+    # id's cached property is filled from them without a second serialization.
+    if serialize_transaction(tx) != data:
+        raise TransactionInvariantError("transaction encoding is not canonical")
+    tx.__dict__["_tx_id"] = sha256d(data)
     return tx
 
 

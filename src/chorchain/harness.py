@@ -8,6 +8,12 @@ instance. Fault injection corrupts the task id of a chosen handover
 template, which the receiver must catch (check 3) and the sender must
 answer with an extraordinary end transaction.
 
+The runner only sequences the plan: it tells each step's participant to
+act, sleeps through tasks and waits for confirmations. Tokens, instance
+data and transactions belong to the participants (``chorchain.protocol``),
+which build and publish their own; a step a participant refuses stops the
+run with a ``ScenarioError``.
+
 Time is fully simulated and every advance is tagged with a phase (task,
 logic, provider, broadcast, confirm, idle). The simulator tallies each
 phase's seconds, and a run checks that the tally adds up to its clock
@@ -376,116 +382,74 @@ class _Run:
         if not self.config.greedy:
             self.sim.await_confirmation(tx_id, CONFIRMATION_DEPTH)
 
-    def _broadcast_plain(self, tx) -> None:
-        self.sim.advance_time(proto.LOGIC_COST, "broadcast")
-        result = self.sim.broadcast(tx)
-        if not result.accepted:
-            raise ScenarioError(f"broadcast rejected: {result.reason}")
-        self._record(tx.tx_id)
-
     def _run_verified(self) -> None:
-        config = self.config
+        """Have each step's participant act in plan order. The participants
+        build and publish their own transactions; the run records what they
+        publish and waits for its confirmation."""
         participants = self._participants(proto.InProcTransport())
-        owner = participants[OWNER]
         owner_key = Keypair.generate(self.rng)
-
         estimate = planned_tx_count(self.plan)
         budget = self.fee_policy.budget(estimate)
         funds = self.sim.grant(owner_key, [budget + self.fee_policy.per_tx_fee + 50_000])
-
+        pid = self.process_id
         handover_no = 0
-        data: dict[str, bytes] = {OWNER: f"process-{self.process_id}-initial".encode()}
-        start_tx = None
-
-        for step in self.plan:
-            if isinstance(step, PlanStart):
-                self.sim.advance_time(proto.LOGIC_COST, "logic")
-                start_tx, token = eng.build_start(
-                    funds,
-                    self.process_id,
-                    int(self.sim.now),
-                    self.fee_policy,
-                    estimate,
-                    owner_key,
-                    self.rng,
-                )
-                owner.holdings.append(token)
-                self.start_budget = token.value
-                self._broadcast_plain(start_tx)
-            elif isinstance(step, PlanHandover):
-                handover_no += 1
-                sender = participants[step.sender]
-                receiver = participants[step.receiver]
-                terms = proto.NegotiatedTerms(
-                    self.process_id, step.task_id, int(self.sim.now)
-                )
-                session = sender.open_session(step.receiver, terms)
-                if not (
-                    sender.negotiate(session)
-                    and sender.transfer_data(session, data.get(step.sender, b""))
-                    and sender.exchange_addresses(session)
-                ):
-                    raise ScenarioError(f"handover setup failed: {session.abort_reason}")
-                if config.fault_step == handover_no:
-                    session.fault_task_id = 1 + (step.task_id % 250)
-                outcome = sender.run_sender(session)
-                if outcome.published:
-                    self._record(outcome.tx_id)
-                    rsession = receiver.sessions[(self.process_id, step.sender)]
-                    if receiver.confirm_receipt(rsession) is None:
-                        raise ScenarioError(
-                            f"{step.receiver} refused the published handover: "
-                            f"{rsession.abort_reason or 'not found on chain'}"
-                        )
-                    data[step.receiver] = data.get(step.sender, b"")
-                else:
-                    self.aborted = True
-                    self.detection = (
-                        "detected" if outcome.check == 3 and outcome.abort_tx_id else "missed"
-                    )
-                    if outcome.abort_tx_id:
-                        self._record(outcome.abort_tx_id)
-                    break
-            elif isinstance(step, PlanTask):
-                self._sleep_task(step.task_id)
-                actor = participants[step.actor]
-                data[step.actor] = f"process-{self.process_id}-after-{step.task_id}".encode()
-                actor.process_data[self.process_id] = data[step.actor]
-            elif isinstance(step, PlanSplit):
-                actor = participants[step.actor]
-                token = actor.token_for(self.process_id)
-                self.sim.advance_time(proto.LOGIC_COST, "logic")
-                tx, tokens = eng.build_split(
-                    token, step.branches, int(self.sim.now), self.fee_policy, self.rng
-                )
-                actor.holdings.remove(token)
-                actor.holdings.extend(tokens)
-                self._broadcast_plain(tx)
-            elif isinstance(step, PlanJoin):
-                actor = participants[step.actor]
-                tokens = actor.take_tokens(self.process_id)
-                if len(tokens) < step.inputs:
-                    raise ScenarioError("join reached without all branch tokens")
-                self.sim.advance_time(proto.LOGIC_COST, "logic")
-                tx, token = eng.build_join(
-                    tokens, int(self.sim.now), self.fee_policy, self.rng
-                )
-                actor.holdings.append(token)
-                self._broadcast_plain(tx)
-            elif isinstance(step, PlanEnd):
-                actor = participants[step.actor]
-                token = actor.token_for(self.process_id)
-                self.sim.advance_time(proto.LOGIC_COST, "logic")
-                tx = eng.build_end(
-                    token, token.holder_key, int(self.sim.now), self.fee_policy
-                )
-                actor.holdings.remove(token)
-                self._broadcast_plain(tx)
-
-        if config.greedy:
+        try:
+            for step in self.plan:
+                if isinstance(step, PlanStart):
+                    start_tx = participants[OWNER].start(pid, funds, owner_key, estimate)
+                    self._start_tx_id = start_tx.tx_id
+                    self.start_budget = start_tx.token_outputs[0][1].value
+                    self._record(start_tx.tx_id)
+                elif isinstance(step, PlanHandover):
+                    handover_no += 1
+                    if not self._hand_over(participants, step, handover_no):
+                        break
+                elif isinstance(step, PlanTask):
+                    self._sleep_task(step.task_id)
+                    participants[step.actor].complete_task(pid, step.task_id)
+                elif isinstance(step, PlanSplit):
+                    self._record(participants[step.actor].split(pid, step.branches).tx_id)
+                elif isinstance(step, PlanJoin):
+                    self._record(participants[step.actor].join(pid, step.inputs).tx_id)
+                elif isinstance(step, PlanEnd):
+                    self._record(participants[step.actor].end(pid).tx_id)
+        except proto.ProtocolError as exc:  # a participant refused its step
+            raise ScenarioError(str(exc)) from None
+        if self.config.greedy:
             for tx_id in self.instance_txs:
                 self.sim.await_confirmation(tx_id, CONFIRMATION_DEPTH)
-        self._start_tx_id = start_tx.tx_id if start_tx is not None else None
+
+    def _hand_over(
+        self, participants: dict[str, proto.Participant], step: PlanHandover, handover_no: int
+    ) -> bool:
+        """One handover of the plan; False when it aborted the instance."""
+        sender = participants[step.sender]
+        receiver = participants[step.receiver]
+        terms = proto.NegotiatedTerms(self.process_id, step.task_id, int(self.sim.now))
+        session = sender.open_session(step.receiver, terms)
+        if not (
+            sender.negotiate(session)
+            and sender.transfer_data(session, sender.process_data.get(self.process_id, b""))
+            and sender.exchange_addresses(session)
+        ):
+            raise ScenarioError(f"handover setup failed: {session.abort_reason}")
+        if self.config.fault_step == handover_no:
+            session.fault_task_id = 1 + (step.task_id % 250)
+        outcome = sender.run_sender(session)
+        if not outcome.published:
+            self.aborted = True
+            self.detection = "detected" if outcome.check == 3 and outcome.abort_tx_id else "missed"
+            if outcome.abort_tx_id:
+                self._record(outcome.abort_tx_id)
+            return False
+        self._record(outcome.tx_id)
+        rsession = receiver.sessions[(self.process_id, step.sender)]
+        if receiver.confirm_receipt(rsession) is None:
+            raise ScenarioError(
+                f"{step.receiver} refused the published handover: "
+                f"{rsession.abort_reason or 'not found on chain'}"
+            )
+        return True
 
     def _collect(
         self, duration: float, phase_seconds: dict[str, float]

@@ -25,9 +25,13 @@ in-process channel. A frame or reply that does not parse, and a frame that
 arrives out of protocol order, aborts the session instead of raising.
 
 Each participant holds one handle on the chain, the simulator: it charges
-its protocol work there as simulated time, broadcasts there, and reads the
-chain only through a :class:`~chorchain.provider.ProviderChainView` over it,
-as a thin client would.
+its protocol work there as simulated time, and reads the chain only through
+a :class:`~chorchain.provider.ProviderChainView` over it, as a thin client
+would. A participant owns its tokens, its copy of each instance's data and
+the sessions it receives. It builds its own start, split, join, end and
+handover transactions, and :meth:`Participant.publish` is its one way to
+broadcast them: a transaction the chain accepts swaps the tokens it spends
+for the tokens it mints.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import functools
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes, serialization
@@ -44,10 +48,12 @@ from cryptography.hazmat.primitives.asymmetric import padding, rsa
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import engine as eng
+from .chain import BroadcastResult
 from .crypto import Keypair, sha256
 from .encoding import (
     _VARINT_SIZES,
     EncodingError,
+    EnrichedTransaction,
     TxKind,
     _varint,
     deserialize_transaction,
@@ -383,11 +389,6 @@ class SessionState(Enum):
     ABORTED = "aborted"
 
 
-class Role(Enum):
-    SENDER = "sender"
-    RECEIVER = "receiver"
-
-
 _ORDER = [
     SessionState.NEGOTIATING,
     SessionState.DATA_TRANSFERRED,
@@ -430,7 +431,6 @@ class NegotiatedTerms:
 
 @dataclass
 class HandoverSession:
-    role: Role
     peer: str
     terms: NegotiatedTerms | None = None
     state: SessionState = SessionState.NEGOTIATING
@@ -519,7 +519,10 @@ class Participant:
         self.model = process_model
         self.rng = rng
         self.acceptable_tasks = acceptable_tasks
+        # the sessions this participant receives, by (process id, sender);
+        # frames go to the session the sender's latest NEGOTIATE opened
         self.sessions: dict[tuple[int, str], HandoverSession] = {}
+        self._latest: dict[str, HandoverSession] = {}
         self.holdings: list[eng.ProcessToken] = []
         self.process_data: dict[int, bytes] = {}
         self.attestation_log: dict[bytes, AddressAttestation] = {}
@@ -536,15 +539,7 @@ class Participant:
     def _now(self) -> int:
         return int(self.chain.now)
 
-    # --- sender side -------------------------------------------------------------
-
-    def open_session(
-        self, peer: str, terms: NegotiatedTerms, token: eng.ProcessToken | None = None
-    ) -> HandoverSession:
-        session = HandoverSession(Role.SENDER, peer, terms)
-        session.token = token if token is not None else self.token_for(terms.process_id)
-        self.sessions[(terms.process_id, peer)] = session
-        return session
+    # --- custody: own tokens, own data, own transactions ---------------------------
 
     def token_for(self, process_id: int) -> eng.ProcessToken:
         for token in self.holdings:
@@ -552,10 +547,68 @@ class Participant:
                 return token
         raise ProtocolError(f"no token held for process {process_id}")
 
-    def take_tokens(self, process_id: int) -> list[eng.ProcessToken]:
-        taken = [t for t in self.holdings if t.process_id == process_id]
-        self.holdings = [t for t in self.holdings if t.process_id != process_id]
-        return taken
+    def publish(self, tx: EnrichedTransaction, spent=(), minted=()) -> BroadcastResult:
+        """Broadcast one of this participant's transactions. Once the chain
+        accepts it, the participant gives up ``spent`` and holds ``minted``."""
+        self._charge("broadcast")
+        result = self.chain.broadcast(tx)
+        if result.accepted:
+            self.holdings = [t for t in self.holdings if t not in spent]
+            self.holdings.extend(minted)
+        return result
+
+    def _publish_step(self, tx: EnrichedTransaction, spent=(), minted=()) -> EnrichedTransaction:
+        """Publish a start, split, join or end; a refusal raises."""
+        result = self.publish(tx, spent, minted)
+        if not result.accepted:
+            raise ProtocolError(f"broadcast rejected: {result.reason}")
+        return tx
+
+    def start(
+        self, process_id: int, funds: Iterable[eng.Spendable], key: Keypair, tx_estimate: int
+    ) -> EnrichedTransaction:
+        """Open an instance funded from ``funds``, its token held by ``key``."""
+        self._charge()
+        tx, token = eng.build_start(
+            funds, process_id, self._now(), self.fee_policy, tx_estimate, key, self.rng
+        )
+        self.process_data[process_id] = f"process-{process_id}-initial".encode()
+        return self._publish_step(tx, minted=(token,))
+
+    def complete_task(self, process_id: int, task_id: int) -> None:
+        """Record the instance's data as this participant's task leaves it."""
+        self.process_data[process_id] = f"process-{process_id}-after-{task_id}".encode()
+
+    def split(self, process_id: int, branches: int) -> EnrichedTransaction:
+        token = self.token_for(process_id)
+        self._charge()
+        tx, tokens = eng.build_split(token, branches, self._now(), self.fee_policy, self.rng)
+        return self._publish_step(tx, spent=(token,), minted=tokens)
+
+    def join(self, process_id: int, inputs: int) -> EnrichedTransaction:
+        tokens = [t for t in self.holdings if t.process_id == process_id]
+        if len(tokens) < inputs:
+            raise ProtocolError("join reached without all branch tokens")
+        self._charge()
+        tx, token = eng.build_join(tokens, self._now(), self.fee_policy, self.rng)
+        return self._publish_step(tx, spent=tokens, minted=(token,))
+
+    def end(self, process_id: int) -> EnrichedTransaction:
+        token = self.token_for(process_id)
+        self._charge()
+        tx = eng.build_end(token, token.holder_key, self._now(), self.fee_policy)
+        return self._publish_step(tx, spent=(token,))
+
+    def _publish_extraordinary_end(self, token: eng.ProcessToken) -> bytes | None:
+        tx = eng.build_end(token, token.holder_key, self._now(), self.fee_policy, True)
+        return tx.tx_id if self.publish(tx, spent=(token,)).accepted else None
+
+    # --- sender side -------------------------------------------------------------
+
+    def open_session(self, peer: str, terms: NegotiatedTerms) -> HandoverSession:
+        """A sender's session, handing over the token held for the process.
+        The sender keeps it; only received sessions enter ``sessions``."""
+        return HandoverSession(peer, terms, token=self.token_for(terms.process_id))
 
     def _request(self, session: HandoverSession, frame: bytes) -> bytes | None:
         try:
@@ -700,37 +753,19 @@ class Participant:
             return SenderOutcome(False, reason=session.abort_reason)
         session.receiver_signature = receiver_sig
         session.advance(SessionState.RECEIVER_SIGNED)
-        self._charge("broadcast")
-        result = self.chain.broadcast(final)
+        result = self.publish(final, spent=(token,))
         if not result.accepted:
             # receiver keeps the identity-signed template as proof of intent
             session.abort(f"broadcast: {result.reason}")
             return SenderOutcome(False, reason=session.abort_reason)
         session.advance(SessionState.PUBLISHED)
         self.attestation_log[final.tx_id] = session.peer_attestation
-        self.holdings.remove(token)
         return SenderOutcome(True, tx_id=final.tx_id)
-
-    def _publish_extraordinary_end(self, token: eng.ProcessToken) -> bytes | None:
-        tx = eng.build_end(
-            token,
-            token.holder_key,
-            self._now(),
-            self.fee_policy,
-            extraordinary=True,
-        )
-        self._charge("broadcast")
-        result = self.chain.broadcast(tx)
-        if result.accepted:
-            if token in self.holdings:
-                self.holdings.remove(token)
-            return tx.tx_id
-        return None
 
     def confirm_receipt(self, session: HandoverSession) -> eng.ProcessToken | None:
         """Receiver-side monitoring: pick the published handover off the
         chain and derive the token it now holds."""
-        if session.role != Role.RECEIVER or session.state != SessionState.RECEIVER_SIGNED:
+        if session.state != SessionState.RECEIVER_SIGNED:
             return None
         template = session.template
         self._charge("provider")
@@ -777,8 +812,7 @@ class Participant:
         if session is None:
             return _ack(1, "no open session")
         if session.state != _ADMITTED_IN[kind]:
-            session.abort(f"{kind.name} out of order in state {session.state.value}")
-            return _ack(1, session.abort_reason)
+            return _refuse(session, f"{kind.name} out of order in state {session.state.value}")
         if kind == FrameType.DATA:
             return self._on_data(session, body)
         if kind == FrameType.ADDR_ATTEST:
@@ -786,10 +820,11 @@ class Participant:
         return self._on_template_key(session, body)
 
     def _session_for(self, src: str) -> HandoverSession | None:
-        for (pid, peer), session in self.sessions.items():
-            if peer == src and session.role == Role.RECEIVER and session.state != SessionState.ABORTED:
-                return session
-        return None
+        """The session the sender's latest NEGOTIATE opened, unless aborted."""
+        session = self._latest.get(src)
+        if session is None or session.state == SessionState.ABORTED:
+            return None
+        return session
 
     def _on_negotiate(self, src: str, body: bytes) -> bytes:
         terms_bytes, cert_bytes, sig = unpack_fields(body, 3)
@@ -804,9 +839,8 @@ class Participant:
         acceptable = self.acceptable_tasks
         if acceptable is not None and terms.task_id not in acceptable:
             return _ack(1, f"task {terms.task_id} not acceptable")
-        session = HandoverSession(Role.RECEIVER, src, terms)
-        session.peer_certificate = cert
-        self.sessions[(terms.process_id, src)] = session
+        session = HandoverSession(src, terms, peer_certificate=cert)
+        self.sessions[(terms.process_id, src)] = self._latest[src] = session
         terms_echo = terms.to_bytes()
         return _ack(
             0, "", self.identity.certificate.to_bytes(), self.identity.sign(terms_echo)
@@ -822,11 +856,9 @@ class Participant:
         try:
             verify_attestation(att, self.root, self._now(), self._seen_nonces)
         except CertificateError as exc:
-            session.abort(f"address attestation: {exc}")
-            return _ack(1, str(exc))
+            return _refuse(session, f"address attestation: {exc}", str(exc))
         if att.certificate.subject != session.peer_certificate.subject:
-            session.abort("attestation identity mismatch")
-            return _ack(1, "attestation identity mismatch")
+            return _refuse(session, "attestation identity mismatch")
         session.peer_attestation = att
         session.receive_key = Keypair.generate(self.rng)
         own = make_attestation(
@@ -840,8 +872,7 @@ class Participant:
         if not _rsa_verify(
             session.peer_certificate.public_key_der, identity_sig, sha256(tx_bytes + data_key)
         ):
-            session.abort("template identity signature invalid")
-            return _ack(1, "template identity signature invalid")
+            return _refuse(session, "template identity signature invalid")
         session.template_bytes = tx_bytes
         session.template_identity_sig = identity_sig
         session.advance(SessionState.TEMPLATE_SENT)
@@ -850,13 +881,11 @@ class Participant:
         try:
             plaintext = decrypt_process_data(data_key, session.ciphertext)
         except ProtocolError:
-            session.abort("process data fails authentication", 2)
-            return _reject(2, "process data fails authentication")
+            return _refuse(session, "process data fails authentication", check=2)
         received_hash = sha256(plaintext)
         tx = deserialize_transaction(tx_bytes)
         if tx.kind != TxKind.HANDOVER:
-            session.abort("template is not a handover")
-            return _ack(1, session.abort_reason)
+            return _refuse(session, "template is not a handover")
         template = eng.HandoverTemplate(tx, receiver_key_hash, data_hash or None)
         session.template = template
         expected = eng.ExpectedTerms(
@@ -870,16 +899,14 @@ class Participant:
         try:
             verdict = eng.validate_template(template, expected, self.model, self.chain_view)
         except (eng.UnresolvableAncestor, eng.BrokenLineage) as exc:
-            session.abort(f"history unresolvable: {exc}")
-            return _ack(2, f"history unresolvable: {exc}")
+            return _refuse(session, f"history unresolvable: {exc}", status=2)
         if not verdict.accepted:
-            session.abort(f"check {verdict.failed_check}: {verdict.reason}", verdict.failed_check)
-            return _reject(verdict.failed_check, verdict.reason)
+            check = verdict.failed_check
+            return _refuse(session, f"check {check}: {verdict.reason}", verdict.reason, check=check)
         try:
             signature = eng.sign_as_receiver(template, session.receive_key)
         except eng.EngineError as exc:
-            session.abort(f"signing: {exc}")
-            return _ack(1, str(exc))
+            return _refuse(session, f"signing: {exc}", str(exc))
         session.data_key = data_key
         session.plaintext = plaintext
         session.data_hash = received_hash
@@ -895,16 +922,19 @@ class Participant:
         return make_frame(FrameType.IDENTITY_REPLY, pack_fields(b"\x01", att.to_bytes()))
 
 
-def _ack(status: int, detail: str, cert: bytes = b"", sig: bytes = b"") -> bytes:
+def _ack(status: int, detail: str, cert: bytes = b"", sig: bytes = b"", check: int = 0) -> bytes:
     return make_frame(
-        FrameType.ACK, pack_fields(bytes([status]), b"\x00", detail.encode(), cert, sig)
+        FrameType.ACK, pack_fields(bytes([status]), bytes([check]), detail.encode(), cert, sig)
     )
 
 
-def _reject(check: int, detail: str) -> bytes:
-    return make_frame(
-        FrameType.ACK, pack_fields(b"\x01", bytes([check]), detail.encode(), b"", b"")
-    )
+def _refuse(
+    session: HandoverSession, reason: str, detail: str = "", check: int = 0, status: int = 1
+) -> bytes:
+    """Abort the receiver's session and answer with the refusal: ``detail``
+    (the abort reason unless given) and the number of the failed check."""
+    session.abort(reason, check or None)
+    return _ack(status, detail or reason, check=check)
 
 
 # --- owner monitoring -----------------------------------------------------------------

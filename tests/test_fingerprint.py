@@ -1,18 +1,21 @@
 """Pins the bytes the program emits.
 
 One sha256 over the chain dumps and ``metrics.csv`` of fixed-seed runs of
-models 1-4 under non-greedy and greedy publishing. A change that alters any
-emitted byte (transaction bytes, signatures, block times, metrics) changes
-the digest; such a change must say which outputs move and why, and update
-the value here.
+models 1-4 under non-greedy and greedy publishing, and one over the dumps,
+``metrics.csv`` and trace reports of fault-injected runs. A change that
+alters any emitted byte (transaction bytes, signatures, block times,
+metrics, traces) changes a digest; such a change must say which outputs
+move and why, and update the value here.
 """
 
 import hashlib
 import io
+import json
 
 from chorchain import harness as H
 
 FINGERPRINT = "7d7891910ddedf4626fbeb7600cf43be94382c70cdebdd027d9f8d818dc33d31"
+FAULT_FINGERPRINT = "2d1afd82db42cbb171bf6dd7272007f33bb3ff057dab8f3ef5eed0b8fa192eed"
 
 
 def test_fixed_seed_dumps_and_metrics_are_unchanged():
@@ -29,3 +32,23 @@ def test_fixed_seed_dumps_and_metrics_are_unchanged():
             H.write_metrics_csv(result.runs, csv)
             digest.update(csv.getvalue().encode())
     assert digest.hexdigest() == FINGERPRINT
+
+
+def test_fault_injected_runs_are_unchanged():
+    """Seed 5 of models 1-4, corrupting each planned handover in turn: the
+    detection path, where the sender publishes an extraordinary end."""
+    digest = hashlib.sha256()
+    runs = 0
+    for model_id in (1, 2, 3, 4):
+        plan = H.build_plan(H.builtin_model(model_id), [0])
+        for step in range(1, len(H.planned_handovers(plan)) + 1):
+            result = H.run_scenario(H.ScenarioConfig(model_id=model_id, seed=5, fault_step=step))
+            for dump in result.dumps:
+                digest.update(dump.encode())
+            csv = io.StringIO()
+            H.write_metrics_csv(result.runs, csv)
+            digest.update(csv.getvalue().encode())
+            digest.update(json.dumps(result.trace_reports, sort_keys=True).encode())
+            runs += 1
+    assert runs == 20
+    assert digest.hexdigest() == FAULT_FINGERPRINT

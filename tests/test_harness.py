@@ -242,6 +242,20 @@ def test_receiver_refusing_the_published_handover_stops_the_run(monkeypatch, gre
         H.run_scenario(H.ScenarioConfig(model_id=1, seed=5, greedy=greedy))
 
 
+def test_participant_refusal_reaches_the_caller_as_a_scenario_error(monkeypatch):
+    """A plan step its participant refuses, here a join with one token in
+    hand, stops the run with the participant's reason."""
+    build_plan = H.build_plan
+
+    def plan_with_an_early_join(model, choices):
+        plan = build_plan(model, choices)
+        return plan[:1] + [H.PlanJoin(H.OWNER, 2)] + plan[1:]
+
+    monkeypatch.setattr(H, "build_plan", plan_with_an_early_join)
+    with pytest.raises(H.ScenarioError, match="^join reached without all branch tokens$"):
+        H.run_scenario(H.ScenarioConfig(model_id=1, seed=5))
+
+
 # --- metrics io and summaries -----------------------------------------------------------
 
 
@@ -465,6 +479,34 @@ def test_end_moved_ahead_of_its_ancestors_refused_with_its_line_number():
     with pytest.raises(DumpFormatError, match="held by a later line") as err:
         H.audit("\n".join(moved) + "\n", model_doc(4))
     assert err.value.line_no == start + 1
+
+
+@pytest.mark.parametrize("edit", ["output count", "signature push"])
+def test_non_canonical_encoding_refused_with_its_line_number(edit):
+    """A grant whose output count is written FD 01 00, and a handover whose
+    signature push uses OP_PUSHDATA1, read back as the original
+    transaction. Only the canonical bytes parse, so each is refused."""
+    from chorchain.chain import DumpFormatError, load_dump
+    from chorchain.encoding import TransactionInvariantError, TxKind, tx_from_hex
+
+    _, lines, instance = _seed11_dump(1)
+    lines = list(lines)
+    if edit == "output count":
+        at = 2  # the grant, in block 0
+        assert tx_from_hex(lines[at]).is_coinbase and lines[at][8:12] == "0001"
+        edited = lines[at][:10] + "fd0100" + lines[at][12:]
+    else:
+        at = next(i for i in instance if tx_from_hex(lines[i]).kind == TxKind.HANDOVER)
+        # version (4), input count (1), outpoint (36), script length, push
+        script_len, push = int(lines[at][82:84], 16), int(lines[at][84:86], 16)
+        assert script_len < 0xFC and 71 <= push <= 73
+        edited = lines[at][:82] + f"{script_len + 1:02x}4c" + lines[at][84:]
+    with pytest.raises(TransactionInvariantError, match="not canonical"):
+        tx_from_hex(edited)
+    lines[at] = edited
+    with pytest.raises(DumpFormatError, match="not canonical") as err:
+        load_dump("\n".join(lines) + "\n")
+    assert err.value.line_no == at + 1
 
 
 @functools.lru_cache(maxsize=None)

@@ -207,9 +207,9 @@ class Env:
     def owner(self):
         return self.participants["owner"]
 
-    def handover(self, src, dst, task, data=b"payload-1", fault=None):
+    def handover(self, src, dst, task, data=b"payload-1", fault=None, process_id=1):
         sender = self.participants[src]
-        terms = P.NegotiatedTerms(1, task, int(self.sim.now))
+        terms = P.NegotiatedTerms(process_id, task, int(self.sim.now))
         session = sender.open_session(dst, terms)
         assert sender.negotiate(session), session.abort_reason
         assert sender.transfer_data(session, data), session.abort_reason
@@ -231,6 +231,54 @@ def test_clean_handover_publishes_and_delivers_data():
     assert token is not None and token.value > 0
     assert alice.process_data[1] == b"payload-1"
     assert env.sim.get_transaction(outcome.tx_id) is not None
+
+
+def test_second_process_from_one_sender_gets_its_own_session():
+    """Alice's process-1 session still waits for its handover to show on
+    the chain when the owner hands her process 2. The frames of the second
+    handover go to the session its NEGOTIATE opened, and alice confirms
+    both handovers."""
+    env = Env()
+    owner, alice = env.owner(), env.participants["alice"]
+    key = Keypair.generate(env.rng)
+    funds = env.sim.grant(key, [2_000_000])
+    _, token = make_instance(env.sim, key, funds, env.fee, env.rng, process_id=2)
+    owner.holdings.append(token)
+    _, first = env.handover("owner", "alice", 1)
+    assert first.published
+    assert alice.sessions[(1, "owner")].state == P.SessionState.RECEIVER_SIGNED
+    session, second = env.handover("owner", "alice", 1, data=b"payload-2", process_id=2)
+    assert second.published, session.abort_reason
+    for pid in (1, 2):
+        assert alice.confirm_receipt(alice.sessions[(pid, "owner")]) is not None
+    assert sorted(t.process_id for t in alice.holdings) == [1, 2]
+    assert alice.process_data == {1: b"payload-1", 2: b"payload-2"}
+    assert owner.holdings == [] and owner.sessions == {}  # a sender stores no session
+
+
+def test_refused_publish_keeps_the_holdings():
+    from dataclasses import replace
+
+    env = Env()
+    owner = env.owner()
+    token = owner.token_for(1)
+    ghost = replace(token, tx_id=bytes(32))  # an outpoint no transaction made
+    tx = eng.build_end(ghost, ghost.holder_key, int(env.sim.now), env.fee)
+    result = owner.publish(tx, spent=(token,), minted=(ghost,))
+    assert not result.accepted and result.reason == "missing-input"
+    assert owner.holdings == [token]
+
+
+def test_accepted_publish_swaps_spent_for_minted():
+    env = Env()
+    owner = env.owner()
+    token = owner.token_for(1)
+    tx, branches = eng.build_split(token, 2, int(env.sim.now), env.fee, env.rng)
+    charged = env.sim.phase_seconds.get("broadcast", 0.0)
+    assert owner.publish(tx, spent=(token,), minted=branches).accepted
+    assert owner.holdings == branches
+    assert env.sim.get_transaction(tx.tx_id) is not None
+    assert env.sim.phase_seconds["broadcast"] == pytest.approx(charged + P.LOGIC_COST)
 
 
 def test_receiver_cannot_open_data_before_template():
@@ -399,7 +447,7 @@ def test_replayed_attestation_aborts():
 
 
 def test_session_cannot_skip_a_state():
-    session = P.HandoverSession(P.Role.RECEIVER, "owner")
+    session = P.HandoverSession("owner")
     with pytest.raises(P.ProtocolError, match="illegal transition"):
         session.advance(P.SessionState.ADDRESSES_EXCHANGED)
     session.advance(P.SessionState.DATA_TRANSFERRED)
