@@ -26,7 +26,7 @@ from math import ceil
 from typing import Iterable, Protocol
 
 from . import model as model_mod
-from .crypto import Keypair, hash160, sign, verify, verify_with_key_hash
+from .crypto import Keypair, hash160, sign, verify
 from .encoding import (
     MAX_PROCESS_ID,
     TEMPLATE_SIGNATURE,
@@ -366,11 +366,18 @@ def sign_as_receiver(template: HandoverTemplate, receiver_keypair: Keypair) -> b
 def finalize_and_sign_as_sender(
     template: HandoverTemplate,
     receiver_signature: bytes,
+    receiver_public_key: bytes,
     sender_keypair: Keypair,
 ) -> EnrichedTransaction:
+    """The published handover: the receiver's signature, checked against
+    the public key it revealed with it, goes into the data block and the
+    sender's into the input. The key must hash to the one the template
+    locks the token to."""
     digest = template.digest
-    if len(receiver_signature) not in (71, 72) or not verify_with_key_hash(
-        digest, receiver_signature, template.receiver_key_hash
+    if hash160(receiver_public_key) != template.receiver_key_hash:
+        raise BadReceiverSignature("receiver key does not hash to the token key")
+    if len(receiver_signature) not in (71, 72) or not verify(
+        digest, receiver_signature, receiver_public_key
     ):
         raise BadReceiverSignature("receiver signature does not verify against the token key")
     txin = template.tx.inputs[0]

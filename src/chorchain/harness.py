@@ -38,7 +38,7 @@ from . import engine as eng
 from . import model as model_mod
 from . import protocol as proto
 from .chain import ChainIndex, ChainSim, SimConfig, load_dump
-from .crypto import Keypair, recovered_keys, sha256
+from .crypto import Keypair, recovered_keys, sha256, verify_with_key_hash
 from .encoding import OutputKind, TxKind, UnsupportedScriptShape, parse_redeem_script
 from .model import ProcessModel
 
@@ -712,7 +712,7 @@ def _verify_instance_signatures(view: ChainIndex, trace_txs: list) -> list[str]:
             if eng.hash160(key) == payee:
                 valid = eng.verify(digest, block.receiver_signature, key)
             else:
-                valid = eng.verify_with_key_hash(digest, block.receiver_signature, payee)
+                valid = verify_with_key_hash(digest, block.receiver_signature, payee)
             if not valid:
                 issues.append(f"{tx.tx_id.hex()[:16]}: receiver signature invalid")
     return issues

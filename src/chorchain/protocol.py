@@ -18,11 +18,16 @@ with an extraordinary end transaction. After a successful publication the
 receiver picks its new token off the chain: watching for that transaction
 is also how it proves the sender really broadcast what both parties signed.
 
-Identities are RSA certificates issued by a single self-signed trust root;
-transaction keys are separate, fresh per handover. All messages are tagged
-binary frames (one length-prefixed byte string per field), carried by the
-in-process channel. A frame or reply that does not parse, and a frame that
-arrives out of protocol order, aborts the session instead of raising.
+Identities are Ed25519 certificates issued by a single self-signed trust
+root; transaction keys are separate, fresh per handover. A session checks
+its peer's certificate against the root once, at NEGOTIATE: the address
+attestation must carry that same certificate, whose validity window alone
+is checked again. The receiver's transaction signature comes with the
+public key it was made with, and the sender checks it against that key.
+All messages are tagged binary frames (one length-prefixed byte string per
+field), carried by the in-process channel. A frame or reply that does not
+parse, and a frame that arrives out of protocol order, aborts the session
+instead of raising.
 
 Each participant holds one handle on the chain, the simulator: it charges
 its protocol work there as simulated time, and reads the chain only through
@@ -42,9 +47,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterable, Protocol
 
-from cryptography.exceptions import InvalidSignature, InvalidTag
-from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric import padding, rsa
+from cryptography.exceptions import InvalidSignature, InvalidTag, UnsupportedAlgorithm
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric import ed25519
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import engine as eng
@@ -185,42 +190,62 @@ class Certificate:
             sig,
         )
 
+    def check_validity(self, now: int) -> None:
+        if not self.not_before <= now <= self.not_after:
+            raise CertificateError(f"certificate for {self.subject!r} outside validity window")
 
-def _rsa_sign(private_key: rsa.RSAPrivateKey, data: bytes) -> bytes:
-    return private_key.sign(data, padding.PKCS1v15(), hashes.SHA256())
+
+def _identity_sign(private_key: ed25519.Ed25519PrivateKey, data: bytes) -> bytes:
+    return private_key.sign(data)
 
 
-def _rsa_verify(public_key_der: bytes, signature: bytes, data: bytes) -> bool:
+def _identity_verify(public_key_der: bytes, signature: bytes, data: bytes) -> bool:
+    """Whether ``signature`` is the Ed25519 signature of ``data`` under the
+    key of a certificate. A key that does not load as an Ed25519
+    SubjectPublicKeyInfo, and a signature of any other form, are False."""
     try:
         key = serialization.load_der_public_key(public_key_der)
-        key.verify(signature, data, padding.PKCS1v15(), hashes.SHA256())
-        return True
-    except (InvalidSignature, ValueError):
+    except (ValueError, UnsupportedAlgorithm):
         return False
+    if not isinstance(key, ed25519.Ed25519PublicKey):
+        return False
+    try:
+        key.verify(signature, data)
+    except InvalidSignature:
+        return False
+    return True
+
+
+def _new_key() -> tuple[ed25519.Ed25519PrivateKey, bytes]:
+    """A fresh identity key and the DER SubjectPublicKeyInfo of its public half."""
+    key = ed25519.Ed25519PrivateKey.generate()
+    der = key.public_key().public_bytes(
+        serialization.Encoding.DER, serialization.PublicFormat.SubjectPublicKeyInfo
+    )
+    return key, der
 
 
 class Identity:
     """A participant's long-lived signing identity plus its certificate."""
 
-    def __init__(self, name: str, private_key: rsa.RSAPrivateKey, certificate: Certificate):
+    def __init__(
+        self, name: str, private_key: ed25519.Ed25519PrivateKey, certificate: Certificate
+    ):
         self.name = name
         self._key = private_key
         self.certificate = certificate
 
     def sign(self, data: bytes) -> bytes:
-        return _rsa_sign(self._key, data)
+        return _identity_sign(self._key, data)
 
 
 class TrustRoot:
     """Self-signed root that issues every participant certificate."""
 
     def __init__(self, name: str = "trust-root", lifetime: int = 10 * 365 * 86400, now: int = 0):
-        self._key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
-        der = self._key.public_key().public_bytes(
-            serialization.Encoding.DER, serialization.PublicFormat.SubjectPublicKeyInfo
-        )
+        self._key, der = _new_key()
         cert = Certificate(name, der, now, now + lifetime, name)
-        cert = replace(cert, signature=_rsa_sign(self._key, cert.signed_payload()))
+        cert = replace(cert, signature=_identity_sign(self._key, cert.signed_payload()))
         self.identity = Identity(name, self._key, cert)
 
     @property
@@ -228,23 +253,19 @@ class TrustRoot:
         return self.identity.name
 
     def issue(self, name: str, now: int, lifetime: int = 365 * 86400) -> Identity:
-        key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
-        der = key.public_key().public_bytes(
-            serialization.Encoding.DER, serialization.PublicFormat.SubjectPublicKeyInfo
-        )
+        key, der = _new_key()
         cert = Certificate(name, der, now, now + lifetime, self.name)
-        cert = replace(cert, signature=_rsa_sign(self._key, cert.signed_payload()))
+        cert = replace(cert, signature=_identity_sign(self._key, cert.signed_payload()))
         return Identity(name, key, cert)
 
     def check(self, cert: Certificate, now: int) -> None:
         if cert.issuer != self.name:
             raise CertificateError(f"certificate issued by unknown authority {cert.issuer!r}")
-        if not _rsa_verify(
+        if not _identity_verify(
             self.identity.certificate.public_key_der, cert.signature, cert.signed_payload()
         ):
             raise CertificateError("certificate signature invalid")
-        if not cert.not_before <= now <= cert.not_after:
-            raise CertificateError(f"certificate for {cert.subject!r} outside validity window")
+        cert.check_validity(now)
 
 
 # --- attestations and encrypted data -------------------------------------------------
@@ -293,12 +314,25 @@ def make_attestation(
 
 
 def verify_attestation(
-    att: AddressAttestation, root: TrustRoot, now: int, seen_nonces: set[bytes]
+    att: AddressAttestation,
+    root: TrustRoot,
+    now: int,
+    seen_nonces: set[bytes],
+    negotiated: Certificate | None = None,
 ) -> None:
-    root.check(att.certificate, now)
+    """Check an attestation's certificate, nonce and signature. Within a
+    session, ``negotiated`` is the peer certificate the root already vouched
+    for at NEGOTIATE: the attestation must carry that same certificate, and
+    only its validity window is checked again."""
+    if negotiated is None:
+        root.check(att.certificate, now)
+    elif att.certificate != negotiated:
+        raise CertificateError("certificate differs from the one negotiated")
+    else:
+        att.certificate.check_validity(now)
     if att.nonce in seen_nonces:
         raise CertificateError("attestation nonce replayed")
-    if not _rsa_verify(att.certificate.public_key_der, att.signature, att.signed_payload()):
+    if not _identity_verify(att.certificate.public_key_der, att.signature, att.signed_payload()):
         raise CertificateError("attestation signature invalid")
     seen_nonces.add(att.nonce)
 
@@ -643,7 +677,7 @@ class Participant:
         except CertificateError as exc:
             session.abort(f"identity: {exc}")
             return False
-        if not _rsa_verify(cert.public_key_der, sig, terms_bytes):
+        if not _identity_verify(cert.public_key_der, sig, terms_bytes):
             session.abort("identity: peer signature over terms invalid")
             return False
         session.peer_certificate = cert
@@ -690,12 +724,11 @@ class Participant:
             return False
         att = AddressAttestation.from_bytes(body)
         try:
-            verify_attestation(att, self.root, self._now(), self._seen_nonces)
+            verify_attestation(
+                att, self.root, self._now(), self._seen_nonces, session.peer_certificate
+            )
         except CertificateError as exc:
             session.abort(f"address attestation: {exc}")
-            return False
-        if session.peer_certificate and att.certificate.subject != session.peer_certificate.subject:
-            session.abort("address attestation from a different identity")
             return False
         session.peer_attestation = att
         session.advance(SessionState.ADDRESSES_EXCHANGED)
@@ -744,10 +777,13 @@ class Participant:
         if kind != FrameType.RECEIVER_SIG:
             session.abort("unexpected reply to template")
             return SenderOutcome(False, reason=session.abort_reason)
-        (receiver_sig,) = unpack_fields(body, 1)
+        receiver_sig, receiver_key = unpack_fields(body, 2)
+        _fixed(receiver_key, 33, "receiver public key")
         self._charge()
         try:
-            final = eng.finalize_and_sign_as_sender(template, receiver_sig, token.holder_key)
+            final = eng.finalize_and_sign_as_sender(
+                template, receiver_sig, receiver_key, token.holder_key
+            )
         except eng.EngineError as exc:
             session.abort(f"finalize: {exc}")
             return SenderOutcome(False, reason=session.abort_reason)
@@ -834,7 +870,7 @@ class Participant:
             self.root.check(cert, self._now())
         except CertificateError as exc:
             return _ack(1, f"identity: {exc}")
-        if not _rsa_verify(cert.public_key_der, sig, terms_bytes):
+        if not _identity_verify(cert.public_key_der, sig, terms_bytes):
             return _ack(1, "identity: terms signature invalid")
         acceptable = self.acceptable_tasks
         if acceptable is not None and terms.task_id not in acceptable:
@@ -854,11 +890,11 @@ class Participant:
     def _on_addr_attest(self, session: HandoverSession, body: bytes) -> bytes:
         att = AddressAttestation.from_bytes(body)
         try:
-            verify_attestation(att, self.root, self._now(), self._seen_nonces)
+            verify_attestation(
+                att, self.root, self._now(), self._seen_nonces, session.peer_certificate
+            )
         except CertificateError as exc:
             return _refuse(session, f"address attestation: {exc}", str(exc))
-        if att.certificate.subject != session.peer_certificate.subject:
-            return _refuse(session, "attestation identity mismatch")
         session.peer_attestation = att
         session.receive_key = Keypair.generate(self.rng)
         own = make_attestation(
@@ -869,7 +905,7 @@ class Participant:
 
     def _on_template_key(self, session: HandoverSession, body: bytes) -> bytes:
         tx_bytes, receiver_key_hash, data_hash, data_key, identity_sig = unpack_fields(body, 5)
-        if not _rsa_verify(
+        if not _identity_verify(
             session.peer_certificate.public_key_der, identity_sig, sha256(tx_bytes + data_key)
         ):
             return _refuse(session, "template identity signature invalid")
@@ -912,7 +948,9 @@ class Participant:
         session.data_hash = received_hash
         session.receiver_signature = signature
         session.advance(SessionState.RECEIVER_SIGNED)
-        return make_frame(FrameType.RECEIVER_SIG, pack_fields(signature))
+        return make_frame(
+            FrameType.RECEIVER_SIG, pack_fields(signature, session.receive_key.public_key)
+        )
 
     def _on_identity_query(self, body: bytes) -> bytes:
         (tx_id,) = unpack_fields(body, 1)

@@ -5,7 +5,7 @@ import pytest
 from chorchain import engine as eng
 from chorchain import harness as H
 from chorchain import model as M
-from chorchain.crypto import Keypair, hash160, sha256
+from chorchain.crypto import Keypair, hash160, sha256, sign
 from chorchain.encoding import (
     EnrichedTransaction,
     OutputKind,
@@ -193,7 +193,9 @@ def test_check4_history_must_conform(live, models):
     sim, fee, rng = live["sim"], live["fee"], live["rng"]
     tpl = template(live)
     sig = eng.sign_as_receiver(tpl, live["receiver"])
-    final = eng.finalize_and_sign_as_sender(tpl, sig, live["token"].holder_key)
+    final = eng.finalize_and_sign_as_sender(
+        tpl, sig, live["receiver"].public_key, live["token"].holder_key
+    )
     assert sim.broadcast(final).accepted
     token2 = eng.token_from_handover(final, live["receiver"], live["data_hash"])
 
@@ -202,7 +204,7 @@ def test_check4_history_must_conform(live, models):
         token2, 3, int(sim.now), rogue_key.key_hash, live["data_hash"], fee
     )
     final_bad = eng.finalize_and_sign_as_sender(
-        tpl_bad, eng.sign_as_receiver(tpl_bad, rogue_key), token2.holder_key
+        tpl_bad, eng.sign_as_receiver(tpl_bad, rogue_key), rogue_key.public_key, token2.holder_key
     )
     assert sim.broadcast(final_bad).accepted  # miners do not check conformance
 
@@ -250,21 +252,47 @@ def test_finalize_rejects_corrupt_receiver_signature(live):
     tpl = template(live)
     sig = bytearray(eng.sign_as_receiver(tpl, live["receiver"]))
     sig[12] ^= 0xFF
-    with pytest.raises(eng.BadReceiverSignature):
-        eng.finalize_and_sign_as_sender(tpl, bytes(sig), live["token"].holder_key)
+    with pytest.raises(eng.BadReceiverSignature, match="does not verify"):
+        eng.finalize_and_sign_as_sender(
+            tpl, bytes(sig), live["receiver"].public_key, live["token"].holder_key
+        )
+
+
+def test_finalize_rejects_a_receiver_key_off_the_template(live):
+    """A genuine signature by another key is refused on the key's hash,
+    before any signature check."""
+    tpl = template(live)
+    other = Keypair.generate(live["rng"])
+    with pytest.raises(eng.BadReceiverSignature, match="does not hash"):
+        eng.finalize_and_sign_as_sender(
+            tpl, sign(tpl.digest, other), other.public_key, live["token"].holder_key
+        )
+
+
+def test_finalize_rejects_the_right_key_under_a_signature_it_did_not_make(live):
+    tpl = template(live)
+    forged = sign(tpl.digest, Keypair.generate(live["rng"]))
+    with pytest.raises(eng.BadReceiverSignature, match="does not verify"):
+        eng.finalize_and_sign_as_sender(
+            tpl, forged, live["receiver"].public_key, live["token"].holder_key
+        )
 
 
 def test_finalize_rejects_wrong_sender_key(live):
     tpl = template(live)
     sig = eng.sign_as_receiver(tpl, live["receiver"])
     with pytest.raises(eng.UnlockError):
-        eng.finalize_and_sign_as_sender(tpl, sig, Keypair.generate(live["rng"]))
+        eng.finalize_and_sign_as_sender(
+            tpl, sig, live["receiver"].public_key, Keypair.generate(live["rng"])
+        )
 
 
 def test_finalized_tx_passes_script_validation_and_broadcast(live):
     tpl = template(live)
     sig = eng.sign_as_receiver(tpl, live["receiver"])
-    final = eng.finalize_and_sign_as_sender(tpl, sig, live["token"].holder_key)
+    final = eng.finalize_and_sign_as_sender(
+        tpl, sig, live["receiver"].public_key, live["token"].holder_key
+    )
     eng.validate_transaction_scripts(final, live["sim"])
     assert final.data_block.receiver_signature == sig
     assert live["sim"].broadcast(final).accepted
@@ -369,7 +397,8 @@ def run_split_join_instance(live):
     ts = int(sim.now)
     h = template(live)
     final = eng.finalize_and_sign_as_sender(
-        h, eng.sign_as_receiver(h, live["receiver"]), live["token"].holder_key
+        h, eng.sign_as_receiver(h, live["receiver"]), live["receiver"].public_key,
+        live["token"].holder_key,
     )
     assert sim.broadcast(final).accepted
     token = eng.token_from_handover(final, live["receiver"], live["data_hash"])
@@ -380,7 +409,9 @@ def run_split_join_instance(live):
     for i, t in enumerate(tokens):
         k = Keypair.generate(rng)
         tpl = eng.build_handover_template(t, 2 + i, ts + 2 + i, k.key_hash, None, fee)
-        fin = eng.finalize_and_sign_as_sender(tpl, eng.sign_as_receiver(tpl, k), t.holder_key)
+        fin = eng.finalize_and_sign_as_sender(
+            tpl, eng.sign_as_receiver(tpl, k), k.public_key, t.holder_key
+        )
         assert sim.broadcast(fin).accepted
         branch_tokens.append(eng.token_from_handover(fin, k, None))
     join_tx, merged = eng.build_join(branch_tokens, ts + 5, fee, rng)

@@ -128,6 +128,82 @@ def test_attestation_wrong_signer_rejected():
         P.verify_attestation(swapped, root, 5, set())
 
 
+def test_attestation_in_session_needs_the_negotiated_certificate():
+    """Within a session the attestation must carry the certificate checked
+    at NEGOTIATE; its validity window is still checked."""
+    root = P.TrustRoot(now=0)
+    ident = root.issue("alice", now=0, lifetime=10)
+    twin = root.issue("alice", now=0, lifetime=10)  # same subject, another key
+    att = P.make_attestation(twin, b"\x01" * 20, 7, random.Random(3))
+    with pytest.raises(P.CertificateError, match="differs from the one negotiated"):
+        P.verify_attestation(att, root, 5, set(), ident.certificate)
+    own = P.make_attestation(ident, b"\x01" * 20, 7, random.Random(3))
+    P.verify_attestation(own, root, 5, set(), ident.certificate)
+    with pytest.raises(P.CertificateError, match="validity"):
+        P.verify_attestation(own, root, 11, set(), ident.certificate)
+
+
+@functools.cache
+def foreign_keys():
+    """SubjectPublicKeyInfo DER of keys of other types than Ed25519."""
+    from cryptography.hazmat.primitives import serialization
+    from cryptography.hazmat.primitives.asymmetric import ec, rsa, x25519
+
+    keys = [
+        rsa.generate_private_key(public_exponent=65537, key_size=1024),
+        ec.generate_private_key(ec.SECP256R1()),
+        x25519.X25519PrivateKey.generate(),
+    ]
+    return tuple(
+        k.public_key().public_bytes(
+            serialization.Encoding.DER, serialization.PublicFormat.SubjectPublicKeyInfo
+        )
+        for k in keys
+    )
+
+
+def test_identity_keys_and_signatures_have_the_ed25519_sizes():
+    ident = shared_identity("cert-check")
+    assert len(ident.certificate.public_key_der) == 44
+    assert len(ident.certificate.signature) == 64
+    assert len(ident.sign(b"terms")) == 64
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    target=st.sampled_from(["der", "signature", "foreign"]),
+    truncate=st.booleans(),
+    position=st.integers(min_value=0, max_value=100),
+    spliced=st.binary(max_size=4),
+    foreign=st.integers(min_value=0, max_value=2),
+)
+@example(target="signature", truncate=True, position=0, spliced=b"", foreign=0)
+@example(target="der", truncate=True, position=0, spliced=b"", foreign=0)
+@example(target="foreign", truncate=False, position=0, spliced=b"", foreign=0)
+def test_identity_verify_is_false_on_any_edit_and_never_raises(
+    target, truncate, position, spliced, foreign
+):
+    """A certificate key or a signature cut short or with bytes spliced in,
+    and a key of another type, verify False instead of raising; only the
+    unedited pair verifies."""
+    ident = shared_identity("cert-check")
+    data = b"signed terms"
+    der, sig = ident.certificate.public_key_der, ident.sign(data)
+
+    def edit(blob):
+        k = position % (len(blob) + 1)
+        return blob[:k] if truncate else blob[:k] + spliced + blob[k + 1 :]
+
+    if target == "foreign":
+        edited_der, edited_sig = foreign_keys()[foreign], sig
+    elif target == "der":
+        edited_der, edited_sig = edit(der), sig
+    else:
+        edited_der, edited_sig = der, edit(sig)
+    verdict = P._identity_verify(edited_der, edited_sig, data)
+    assert verdict is ((edited_der, edited_sig) == (der, sig))
+
+
 def test_certificate_with_non_utf8_name_is_a_frame_error():
     cert = shared_identity("cert-check").certificate
     garbled = P.pack_fields(
@@ -349,29 +425,107 @@ def test_unreachable_endpoint_times_out():
     assert "timeout" in session.abort_reason
 
 
-def test_tampered_receiver_signature_blocks_broadcast():
-    env = Env()
-    original = env.transport.request
+def rewrite_receiver_sig(env, rewrite):
+    """Route alice's RECEIVER_SIG reply to the sender as the fields
+    ``rewrite(signature, public_key)`` returns."""
+    alice = env.participants["alice"]
 
-    def corrupting(src, dst, frame):
-        reply = original(src, dst, frame)
+    def endpoint(src, frame):
+        reply = alice.on_request(src, frame)
         kind, body = P.split_frame(reply)
         if kind == P.FrameType.RECEIVER_SIG:
-            (sig,) = P.unpack_fields(body, 1)
-            bad = bytes([sig[0]]) + bytes([sig[1] ^ 0xFF]) + sig[2:]
-            return P.make_frame(P.FrameType.RECEIVER_SIG, P.pack_fields(bad))
+            reply = P.make_frame(kind, P.pack_fields(*rewrite(*P.unpack_fields(body, 2))))
         return reply
 
-    env.transport.request = corrupting
+    env.transport.register("alice", endpoint)
+
+
+def no_handover_published(env, mempool_before):
+    return all(
+        env.sim.get_transaction(t).kind != eng.TxKind.HANDOVER
+        for t in set(env.sim.mempool_ids) - mempool_before
+    )
+
+
+def test_tampered_receiver_signature_blocks_broadcast():
+    env = Env()
+    rewrite_receiver_sig(env, lambda sig, key: (sig[:1] + bytes([sig[1] ^ 0xFF]) + sig[2:], key))
     mempool_before = set(env.sim.mempool_ids)
     session, outcome = env.handover("owner", "alice", 1)
     assert not outcome.published
     assert "finalize" in session.abort_reason
     # state machine safety: nothing was broadcast without a valid signature
-    handover_txs = set(env.sim.mempool_ids) - mempool_before
-    assert all(
-        env.sim.get_transaction(t).kind != eng.TxKind.HANDOVER for t in handover_txs
+    assert no_handover_published(env, mempool_before)
+
+
+def test_receiver_key_off_the_attested_hash_blocks_broadcast():
+    """A genuine receiver signature paired with a key that does not hash to
+    the attested one is refused before any signature check."""
+    env = Env()
+    stranger = Keypair.generate(random.Random(9)).public_key
+    rewrite_receiver_sig(env, lambda sig, key: (sig, stranger))
+    mempool_before = set(env.sim.mempool_ids)
+    session, outcome = env.handover("owner", "alice", 1)
+    assert not outcome.published
+    assert session.abort_reason == "finalize: receiver key does not hash to the token key"
+    assert no_handover_published(env, mempool_before)
+    assert env.owner().token_for(1).tx_id == env.start_tx.tx_id
+
+
+def test_receiver_signature_without_its_key_is_a_malformed_reply():
+    """The one-field RECEIVER_SIG of the earlier layout aborts the sender's
+    session as a reply that does not parse."""
+    env = Env()
+    rewrite_receiver_sig(env, lambda sig, key: (sig,))
+    mempool_before = set(env.sim.mempool_ids)
+    session, outcome = env.handover("owner", "alice", 1)
+    assert not outcome.published
+    assert session.state == P.SessionState.ABORTED
+    assert session.abort_reason == "malformed reply: frame truncated"
+    assert no_handover_published(env, mempool_before)
+
+
+def test_one_handover_makes_the_expected_public_key_operations(monkeypatch):
+    """Per handover: five identity signatures and five verifications of
+    them, and the root's signature on each peer certificate verified once,
+    at NEGOTIATE. The sender checks the receiver's transaction signature
+    with one verification against the revealed key, and nothing recovers a
+    key."""
+    from chorchain import crypto
+
+    env = Env()
+    counts = {}
+    root_der = env.root.identity.certificate.public_key_der
+
+    def counting(name, fn, key=None):
+        def wrapped(*args):
+            label = key(*args) if key else name
+            counts[label] = counts.get(label, 0) + 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(P.Identity, "sign", counting("sign", P.Identity.sign))
+    monkeypatch.setattr(P.TrustRoot, "check", counting("check", P.TrustRoot.check))
+    monkeypatch.setattr(
+        P, "_identity_verify",
+        counting(None, P._identity_verify, lambda der, *_: "root" if der == root_der else "verify"),
     )
+    monkeypatch.setattr(crypto, "recovered_keys", counting("recover", crypto.recovered_keys))
+    monkeypatch.setattr(eng, "verify", counting("ecdsa", eng.verify))
+    finalize = eng.finalize_and_sign_as_sender
+
+    def counted_finalize(*args):
+        before = counts.get("ecdsa", 0)
+        final = finalize(*args)
+        counts["sender ecdsa"] = counts.get("ecdsa", 0) - before
+        return final
+
+    monkeypatch.setattr(eng, "finalize_and_sign_as_sender", counted_finalize)
+    _, outcome = env.handover("owner", "alice", 1)
+    assert outcome.published
+    counts.pop("ecdsa")  # the chain's script check of the broadcast counts here too
+    assert counts == {"sign": 5, "verify": 5, "root": 2, "check": 2, "sender ecdsa": 1}
 
 
 def test_non_repudiation_artifacts():
@@ -382,7 +536,7 @@ def test_non_repudiation_artifacts():
     # receiver holds the sender's identity-signed template
     assert rsession.template_bytes and rsession.template_identity_sig
     sender_cert = rsession.peer_certificate
-    assert P._rsa_verify(
+    assert P._identity_verify(
         sender_cert.public_key_der,
         rsession.template_identity_sig,
         sha256(rsession.template_bytes + rsession.data_key),
@@ -406,6 +560,63 @@ def test_state_order_enforced():
         sender.exchange_addresses(session)
     with pytest.raises(P.ProtocolError, match="cannot run handover"):
         sender.run_sender(session)
+
+
+def second_certificate(name):
+    """Another identity the shared root issues for ``name``: the same
+    subject under another key."""
+    return shared_trust_root().issue(name, now=0, lifetime=2**33)
+
+
+def test_receiver_refuses_an_attestation_under_a_second_certificate():
+    env = Env()
+    alice, twin = env.participants["alice"], second_certificate("owner")
+
+    def endpoint(src, frame):
+        kind, body = P.split_frame(frame)
+        if kind == P.FrameType.ADDR_ATTEST:
+            att = P.AddressAttestation.from_bytes(body)
+            forged = P.make_attestation(twin, att.bitcoin_key_hash, 1, random.Random(9))
+            frame = P.make_frame(kind, forged.to_bytes())
+        return alice.on_request(src, frame)
+
+    env.transport.register("alice", endpoint)
+    sender = env.owner()
+    session = sender.open_session("alice", P.NegotiatedTerms(1, 1, int(env.sim.now)))
+    assert sender.negotiate(session) and sender.transfer_data(session, b"x")
+    assert not sender.exchange_addresses(session)
+    assert session.abort_reason == (
+        "address exchange rejected: certificate differs from the one negotiated"
+    )
+    rsession = alice.sessions[(1, "owner")]
+    assert rsession.state == P.SessionState.ABORTED
+    assert rsession.abort_reason == (
+        "address attestation: certificate differs from the one negotiated"
+    )
+
+
+def test_sender_refuses_an_attestation_under_a_second_certificate():
+    env = Env()
+    alice, twin = env.participants["alice"], second_certificate("alice")
+
+    def endpoint(src, frame):
+        reply = alice.on_request(src, frame)
+        kind, body = P.split_frame(reply)
+        if kind == P.FrameType.ADDR_ATTEST:
+            att = P.AddressAttestation.from_bytes(body)
+            forged = P.make_attestation(twin, att.bitcoin_key_hash, 1, random.Random(9))
+            reply = P.make_frame(kind, forged.to_bytes())
+        return reply
+
+    env.transport.register("alice", endpoint)
+    sender = env.owner()
+    session = sender.open_session("alice", P.NegotiatedTerms(1, 1, int(env.sim.now)))
+    assert sender.negotiate(session) and sender.transfer_data(session, b"x")
+    assert not sender.exchange_addresses(session)
+    assert session.state == P.SessionState.ABORTED
+    assert session.abort_reason == (
+        "address attestation: certificate differs from the one negotiated"
+    )
 
 
 def test_replayed_attestation_aborts():

@@ -15,7 +15,7 @@ def populated(rng, fee_policy, funded_sim):
     dh = sha256(b"data")
     tpl = eng.build_handover_template(token, 1, int(sim.now), receiver.key_hash, dh, fee_policy)
     final = eng.finalize_and_sign_as_sender(
-        tpl, eng.sign_as_receiver(tpl, receiver), token.holder_key
+        tpl, eng.sign_as_receiver(tpl, receiver), receiver.public_key, token.holder_key
     )
     assert sim.broadcast(final).accepted
     sim.await_confirmation(final.tx_id, 1)
