@@ -155,14 +155,15 @@ else:
 # 3.22, which skips every product with Z2 = 1).
 #
 # G has one table, a fixed-base comb (Lim & Lee, CRYPTO 1994; Guide,
-# algorithms 3.44 and 3.45): a scalar's comb columns are 16 positions, 15..0,
-# with at most two addends each. Q is not known in advance, so u2*Q uses the
-# endomorphism lambda*(x, y) = (beta*x, y), with beta a cube root of unity mod
-# P and lambda the matching one mod N: u2 splits as c + d*lambda (mod N) with
-# |c| and |d| near 2^128 (Gallant, Lambert & Vanstone, CRYPTO 2001; Guide,
-# section 3.5), and the nonzero digits of their width-5 NAFs address the odd
-# multiples of Q and lambda*Q. Merged with u1's comb columns, that is one list
-# of about 129 doublings and 75 additions (Guide, algorithm 3.51).
+# algorithm 3.44) of 12 teeth: a scalar's comb columns are 22 positions,
+# 21..0, with at most one addend each. Q is not known in advance, so u2*Q
+# uses the endomorphism lambda*(x, y) = (beta*x, y), with beta a cube root of
+# unity mod P and lambda the matching one mod N: u2 splits as c + d*lambda
+# (mod N) with |c| and |d| near 2^128 (Gallant, Lambert & Vanstone, CRYPTO
+# 2001; Guide, section 3.5), and the nonzero digits of their width-5 NAFs
+# address the odd multiples of Q and lambda*Q. Merged with u1's comb columns,
+# that is one list of about 127 doublings and 65 additions (Guide, algorithm
+# 3.51).
 #
 # Q's odd multiples are made affine with one shared inversion (Montgomery's
 # trick, Guide section 2.2.5), and lambda*Q's cost one multiplication by beta
@@ -232,22 +233,28 @@ def _from_affine(pt: tuple[int, int] | None) -> tuple[int, int, int]:
     return pt[0], pt[1], 1
 
 
-def _batch_to_affine(points: list[tuple[int, int, int]]) -> list[tuple[int, int]]:
-    """_to_affine of every point (none at infinity) with one inversion:
-    invert the product of all Z, then peel one Z off per point."""
-    before = []  # before[i]: product of the Z of points[:i]
+def _batch_inverse(values: list[int]) -> list[int]:
+    """The inverses mod P of nonzero values with one inversion (Montgomery's
+    trick): invert the product of all, then peel one value off per inverse."""
+    before = []  # before[i]: product of values[:i]
     acc = 1
-    for _, _, z in points:
+    for v in values:
         before.append(acc)
-        acc = acc * z % P
-    inv = pow(acc, -1, P)  # inverse of the product of points[:i + 1], for i from the end
-    out = [None] * len(points)
-    for i in range(len(points) - 1, -1, -1):
-        x, y, z = points[i]
-        zinv = inv * before[i] % P
-        inv = inv * z % P
+        acc = acc * v % P
+    inv = pow(acc, -1, P)  # inverse of the product of values[:i + 1], for i from the end
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = inv * before[i] % P
+        inv = inv * values[i] % P
+    return out
+
+
+def _batch_to_affine(points: list[tuple[int, int, int]]) -> list[tuple[int, int]]:
+    """_to_affine of every point (none at infinity) with one inversion."""
+    out = []
+    for (x, y, _), zinv in zip(points, _batch_inverse([z for _, _, z in points])):
         zinv2 = zinv * zinv % P
-        out[i] = (x * zinv2 % P, y * zinv2 * zinv % P)
+        out.append((x * zinv2 % P, y * zinv2 * zinv % P))
     return out
 
 
@@ -258,7 +265,7 @@ def _double_and_add(schedule: list[tuple[int, tuple[int, int]]]) -> tuple[int, i
     The running sum is doubled down from one position to the next and the
     addend added there; while it is at infinity the doublings are skipped.
     The doubling is _jac_double's and the addition _add_affine's, inlined
-    because a verify runs them about 129 and 75 times.
+    because a verify runs them about 127 and 65 times.
     """
     x, y, z = _INF
     at = 0
@@ -293,47 +300,50 @@ def _double_and_add(schedule: list[tuple[int, tuple[int, int]]]) -> tuple[int, i
     return x, y, z
 
 
-# The comb reads a scalar below 2^256 as 8 teeth spaced 32 bits apart: at
-# column j, tooth i is bit j + 32*i. _G_COMB[0][u] is the sum of 2^(32*i)*G
-# over the teeth i set in u, for u = 1..255, and _G_COMB[1][u] is
-# 2^16 * _G_COMB[0][u], so column j reads the first table at bits j + 32*i
-# and the second at bits j + 16 + 32*i: 15 doublings and at most 32 mixed
-# additions for k*G. The 2 x 255 points are built from the sixteen bases
-# 2^(16*m)*G with mixed additions and normalised with one batch inversion.
-def _build_g_comb() -> tuple[list[tuple[int, int] | None], list[tuple[int, int] | None]]:
+# The comb reads a scalar below 2^256 as 12 teeth spaced 22 bits apart
+# (12 * 22 = 264 bits, the top 8 always zero): at column j, tooth i is bit
+# j + 22*i. _G_COMB[u] is the sum of 2^(22*i)*G over the teeth i set in u, for
+# u = 1..4095, so k*G takes 21 doublings and at most 22 mixed additions. The
+# table is built one tooth at a time from the twelve bases 2^(22*i)*G: tooth i
+# adds its base to each of the 2^i - 1 sums below it, in affine coordinates,
+# with the slopes' denominators inverted together (one inversion per tooth).
+# No such sum meets its base or the base's negation, since every sum below
+# tooth i is a multiple of G in (0, 2^(22*i)).
+_TEETH = 12
+_SPACING = 22
+
+
+def _build_g_comb() -> list[tuple[int, int] | None]:
     base = _from_affine((GX, GY))
     bases = [base]
-    for _ in range(15):
-        for _ in range(16):
+    for _ in range(_TEETH - 1):
+        for _ in range(_SPACING):
             base = _jac_double(base)
         bases.append(base)
-    bases = _batch_to_affine(bases)  # bases[m] = 2^(16*m) * G
-    points = []
-    for teeth in (bases[0::2], bases[1::2]):  # 2^(32*i) * G, then 2^(32*i + 16) * G
-        table = [_INF]
-        for u in range(1, 256):
-            top = u.bit_length() - 1
-            rest = u ^ (1 << top)
-            table.append(_add_affine(table[rest], *teeth[top]))
-        points += table[1:]
-    flat = _batch_to_affine(points)
-    return [None] + flat[:255], [None] + flat[255:]
+    table: list[tuple[int, int] | None] = [None]
+    for bx, by in _batch_to_affine(bases):  # 2^(22*i) * G
+        below = table[1:]
+        inverses = _batch_inverse([x - bx for x, _ in below])
+        table.append((bx, by))
+        for (x, y), inv in zip(below, inverses):
+            m = (y - by) * inv % P
+            nx = (m * m - bx - x) % P
+            table.append((nx, (m * (bx - nx) - by) % P))
+    return table
 
 
 _G_COMB = _build_g_comb()
 
 
 def _comb(k: int) -> list[tuple[int, tuple[int, int]]]:
-    """k*G as a _double_and_add schedule: the nonzero comb columns, 15..0.
-    bits[255 - p] is bit p of k, so bits[31 - j::32] spells column j's teeth,
-    tooth 7 first."""
-    bits = format(k % N, "0256b")
-    low, high = _G_COMB
+    """k*G as a _double_and_add schedule: the nonzero comb columns, 21..0.
+    bits[263 - p] is bit p of k, so bits[21 - j::22] spells column j's teeth,
+    tooth 11 first."""
+    bits = format(k % N, f"0{_TEETH * _SPACING}b")
     return [
         (j, addend)
-        for j in range(15, -1, -1)
-        for addend in (low[int(bits[31 - j :: 32], 2)], high[int(bits[15 - j :: 32], 2)])
-        if addend
+        for j in range(_SPACING - 1, -1, -1)
+        if (addend := _G_COMB[int(bits[_SPACING - 1 - j :: _SPACING], 2)])
     ]
 
 
@@ -552,17 +562,17 @@ def _rfc6979_nonces(digest: bytes, secret: int):
     x = secret.to_bytes(32, "big")
     v = b"\x01" * 32
     k = b"\x00" * 32
-    k = hmac.new(k, v + b"\x00" + x + digest, hashlib.sha256).digest()
-    v = hmac.new(k, v, hashlib.sha256).digest()
-    k = hmac.new(k, v + b"\x01" + x + digest, hashlib.sha256).digest()
-    v = hmac.new(k, v, hashlib.sha256).digest()
+    k = hmac.digest(k, v + b"\x00" + x + digest, "sha256")
+    v = hmac.digest(k, v, "sha256")
+    k = hmac.digest(k, v + b"\x01" + x + digest, "sha256")
+    v = hmac.digest(k, v, "sha256")
     while True:
-        v = hmac.new(k, v, hashlib.sha256).digest()
+        v = hmac.digest(k, v, "sha256")
         candidate = int.from_bytes(v, "big")
         if 0 < candidate < N:
             yield candidate
-        k = hmac.new(k, v + b"\x00", hashlib.sha256).digest()
-        v = hmac.new(k, v, hashlib.sha256).digest()
+        k = hmac.digest(k, v + b"\x00", "sha256")
+        v = hmac.digest(k, v, "sha256")
 
 
 def sign(digest: bytes, keypair: Keypair) -> bytes:

@@ -31,6 +31,7 @@ import random
 import statistics
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import count
 from typing import Iterator
 
@@ -54,7 +55,10 @@ class ScenarioError(ValueError):
     pass
 
 
+@cache
 def builtin_model(model_id: int) -> ProcessModel:
+    """The parsed built-in model, one per id: it is frozen, and its runs share
+    its conformance memo."""
     from importlib.resources import files
 
     doc = files("chorchain.models").joinpath(f"model{model_id}.json").read_text()

@@ -18,6 +18,14 @@ Two independent views of the language exist side by side:
 * :func:`check_conformance` replays a trace against a token-marking
   semantics of the edge list, without enumerating and without reading the
   tree.
+
+The replay's work per step depends only on the model and the set of
+markings reached, so each model keeps it: the silent closure of every
+marking set it has replayed, and the marking set each enabled task leads
+to. The memo is a private field of the frozen :class:`ProcessModel`, left
+out of equality, hashing and repr, so two models that compare equal still
+never share entries; :func:`chorchain.harness.builtin_model` hands out one
+parsed model per id, and the runs of a model share its memo.
 """
 
 from __future__ import annotations
@@ -80,6 +88,8 @@ class ProcessModel:
     nodes: tuple[Node, ...]
     edges: tuple[tuple[str, str], ...]
     body: tuple[Step, ...] = field(init=False, repr=False, compare=False)
+    # check_conformance's memo: marking set -> its silent closure and moves
+    _replay: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "body", _validate(self))
@@ -418,6 +428,26 @@ def _enabled_tasks(model: ProcessModel, states: set[Marking]) -> dict[int, list[
     return enabled
 
 
+def _replay_step(
+    model: ProcessModel, states: frozenset[Marking]
+) -> tuple[frozenset[Marking], dict[int, frozenset[Marking]]]:
+    """The silent closure of a marking set, and for each task it enables the
+    marking set that firing the task leads to. The model is frozen, so both
+    are computed once per marking set and kept on the model."""
+    hit = model._replay.get(states)
+    if hit is None:
+        closure = _silent_closure(model, set(states))
+        moves: dict[int, set[Marking]] = {}
+        for task_id, enabled in _enabled_tasks(model, closure).items():
+            for marking, node in enabled:
+                ie = _edge_key(model.predecessors(node.node_id)[0], node.node_id)
+                oe = _edge_key(node.node_id, model.successors(node.node_id)[0])
+                moves.setdefault(task_id, set()).add(frozenset(marking - {ie} | {oe}))
+        hit = frozenset(closure), {t: frozenset(m) for t, m in moves.items()}
+        model._replay[states] = hit
+    return hit
+
+
 def check_conformance(model: ProcessModel, trace: ExecutionTrace) -> Verdict:
     """Replay the trace's task sequence against the model's token semantics.
 
@@ -425,26 +455,22 @@ def check_conformance(model: ProcessModel, trace: ExecutionTrace) -> Verdict:
     of some legal execution (the instance may still be in flight); once a
     normal end is present the sequence must be complete. Filler handovers
     transfer custody without executing a model task and are skipped.
+
+    Each step of the replay comes from :func:`_replay_step`, so a model
+    replays a prefix it has seen before by dictionary lookups alone.
     """
-    states: set[Marking] = {
-        frozenset({_edge_key(model.start.node_id, model.successors(model.start.node_id)[0])})
-    }
+    states: frozenset[Marking] = frozenset(
+        {frozenset({_edge_key(model.start.node_id, model.successors(model.start.node_id)[0])})}
+    )
     sequence = trace.task_sequence()
     for position, task_id in enumerate(sequence, start=1):
-        states = _silent_closure(model, states)
-        enabled = _enabled_tasks(model, states)
-        if task_id not in enabled:
-            return Deviation(position, frozenset(enabled), task_id)
-        nxt = set()
-        for marking, node in enabled[task_id]:
-            ie = _edge_key(model.predecessors(node.node_id)[0], node.node_id)
-            oe = _edge_key(node.node_id, model.successors(node.node_id)[0])
-            nxt.add(frozenset(marking - {ie} | {oe}))
-        states = nxt
+        _, moves = _replay_step(model, states)
+        if task_id not in moves:
+            return Deviation(position, frozenset(moves), task_id)
+        states = moves[task_id]
     if trace.ended_normally:
-        states = _silent_closure(model, states)
+        closure, moves = _replay_step(model, states)
         final = frozenset({_edge_key(model.predecessors(model.end.node_id)[0], model.end.node_id)})
-        if final not in states:
-            expected = frozenset(_enabled_tasks(model, states))
-            return Deviation(len(sequence) + 1, expected, None)
+        if final not in closure:
+            return Deviation(len(sequence) + 1, frozenset(moves), None)
     return Conformant()

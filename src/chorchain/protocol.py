@@ -19,11 +19,15 @@ receiver picks its new token off the chain: watching for that transaction
 is also how it proves the sender really broadcast what both parties signed.
 
 Identities are Ed25519 certificates issued by a single self-signed trust
-root; transaction keys are separate, fresh per handover. A session checks
-its peer's certificate against the root once, at NEGOTIATE: the address
-attestation must carry that same certificate, whose validity window alone
-is checked again. The receiver's transaction signature comes with the
-public key it was made with, and the sender checks it against that key.
+root; transaction keys are separate, fresh per handover. A participant
+verifies the root's signature on a peer certificate once, the first time
+the certificate reaches it at NEGOTIATE, and its long-lived identity
+remembers the (root, certificate) pair; the issuer and the validity window
+are checked at every NEGOTIATE. Within a session, the address attestation
+must carry the certificate negotiated, whose validity window alone is
+checked again. The owner's monitor keeps the full check. The receiver's
+transaction signature comes with the public key it was made with, and the
+sender checks it against that key.
 All messages are tagged binary frames (one length-prefixed byte string per
 field), carried by the in-process channel. A frame or reply that does not
 parse, and a frame that arrives out of protocol order, aborts the session
@@ -226,7 +230,12 @@ def _new_key() -> tuple[ed25519.Ed25519PrivateKey, bytes]:
 
 
 class Identity:
-    """A participant's long-lived signing identity plus its certificate."""
+    """A participant's long-lived signing identity plus its certificate.
+
+    ``vouched`` is what the holder has learned about other certificates: the
+    (root certificate, peer certificate) pairs whose root signature it has
+    verified, passed to :meth:`TrustRoot.check` so that each is verified once.
+    """
 
     def __init__(
         self, name: str, private_key: ed25519.Ed25519PrivateKey, certificate: Certificate
@@ -234,6 +243,7 @@ class Identity:
         self.name = name
         self._key = private_key
         self.certificate = certificate
+        self.vouched: set[tuple[Certificate, Certificate]] = set()
 
     def sign(self, data: bytes) -> bytes:
         return _identity_sign(self._key, data)
@@ -258,13 +268,27 @@ class TrustRoot:
         cert = replace(cert, signature=_identity_sign(self._key, cert.signed_payload()))
         return Identity(name, key, cert)
 
-    def check(self, cert: Certificate, now: int) -> None:
+    def check(
+        self,
+        cert: Certificate,
+        now: int,
+        vouched: set[tuple[Certificate, Certificate]] | None = None,
+    ) -> None:
+        """Refuse a certificate this root did not issue or that is outside its
+        validity window. Given a checker's ``vouched`` set, the root's
+        signature is verified only for a certificate not yet in it, under this
+        root's certificate, and a verified one is added; the issuer and the
+        window are checked on every call."""
         if cert.issuer != self.name:
             raise CertificateError(f"certificate issued by unknown authority {cert.issuer!r}")
-        if not _identity_verify(
-            self.identity.certificate.public_key_der, cert.signature, cert.signed_payload()
-        ):
-            raise CertificateError("certificate signature invalid")
+        pair = (self.identity.certificate, cert)
+        if vouched is None or pair not in vouched:
+            if not _identity_verify(
+                self.identity.certificate.public_key_der, cert.signature, cert.signed_payload()
+            ):
+                raise CertificateError("certificate signature invalid")
+            if vouched is not None:
+                vouched.add(pair)
         cert.check_validity(now)
 
 
@@ -673,7 +697,7 @@ class Participant:
             return False
         cert = Certificate.from_bytes(cert_bytes)
         try:
-            self.root.check(cert, self._now())
+            self.root.check(cert, self._now(), self.identity.vouched)
         except CertificateError as exc:
             session.abort(f"identity: {exc}")
             return False
@@ -867,7 +891,7 @@ class Participant:
         terms = NegotiatedTerms.from_bytes(terms_bytes)
         cert = Certificate.from_bytes(cert_bytes)
         try:
-            self.root.check(cert, self._now())
+            self.root.check(cert, self._now(), self.identity.vouched)
         except CertificateError as exc:
             return _ack(1, f"identity: {exc}")
         if not _identity_verify(cert.public_key_der, sig, terms_bytes):

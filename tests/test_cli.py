@@ -112,24 +112,37 @@ def test_audit_fails_on_tampered_dump(runner, tmp_path):
     assert result.exit_code == 1
 
 
-def test_import_loads_no_network_modules():
-    """The package runs in one process, so importing its entry points pulls
-    in no socket, TLS, HTTP client or HTTP server module."""
+def _python(*args):
+    """Run the interpreter with the package's source directory on its path."""
     import chorchain
 
     src = str(Path(chorchain.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+
+
+def test_import_loads_no_network_modules():
+    """The package runs in one process, so importing its entry points pulls
+    in no socket, TLS, HTTP client or HTTP server module."""
     probe = (
         "import sys, chorchain.harness, chorchain.cli; "
         "print(sorted(m for m in ('ssl', 'urllib.request', 'http.server', 'socket') "
         "if m in sys.modules))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "[]"
+    assert _python("-c", probe).stdout.strip() == "[]"
+
+
+def test_evaluation_script_runs_at_one_seed():
+    """scripts/run_evaluation.py at one seed per configuration: every
+    injected fault is detected and every verified run conserves value."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_evaluation.py"
+    lines = _python(str(script), "--seeds", "1").stdout.splitlines()
+    assert "  fault detection: 30/30" in lines
+    assert "  value conservation exact in all verified runs: True" in lines
 
 
 @pytest.mark.parametrize(

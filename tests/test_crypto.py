@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -39,6 +40,17 @@ def test_sign_verify_roundtrip():
     sig = crypto.sign(digest, kp)
     assert crypto.verify(digest, sig, kp.public_key)
     assert not crypto.verify(crypto.sha256(b"other"), sig, kp.public_key)
+
+
+def test_rfc6979_nonce_stream_is_pinned():
+    # the first candidates of one (digest, secret) pair, as the stream gave
+    # them before it used one-shot HMAC
+    digest = crypto.sha256(b"rfc6979 nonce pin")
+    assert [hex(k) for k in islice(crypto._rfc6979_nonces(digest, 0xC0FFEE), 3)] == [
+        "0x628b733955e23592ce11df570a769ed4736710be2e5817aa194d556fa1c38513",
+        "0xf05333f055f4fd8d7d0cc5bf5e4419ba08bf0120e0b3e08383471665e7070bb5",
+        "0x2194d12d62b1c986148e36ab6b48cf7f16ed8894148ec6af3bb98dad83b258af",
+    ]
 
 
 def test_signature_lengths_are_71_or_72():
@@ -358,7 +370,7 @@ def test_glv_shamir_with_negative_halves(a1, b1, a2, b2, q):
 def test_glv_shamir_doubling_and_infinity_branches():
     lam, n = crypto._LAMBDA, crypto.N
     # Q's table meets the comb: an addend equals the accumulator (double) or
-    # its negation (infinity). Below 2^16, a bit of u1 is a comb column of
+    # its negation (infinity). Below 2^22, a bit of u1 is a comb column of
     # tooth 0 (G at that position), and a small u2 is its own GLV half, so
     # with Q = G the top digits of hi + lo and lo - hi cancel at position 15
     # and the next ones double at position 3.
@@ -378,28 +390,26 @@ def test_glv_shamir_doubling_and_infinity_branches():
 
 
 def test_import_time_tables_keep_their_size():
-    # import time counts in the benchmark's setup_s and the tables in its
+    # import time counts in the benchmark's setup_s and the table in its
     # peak_rss_mb, so a larger table has to be a deliberate change
-    assert len(crypto._G_COMB) == 2
-    for table in crypto._G_COMB:
-        assert len(table) == 256 and table[0] is None
-        assert sum(entry is not None for entry in table) == 255
+    table = crypto._G_COMB
+    assert len(table) == 4096 and table[0] is None
+    assert sum(entry is not None for entry in table) == 4095
 
 
 # --- fixed-base comb and one-ladder key recovery
 
 
-@pytest.mark.parametrize("u", [1, 2, 3, 0b10100101, 128, 255])
+@pytest.mark.parametrize("u", [1, 2, 3, 0b10100101, 128, 255, 2048, 0b101001011010, 4095])
 def test_comb_tables_hold_the_teeth_sums(u):
-    teeth = sum(1 << (32 * i) for i in range(8) if u >> i & 1)
-    low, high = crypto._G_COMB
-    assert low[u] == _ref_mul(teeth, G)
-    assert high[u] == _ref_mul(teeth << 16, G)
+    teeth = sum(1 << (22 * i) for i in range(12) if u >> i & 1)
+    assert crypto._G_COMB[u] == _ref_mul(teeth, G)
 
 
-# 2^j and 2^j - 1 at the comb's column (16), tooth (32) and scalar (256) edges
+# 2^j and 2^j - 1 at the comb's column (22), tooth (22*i) and scalar (256)
+# edges
 COMB_EDGES = [0, 1, crypto.N - 1] + [
-    k for j in (15, 16, 31, 32, 255) for k in (2**j, 2**j - 1)
+    k for j in (21, 22, 43, 44, 241, 242, 255) for k in (2**j, 2**j - 1)
 ]
 
 

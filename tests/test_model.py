@@ -314,3 +314,80 @@ def test_enumerated_traces_always_conformant(data):
     cut = data.draw(st.integers(0, len(seq)))
     assert M.check_conformance(m, trace_of(seq[:cut])).ok
     assert M.check_conformance(m, trace_of(seq, "normal")).ok
+
+
+def reference_conformance(model, trace):
+    """check_conformance without the model's memo: every step closes the
+    marking set and scans it for enabled tasks afresh."""
+
+    def edge(a, b):
+        return f"{a}>{b}"
+
+    def inbound(node_id):
+        return edge(model.predecessors(node_id)[0], node_id)
+
+    def outbound(node_id):
+        return edge(node_id, model.successors(node_id)[0])
+
+    states = {frozenset({outbound(model.start.node_id)})}
+    sequence = trace.task_sequence()
+    for position, task_id in enumerate(sequence, start=1):
+        states = M._silent_closure(model, states)
+        enabled = M._enabled_tasks(model, states)
+        if task_id not in enabled:
+            return M.Deviation(position, frozenset(enabled), task_id)
+        states = {
+            frozenset(marking - {inbound(node.node_id)} | {outbound(node.node_id)})
+            for marking, node in enabled[task_id]
+        }
+    if trace.ended_normally:
+        states = M._silent_closure(model, states)
+        if frozenset({inbound(model.end.node_id)}) not in states:
+            return M.Deviation(len(sequence) + 1, frozenset(M._enabled_tasks(model, states)), None)
+    return M.Conformant()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_memoised_replay_matches_the_reference(data):
+    """Over models 1-4, legal prefixes with random tasks appended, with and
+    without a normal end: the memoised verdict is the reference replay's.
+    The built-in models keep their memo across examples, so most replays
+    run on entries that earlier examples made."""
+    from chorchain.harness import builtin_model
+
+    m = builtin_model(data.draw(st.sampled_from([1, 2, 3, 4])))
+    legal = data.draw(st.sampled_from(sorted(M.enumerate_valid_traces(m, 100))))
+    cut = data.draw(st.integers(0, len(legal)))
+    tasks = sorted(m.task_ids) + [M.MAX_TASK_ID]  # the last is in no built-in model
+    tail = data.draw(st.lists(st.sampled_from(tasks), max_size=3))
+    end = data.draw(st.sampled_from([None, "normal", "extraordinary"]))
+    trace = trace_of(legal[:cut] + tuple(tail), end)
+    assert M.check_conformance(m, trace) == reference_conformance(m, trace)
+
+
+def test_models_with_one_id_never_share_replay_entries():
+    """Two models with the same id and the same first edge, whose tasks 2
+    and 3 come in opposite orders: each replays against its own edges, in
+    either order of first use, and equal models keep separate memos."""
+    nodes = [
+        {"id": "s", "kind": "start"},
+        {"id": "a", "kind": "task", "task_id": 1},
+        {"id": "b", "kind": "task", "task_id": 2},
+        {"id": "c", "kind": "task", "task_id": 3},
+        {"id": "e", "kind": "end"},
+    ]
+    forward = [("s", "a"), ("a", "b"), ("b", "c"), ("c", "e")]
+    backward = [("s", "a"), ("a", "c"), ("c", "b"), ("b", "e")]
+    for first, second in ((forward, backward), (backward, forward)):
+        models = [M.load_model(doc(nodes, edges)) for edges in (first, second)]
+        assert models[0].model_id == models[1].model_id and models[0] != models[1]
+        for m, edges in zip(models, (first, second)):
+            verdict = M.check_conformance(m, trace_of((1, 2, 3), "normal"))
+            if edges is forward:
+                assert verdict.ok
+            else:
+                assert verdict == M.Deviation(position=2, expected=frozenset({3}), actual=2)
+    twin, again = (M.load_model(doc(nodes, forward)) for _ in range(2))
+    M.check_conformance(twin, trace_of((1,)))
+    assert twin == again and twin._replay and not again._replay

@@ -1,5 +1,6 @@
 import functools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -103,6 +104,19 @@ def test_forged_certificate_rejected():
     forged = replace(ident.certificate, subject="dishonest")
     with pytest.raises(P.CertificateError, match="signature"):
         root.check(forged, 5)
+
+
+def test_root_check_remembers_only_what_it_verified():
+    root = P.TrustRoot(now=0)
+    ident, checker = root.issue("alice", now=0), root.issue("bob", now=0)
+    forged = replace(ident.certificate, subject="mallory")
+    with pytest.raises(P.CertificateError, match="signature"):
+        root.check(forged, 5, checker.vouched)
+    assert not checker.vouched
+    root.check(ident.certificate, 5, checker.vouched)
+    assert checker.vouched == {(root.identity.certificate, ident.certificate)}
+    with pytest.raises(P.CertificateError, match="validity"):
+        root.check(ident.certificate, 2**40, checker.vouched)
 
 
 def test_attestation_verify_and_replay():
@@ -257,19 +271,22 @@ def test_empty_payload_allowed():
 
 
 class Env:
-    """Two participants wired over an in-process transport and a simulator."""
+    """Two participants wired over an in-process transport and a simulator.
+    Their identities are the harness's shared ones, or, given a ``root``,
+    fresh ones that root issues."""
 
-    def __init__(self, seed=21, model_id=1, acceptable_tasks=None):
+    def __init__(self, seed=21, model_id=1, acceptable_tasks=None, root=None):
         self.rng = random.Random(seed)
         self.sim = ChainSim(SimConfig(seed=seed, block_interval_mean=6.0))
         self.transport = P.InProcTransport()
-        self.root = shared_trust_root()
+        self.root = root or shared_trust_root()
         self.fee = eng.FeePolicy()
         self.model = builtin_model(model_id)
         self.participants = {}
         for name in ("owner", "alice", "bob"):
+            identity = root.issue(name, now=0, lifetime=2**33) if root else shared_identity(name)
             self.participants[name] = P.Participant(
-                shared_identity(name), self.root, self.transport, self.sim, self.fee,
+                identity, self.root, self.transport, self.sim, self.fee,
                 self.model, self.rng,
                 acceptable_tasks=acceptable_tasks if name != "owner" else None,
             )
@@ -282,6 +299,13 @@ class Env:
 
     def owner(self):
         return self.participants["owner"]
+
+    def add_instance(self, process_id):
+        """Another instance whose token the owner holds."""
+        key = Keypair.generate(self.rng)
+        funds = self.sim.grant(key, [2_000_000])
+        _, token = make_instance(self.sim, key, funds, self.fee, self.rng, process_id=process_id)
+        self.owner().holdings.append(token)
 
     def handover(self, src, dst, task, data=b"payload-1", fault=None, process_id=1):
         sender = self.participants[src]
@@ -316,10 +340,7 @@ def test_second_process_from_one_sender_gets_its_own_session():
     both handovers."""
     env = Env()
     owner, alice = env.owner(), env.participants["alice"]
-    key = Keypair.generate(env.rng)
-    funds = env.sim.grant(key, [2_000_000])
-    _, token = make_instance(env.sim, key, funds, env.fee, env.rng, process_id=2)
-    owner.holdings.append(token)
+    env.add_instance(2)
     _, first = env.handover("owner", "alice", 1)
     assert first.published
     assert alice.sessions[(1, "owner")].state == P.SessionState.RECEIVER_SIGNED
@@ -487,13 +508,15 @@ def test_receiver_signature_without_its_key_is_a_malformed_reply():
 
 def test_one_handover_makes_the_expected_public_key_operations(monkeypatch):
     """Per handover: five identity signatures and five verifications of
-    them, and the root's signature on each peer certificate verified once,
-    at NEGOTIATE. The sender checks the receiver's transaction signature
-    with one verification against the revealed key, and nothing recovers a
-    key."""
+    them, and two root checks at NEGOTIATE. The root's signature on each
+    peer certificate is verified at the pair's first handover only, so the
+    identities are fresh ones from a fresh root. The sender checks the
+    receiver's transaction signature with one verification against the
+    revealed key, and nothing recovers a key."""
     from chorchain import crypto
 
-    env = Env()
+    env = Env(root=P.TrustRoot(now=0))
+    env.add_instance(2)
     counts = {}
     root_der = env.root.identity.certificate.public_key_der
 
@@ -522,10 +545,65 @@ def test_one_handover_makes_the_expected_public_key_operations(monkeypatch):
         return final
 
     monkeypatch.setattr(eng, "finalize_and_sign_as_sender", counted_finalize)
-    _, outcome = env.handover("owner", "alice", 1)
-    assert outcome.published
-    counts.pop("ecdsa")  # the chain's script check of the broadcast counts here too
-    assert counts == {"sign": 5, "verify": 5, "root": 2, "check": 2, "sender ecdsa": 1}
+    for process_id, root_verifications in ((1, 2), (2, 0)):
+        counts.clear()
+        counts["root"] = 0
+        _, outcome = env.handover("owner", "alice", 1, process_id=process_id)
+        assert outcome.published
+        counts.pop("ecdsa")  # the chain's script check of the broadcast counts here too
+        assert counts == {
+            "sign": 5, "verify": 5, "root": root_verifications, "check": 2, "sender ecdsa": 1
+        }
+
+
+def negotiate_second_handover(env):
+    """The owner negotiates a second handover to alice, of a new instance;
+    returns the session and whether negotiation succeeded."""
+    env.add_instance(2)
+    owner = env.owner()
+    session = owner.open_session("alice", P.NegotiatedTerms(2, 1, int(env.sim.now)))
+    return session, owner.negotiate(session)
+
+
+@pytest.mark.parametrize("kind", ["expired", "other root", "one field"])
+def test_second_handover_still_refuses_a_bad_certificate(kind):
+    """Alice vouched for the owner's certificate at their first handover. At
+    the second she still refuses it once it has expired; a certificate for
+    the owner signed by another root of the same name, or one that differs
+    from the vouched certificate in one field, is checked in full."""
+    root = P.TrustRoot(now=0)
+    env = Env(root=root)
+    owner = env.owner()
+    if kind == "expired":
+        owner.identity = root.issue("owner", now=0, lifetime=int(env.sim.now) + 100)
+    _, first = env.handover("owner", "alice", 1)
+    assert first.published
+    if kind == "expired":
+        env.sim.advance_time(200)
+    elif kind == "other root":
+        impostor = P.TrustRoot(name=root.name, now=0)
+        owner.identity = impostor.issue("owner", now=0, lifetime=2**33)
+    else:
+        cert = replace(owner.identity.certificate, not_after=2**33 + 1)
+        owner.identity = P.Identity("owner", owner.identity._key, cert)
+    session, ok = negotiate_second_handover(env)
+    assert not ok
+    want = "validity window" if kind == "expired" else "certificate signature invalid"
+    assert want in session.abort_reason
+
+
+def test_a_participant_trusting_another_root_inherits_nothing():
+    """The vouched pairs name the root that signed: once alice trusts
+    another root of the same name, the owner's certificate she vouched for
+    under the first root is checked in full, and refused."""
+    root = P.TrustRoot(now=0)
+    env = Env(root=root)
+    _, first = env.handover("owner", "alice", 1)
+    assert first.published
+    env.participants["alice"].root = P.TrustRoot(name=root.name, now=0)
+    session, ok = negotiate_second_handover(env)
+    assert not ok
+    assert "certificate signature invalid" in session.abort_reason
 
 
 def test_non_repudiation_artifacts():
