@@ -72,6 +72,12 @@ class SimConfig:
     block_interval_mean: float = 600.0
     block_capacity: int = 1500
 
+    def __post_init__(self) -> None:
+        # at 0 the interval divides by zero; below it, each block falls due
+        # before the last one and advance_time's loop never ends
+        if not self.block_interval_mean > 0:
+            raise ValueError("mean block interval must be above 0")
+
 
 @dataclass(frozen=True)
 class BroadcastResult:

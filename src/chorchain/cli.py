@@ -47,9 +47,11 @@ def main() -> None:
 @click.option("--fault-step", default="none", show_default=True,
               help="1-based handover to corrupt, or 'none'")
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True)
-@click.option("--block-mean", type=float, default=6.0, show_default=True,
+@click.option("--block-mean", type=click.FloatRange(min=0, min_open=True), default=6.0,
+              show_default=True,
               help="mean block interval in simulated seconds")
-@click.option("--fee", type=int, default=18_982, show_default=True, help="per-transaction fee [sat]")
+@click.option("--fee", type=click.IntRange(min=1), default=18_982, show_default=True,
+              help="per-transaction fee [sat]")
 @click.option("--reps", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 def run(model, variant, verify, greedy, fault_step, seed, block_mean, fee, reps, out) -> None:

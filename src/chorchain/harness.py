@@ -31,7 +31,7 @@ import random
 import statistics
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from itertools import count
 from typing import Iterator
 
@@ -55,14 +55,18 @@ class ScenarioError(ValueError):
     pass
 
 
-@cache
+@lru_cache(maxsize=8)
+def parsed_model(document: str) -> ProcessModel:
+    """The model a document describes, parsed once per document text: a
+    parsed model is an immutable value, so runs and audits share it."""
+    return model_mod.load_model(document)
+
+
 def builtin_model(model_id: int) -> ProcessModel:
-    """The parsed built-in model, one per id: it is frozen, and its runs share
-    its conformance memo."""
+    """The parsed built-in model with this id."""
     from importlib.resources import files
 
-    doc = files("chorchain.models").joinpath(f"model{model_id}.json").read_text()
-    return model_mod.load_model(doc)
+    return parsed_model(files("chorchain.models").joinpath(f"model{model_id}.json").read_text())
 
 
 def task_duration(task_id: int) -> float:
@@ -728,7 +732,7 @@ def audit(dump_text: str, model_doc: str) -> AuditReport:
     conservation and that every process transaction belongs to an
     instance."""
     view = load_dump(dump_text)
-    process_model = model_mod.load_model(model_doc)
+    process_model = parsed_model(model_doc)
     instances = []
     reached: set[bytes] = set()
     non_process = 0

@@ -11,21 +11,16 @@ steps: a task id, or a :class:`Gateway` whose branches are step sequences
 of their own. This module is the only place that pairs splits with joins;
 the harness's plan compiler walks the tree.
 
-Two independent views of the language exist side by side:
+Both views of the language here walk that tree:
 
-* :func:`enumerate_valid_traces` materializes it by recursive descent over
-  the parsed block tree (used as the oracle in tests), and
-* :func:`check_conformance` replays a trace against a token-marking
-  semantics of the edge list, without enumerating and without reading the
-  tree.
+* :func:`enumerate_valid_traces` materializes it by recursive descent (used
+  as the oracle in tests), and
+* :func:`check_conformance` replays one trace without enumerating: each
+  task moves what is left of the tree one step forward.
 
-The replay's work per step depends only on the model and the set of
-markings reached, so each model keeps it: the silent closure of every
-marking set it has replayed, and the marking set each enabled task leads
-to. The memo is a private field of the frozen :class:`ProcessModel`, left
-out of equality, hashing and repr, so two models that compare equal still
-never share entries; :func:`chorchain.harness.builtin_model` hands out one
-parsed model per id, and the runs of a model share its memo.
+The tests keep a third, independent view: a token-marking replay of the
+edge list, against which the tree replay is checked on random models.
+A parsed model holds no mutable state, so it can be shared freely.
 """
 
 from __future__ import annotations
@@ -88,8 +83,6 @@ class ProcessModel:
     nodes: tuple[Node, ...]
     edges: tuple[tuple[str, str], ...]
     body: tuple[Step, ...] = field(init=False, repr=False, compare=False)
-    # check_conformance's memo: marking set -> its silent closure and moves
-    _replay: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "body", _validate(self))
@@ -99,14 +92,6 @@ class ProcessModel:
 
     def predecessors(self, node_id: str) -> list[str]:
         return [a for a, b in self.edges if b == node_id]
-
-    @property
-    def start(self) -> Node:
-        return next(n for n in self.nodes if n.kind == NodeKind.START)
-
-    @property
-    def end(self) -> Node:
-        return next(n for n in self.nodes if n.kind == NodeKind.END)
 
     @property
     def task_ids(self) -> frozenset[int]:
@@ -218,7 +203,8 @@ def _validate(model: ProcessModel) -> tuple[Step, ...]:
     seen_tasks: set[int] = set()
     for n in model.nodes:
         if n.kind == NodeKind.TASK:
-            if n.task_id is None or not MIN_TASK_ID <= n.task_id <= MAX_TASK_ID:
+            # bool is an int subclass; JSON true must not pass as task 1
+            if type(n.task_id) is not int or not MIN_TASK_ID <= n.task_id <= MAX_TASK_ID:
                 raise ModelError(f"task id must be {MIN_TASK_ID}..{MAX_TASK_ID}", n.node_id)
             if n.task_id in seen_tasks:
                 raise ModelError(f"task id {n.task_id} not unique", n.node_id)
@@ -368,109 +354,69 @@ def enumerate_valid_traces(model: ProcessModel, max_interleavings: int) -> set[t
 
 
 # --- conformance ------------------------------------------------------------------
-
-Marking = frozenset[str]  # edges currently holding a token, keyed "from>to"
-
-
-def _edge_key(a: str, b: str) -> str:
-    return f"{a}>{b}"
-
-
-def _silent_closure(model: ProcessModel, states: set[Marking]) -> set[Marking]:
-    """All markings reachable by firing split/join nodes only."""
-    seen = set(states)
-    frontier = list(states)
-    while frontier:
-        marking = frontier.pop()
-        for node in model.nodes:
-            if node.kind not in (*_SPLITS, *_JOINS):
-                continue
-            in_edges = [_edge_key(p, node.node_id) for p in model.predecessors(node.node_id)]
-            out_edges = [_edge_key(node.node_id, s) for s in model.successors(node.node_id)]
-            if node.kind == NodeKind.XOR_JOIN:
-                for ie in in_edges:
-                    if ie in marking:
-                        nxt = frozenset(marking - {ie} | set(out_edges))
-                        if nxt not in seen:
-                            seen.add(nxt)
-                            frontier.append(nxt)
-            elif node.kind == NodeKind.AND_JOIN:
-                if all(ie in marking for ie in in_edges):
-                    nxt = frozenset(marking - set(in_edges) | set(out_edges))
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-            elif node.kind == NodeKind.AND_SPLIT:
-                if in_edges[0] in marking:
-                    nxt = frozenset(marking - {in_edges[0]} | set(out_edges))
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-            else:  # XOR split: one token to exactly one branch
-                if in_edges[0] in marking:
-                    for oe in out_edges:
-                        nxt = frozenset(marking - {in_edges[0]} | {oe})
-                        if nxt not in seen:
-                            seen.add(nxt)
-                            frontier.append(nxt)
-    return seen
+#
+# The replay moves through the block tree by derivatives: what is left of the
+# model after each task is again a step sequence, where an AND block already
+# entered is a Gateway holding the rest of each branch. Task ids are unique, so
+# at most one branch can take a given task and the rest is a single sequence.
 
 
-def _enabled_tasks(model: ProcessModel, states: set[Marking]) -> dict[int, list[tuple[Marking, Node]]]:
-    enabled: dict[int, list[tuple[Marking, Node]]] = {}
-    for marking in states:
-        for node in model.nodes:
-            if node.kind != NodeKind.TASK:
-                continue
-            ie = _edge_key(model.predecessors(node.node_id)[0], node.node_id)
-            if ie in marking:
-                enabled.setdefault(node.task_id, []).append((marking, node))
-    return enabled
+def _nullable(steps: tuple[Step, ...]) -> bool:
+    """Whether the steps can finish without another task."""
+    return all(
+        not isinstance(s, int)
+        and (any if s.kind == NodeKind.XOR_SPLIT else all)(map(_nullable, s.branches))
+        for s in steps
+    )
 
 
-def _replay_step(
-    model: ProcessModel, states: frozenset[Marking]
-) -> tuple[frozenset[Marking], dict[int, frozenset[Marking]]]:
-    """The silent closure of a marking set, and for each task it enables the
-    marking set that firing the task leads to. The model is frozen, so both
-    are computed once per marking set and kept on the model."""
-    hit = model._replay.get(states)
-    if hit is None:
-        closure = _silent_closure(model, set(states))
-        moves: dict[int, set[Marking]] = {}
-        for task_id, enabled in _enabled_tasks(model, closure).items():
-            for marking, node in enabled:
-                ie = _edge_key(model.predecessors(node.node_id)[0], node.node_id)
-                oe = _edge_key(node.node_id, model.successors(node.node_id)[0])
-                moves.setdefault(task_id, set()).add(frozenset(marking - {ie} | {oe}))
-        hit = frozenset(closure), {t: frozenset(m) for t, m in moves.items()}
-        model._replay[states] = hit
-    return hit
+def _firsts(steps: tuple[Step, ...]) -> frozenset[int]:
+    """The task ids that can run next."""
+    found: set[int] = set()
+    for s in steps:
+        if isinstance(s, int):
+            found.add(s)
+            break
+        for branch in s.branches:
+            found |= _firsts(branch)
+        if not _nullable((s,)):
+            break
+    return frozenset(found)
+
+
+def _after(steps: tuple[Step, ...], task_id: int) -> tuple[Step, ...] | None:
+    """What is left of the steps once ``task_id`` runs next, or None if it
+    cannot."""
+    for i, s in enumerate(steps):
+        rest = steps[i + 1 :]
+        if isinstance(s, int):
+            return rest if s == task_id else None
+        for j, branch in enumerate(s.branches):
+            left = _after(branch, task_id)
+            if left is not None:
+                if s.kind == NodeKind.XOR_SPLIT:
+                    return left + rest
+                return (Gateway(s.kind, s.branches[:j] + (left,) + s.branches[j + 1 :]),) + rest
+        if not _nullable((s,)):
+            return None
+    return None
 
 
 def check_conformance(model: ProcessModel, trace: ExecutionTrace) -> Verdict:
-    """Replay the trace's task sequence against the model's token semantics.
+    """Replay the trace's task sequence against the model's block tree.
 
     A trace without a normal end event is accepted as long as it is a prefix
     of some legal execution (the instance may still be in flight); once a
     normal end is present the sequence must be complete. Filler handovers
     transfer custody without executing a model task and are skipped.
-
-    Each step of the replay comes from :func:`_replay_step`, so a model
-    replays a prefix it has seen before by dictionary lookups alone.
     """
-    states: frozenset[Marking] = frozenset(
-        {frozenset({_edge_key(model.start.node_id, model.successors(model.start.node_id)[0])})}
-    )
+    left = model.body
     sequence = trace.task_sequence()
     for position, task_id in enumerate(sequence, start=1):
-        _, moves = _replay_step(model, states)
-        if task_id not in moves:
-            return Deviation(position, frozenset(moves), task_id)
-        states = moves[task_id]
-    if trace.ended_normally:
-        closure, moves = _replay_step(model, states)
-        final = frozenset({_edge_key(model.predecessors(model.end.node_id)[0], model.end.node_id)})
-        if final not in closure:
-            return Deviation(len(sequence) + 1, frozenset(moves), None)
+        after = _after(left, task_id)
+        if after is None:
+            return Deviation(position, _firsts(left), task_id)
+        left = after
+    if trace.ended_normally and not _nullable(left):
+        return Deviation(len(sequence) + 1, _firsts(left), None)
     return Conformant()

@@ -1,6 +1,8 @@
+import json
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from chorchain import engine as eng
 from chorchain.chain import ChainSim, SimConfig
@@ -21,6 +23,51 @@ def fee_policy():
 @pytest.fixture
 def models():
     return {i: builtin_model(i) for i in (1, 2, 3, 4)}
+
+
+@st.composite
+def block_models(draw, max_depth=2, max_branches=3, max_steps=3):
+    """The JSON document of a random block-structured model.
+
+    Every branch holds 1 to ``max_steps`` steps, except that one branch of a
+    block may be empty (a split reaches its join by one edge only). A step
+    is a block with probability 0.35, XOR or AND with even odds, with 2 to
+    ``max_branches`` branches, nested at most ``max_depth`` deep; otherwise
+    it is a task. Task ids are distinct draws from 1..251.
+    """
+    nodes = [{"id": "s", "kind": "start"}, {"id": "e", "kind": "end"}]
+    edges = []
+
+    def segment(last, depth):
+        """Draw the steps after node ``last``; return the segment's last node."""
+        for _ in range(draw(st.integers(1, max_steps))):
+            if depth < max_depth and draw(st.integers(0, 99)) >= 65:
+                kind = draw(st.sampled_from(["xor", "and"]))
+                split, join = f"{kind}{len(nodes)}", f"{kind}{len(nodes)}j"
+                nodes.extend([{"id": split, "kind": f"{kind}_split"}, {"id": join, "kind": f"{kind}_join"}])
+                edges.append((last, split))
+                count = draw(st.integers(2, max_branches))
+                empty = draw(st.integers(-1, count - 1))  # the empty branch, or -1
+                for b in range(count):
+                    edges.append((split if b == empty else segment(split, depth + 1), join))
+                last = join
+            else:
+                task = f"t{len(nodes)}"
+                nodes.append({"id": task, "kind": "task"})
+                edges.append((last, task))
+                last = task
+        return last
+
+    edges.append((segment("s", 0), "e"))
+    tasks = [n for n in nodes if n["kind"] == "task"]
+    ids = draw(st.lists(st.integers(1, 251), min_size=len(tasks), max_size=len(tasks), unique=True))
+    for node, task_id in zip(tasks, ids):
+        node["task_id"] = task_id
+    return json.dumps({
+        "model_id": draw(st.integers(1, 99)),
+        "nodes": nodes,
+        "edges": [{"from": a, "to": b} for a, b in edges],
+    })
 
 
 @pytest.fixture

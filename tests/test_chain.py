@@ -156,6 +156,12 @@ def test_block_capacity_respected():
 # --- time and waits ------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("mean", [0.0, -1.0, float("nan")])
+def test_block_interval_mean_must_be_above_zero(mean):
+    with pytest.raises(ValueError, match="above 0"):
+        SimConfig(seed=1, block_interval_mean=mean)
+
+
 def test_exponential_inter_block_times():
     sim = ChainSim(SimConfig(seed=42, block_interval_mean=600.0))
     times = [float(sim.now)]

@@ -174,6 +174,21 @@ def test_run_refuses_a_non_numeric_fault_step_in_one_line(runner, tmp_path, faul
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "option,value", [("--fee", "0"), ("--fee", "-1"), ("--block-mean", "0"), ("--block-mean", "-1")]
+)
+def test_run_refuses_a_non_positive_fee_or_block_mean_as_a_usage_error(
+    runner, tmp_path, option, value
+):
+    out = tmp_path / "refused"
+    result = runner.invoke(main, ["run", "--model", "1", option, value, "--out", str(out)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert f"Invalid value for '{option}'" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
 def test_audit_refuses_non_hex_line_in_one_line(runner, tmp_path):
     out = tmp_path / "run"
     runner.invoke(main, ["run", "--model", "1", "--seed", "9", "--out", str(out)])
@@ -202,3 +217,19 @@ def test_audit_refuses_invalid_model_in_one_line(runner, tmp_path):
     assert isinstance(result.exception, SystemExit)
     [line] = result.output.splitlines()
     assert line.startswith("Error: model document is not valid JSON")
+
+
+def test_audit_refuses_a_task_id_that_is_no_integer_in_one_line(runner, tmp_path):
+    out = tmp_path / "run"
+    runner.invoke(main, ["run", "--model", "1", "--seed", "9", "--out", str(out)])
+    model = json.loads(files("chorchain.models").joinpath("model1.json").read_text())
+    next(n for n in model["nodes"] if n.get("task_id") == 1)["task_id"] = "1"
+    model_file = tmp_path / "model1.json"
+    model_file.write_text(json.dumps(model))
+    result = runner.invoke(
+        main, ["audit", "--chain", str(out / "chains" / "rep0.chain"), "--model", str(model_file)]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    [line] = result.output.splitlines()
+    assert line.startswith("Error: task id must be 1..251")

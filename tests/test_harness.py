@@ -533,6 +533,17 @@ def test_seed11_dumps_audit_clean(model_id):
     assert H.audit(dump, model_doc(model_id)).all_clean
 
 
+def test_auditing_one_document_twice_parses_it_once(monkeypatch):
+    dump, _, _ = _seed11_dump(1)
+    document = model_doc(1) + "\n"  # a text no other test audits
+    parse = H.model_mod.load_model
+    calls = []
+    monkeypatch.setattr(H.model_mod, "load_model", lambda doc: calls.append(doc) or parse(doc))
+    reports = [H.audit(dump, document).to_json() for _ in range(2)]
+    assert calls == [document]
+    assert reports[0] == reports[1]
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), model_id=st.sampled_from([1, 2, 3, 4]))
 def test_any_single_edit_of_an_instance_line_is_flagged_or_refused(data, model_id):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from chorchain import model as M
 
+from conftest import block_models
+
 
 def trace_of(sequence, end=None, fillers=()):
     """Build a synthetic trace: Start, handovers, optional end.
@@ -160,6 +162,21 @@ def test_task_id_rules():
         )
 
 
+@pytest.mark.parametrize("task_id", ["1", [1], True, 2.5])
+def test_task_id_that_is_no_integer_rejected(task_id):
+    with pytest.raises(M.ModelError, match="task id must be 1..251"):
+        M.load_model(
+            doc(
+                [
+                    {"id": "s", "kind": "start"},
+                    {"id": "t", "kind": "task", "task_id": task_id},
+                    {"id": "e", "kind": "end"},
+                ],
+                [("s", "t"), ("t", "e")],
+            )
+        )
+
+
 def test_unreachable_node_rejected():
     text = doc(
         [
@@ -289,7 +306,7 @@ def prefix_closure(traces):
 
 @pytest.mark.parametrize("model_id", [1, 2, 3, 4])
 def test_conformance_matches_enumeration_oracle(models, model_id):
-    """Marking replay agrees with brute-force enumeration on random traces."""
+    """Tree replay agrees with brute-force enumeration on random traces."""
     m = models[model_id]
     full = M.enumerate_valid_traces(m, 10_000)
     prefixes = prefix_closure(full)
@@ -316,60 +333,138 @@ def test_enumerated_traces_always_conformant(data):
     assert M.check_conformance(m, trace_of(seq, "normal")).ok
 
 
+# The edge-marking semantics: a second derivation of the language, from the
+# edge list alone, that the tree replay is checked against.
+
+
+def _edge_key(a, b):
+    return f"{a}>{b}"
+
+
+def _silent_closure(model, states):
+    """All markings reachable by firing split/join nodes only."""
+    seen = set(states)
+    frontier = list(states)
+    while frontier:
+        marking = frontier.pop()
+        for node in model.nodes:
+            if node.kind in (M.NodeKind.START, M.NodeKind.END, M.NodeKind.TASK):
+                continue
+            in_edges = [_edge_key(p, node.node_id) for p in model.predecessors(node.node_id)]
+            out_edges = [_edge_key(node.node_id, s) for s in model.successors(node.node_id)]
+            if node.kind == M.NodeKind.XOR_JOIN:
+                nexts = [marking - {ie} | set(out_edges) for ie in in_edges if ie in marking]
+            elif node.kind == M.NodeKind.AND_JOIN:
+                fires = all(ie in marking for ie in in_edges)
+                nexts = [marking - set(in_edges) | set(out_edges)] if fires else []
+            elif node.kind == M.NodeKind.AND_SPLIT:
+                fires = in_edges[0] in marking
+                nexts = [marking - {in_edges[0]} | set(out_edges)] if fires else []
+            else:  # XOR split: one token to exactly one branch
+                fires = in_edges[0] in marking
+                nexts = [marking - {in_edges[0]} | {oe} for oe in out_edges] if fires else []
+            for nxt in map(frozenset, nexts):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return seen
+
+
+def _enabled_tasks(model, states):
+    """Task id -> the (marking, task node) pairs in which it can fire."""
+    enabled = {}
+    for marking in states:
+        for node in model.nodes:
+            if node.kind != M.NodeKind.TASK:
+                continue
+            if _edge_key(model.predecessors(node.node_id)[0], node.node_id) in marking:
+                enabled.setdefault(node.task_id, []).append((marking, node))
+    return enabled
+
+
+def _initial_states(model):
+    start = next(n for n in model.nodes if n.kind == M.NodeKind.START)
+    return {frozenset({_edge_key(start.node_id, model.successors(start.node_id)[0])})}
+
+
+def _fire(model, enabled, task_id):
+    """The marking set reached by firing task_id in each marking enabling it."""
+    return {
+        frozenset(
+            marking
+            - {_edge_key(model.predecessors(node.node_id)[0], node.node_id)}
+            | {_edge_key(node.node_id, model.successors(node.node_id)[0])}
+        )
+        for marking, node in enabled[task_id]
+    }
+
+
 def reference_conformance(model, trace):
-    """check_conformance without the model's memo: every step closes the
-    marking set and scans it for enabled tasks afresh."""
-
-    def edge(a, b):
-        return f"{a}>{b}"
-
-    def inbound(node_id):
-        return edge(model.predecessors(node_id)[0], node_id)
-
-    def outbound(node_id):
-        return edge(node_id, model.successors(node_id)[0])
-
-    states = {frozenset({outbound(model.start.node_id)})}
+    """check_conformance by token markings on the edge list: every step
+    closes the marking set under split/join firings and fires the task in
+    each marking that enables it. It never reads the block tree."""
+    end = next(n for n in model.nodes if n.kind == M.NodeKind.END)
+    states = _initial_states(model)
     sequence = trace.task_sequence()
     for position, task_id in enumerate(sequence, start=1):
-        states = M._silent_closure(model, states)
-        enabled = M._enabled_tasks(model, states)
+        states = _silent_closure(model, states)
+        enabled = _enabled_tasks(model, states)
         if task_id not in enabled:
             return M.Deviation(position, frozenset(enabled), task_id)
-        states = {
-            frozenset(marking - {inbound(node.node_id)} | {outbound(node.node_id)})
-            for marking, node in enabled[task_id]
-        }
+        states = _fire(model, enabled, task_id)
     if trace.ended_normally:
-        states = M._silent_closure(model, states)
-        if frozenset({inbound(model.end.node_id)}) not in states:
-            return M.Deviation(len(sequence) + 1, frozenset(M._enabled_tasks(model, states)), None)
+        states = _silent_closure(model, states)
+        final = _edge_key(model.predecessors(end.node_id)[0], end.node_id)
+        if frozenset({final}) not in states:
+            return M.Deviation(len(sequence) + 1, frozenset(_enabled_tasks(model, states)), None)
     return M.Conformant()
+
+
+def draw_trace(data, model):
+    """A legal prefix, drawn by walking the marking replay and picking an
+    enabled task at random each step, then up to three random tasks, with no
+    end, a normal end or an extraordinary end."""
+    states = _initial_states(model)
+    prefix = []
+    for _ in range(data.draw(st.integers(0, len(model.task_ids)))):
+        enabled = _enabled_tasks(model, _silent_closure(model, states))
+        if not enabled:
+            break
+        task_id = data.draw(st.sampled_from(sorted(enabled)))
+        prefix.append(task_id)
+        states = _fire(model, enabled, task_id)
+    tasks = sorted(model.task_ids | {M.MAX_TASK_ID})  # the last may be in no model
+    tail = data.draw(st.lists(st.sampled_from(tasks), max_size=3))
+    end = data.draw(st.sampled_from([None, "normal", "extraordinary"]))
+    return trace_of(tuple(prefix) + tuple(tail), end)
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_memoised_replay_matches_the_reference(data):
+def test_tree_replay_matches_the_reference(data):
     """Over models 1-4, legal prefixes with random tasks appended, with and
-    without a normal end: the memoised verdict is the reference replay's.
-    The built-in models keep their memo across examples, so most replays
-    run on entries that earlier examples made."""
+    without an end: the tree replay's verdict is the marking replay's."""
     from chorchain.harness import builtin_model
 
     m = builtin_model(data.draw(st.sampled_from([1, 2, 3, 4])))
-    legal = data.draw(st.sampled_from(sorted(M.enumerate_valid_traces(m, 100))))
-    cut = data.draw(st.integers(0, len(legal)))
-    tasks = sorted(m.task_ids) + [M.MAX_TASK_ID]  # the last is in no built-in model
-    tail = data.draw(st.lists(st.sampled_from(tasks), max_size=3))
-    end = data.draw(st.sampled_from([None, "normal", "extraordinary"]))
-    trace = trace_of(legal[:cut] + tuple(tail), end)
+    trace = draw_trace(data, m)
+    assert M.check_conformance(m, trace) == reference_conformance(m, trace)
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=block_models(), data=st.data())
+def test_tree_replay_matches_the_reference_on_random_models(document, data):
+    """The same agreement on random block-structured models, nested XOR and
+    AND blocks and empty branches included."""
+    m = M.load_model(document)
+    trace = draw_trace(data, m)
     assert M.check_conformance(m, trace) == reference_conformance(m, trace)
 
 
 def test_models_with_one_id_never_share_replay_entries():
     """Two models with the same id and the same first edge, whose tasks 2
     and 3 come in opposite orders: each replays against its own edges, in
-    either order of first use, and equal models keep separate memos."""
+    either order of first use."""
     nodes = [
         {"id": "s", "kind": "start"},
         {"id": "a", "kind": "task", "task_id": 1},
@@ -388,6 +483,3 @@ def test_models_with_one_id_never_share_replay_entries():
                 assert verdict.ok
             else:
                 assert verdict == M.Deviation(position=2, expected=frozenset({3}), actual=2)
-    twin, again = (M.load_model(doc(nodes, forward)) for _ in range(2))
-    M.check_conformance(twin, trace_of((1,)))
-    assert twin == again and twin._replay and not again._replay
