@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Container, Iterator
@@ -73,10 +74,10 @@ class SimConfig:
     block_capacity: int = 1500
 
     def __post_init__(self) -> None:
-        # at 0 the interval divides by zero; below it, each block falls due
-        # before the last one and advance_time's loop never ends
-        if not self.block_interval_mean > 0:
-            raise ValueError("mean block interval must be above 0")
+        # at 0 or infinity the interval divides by zero; below 0, each block
+        # falls due before the last one and advance_time's loop never ends
+        if not 0 < self.block_interval_mean < math.inf:
+            raise ValueError("mean block interval must be a finite number above 0")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import pathlib
 import sys
@@ -39,6 +40,12 @@ def main() -> None:
     _configure_logging()
 
 
+def _finite(ctx, param, value: float) -> float:
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number.")
+    return value
+
+
 @main.command()
 @click.option("--model", type=click.IntRange(1, 4), required=True, help="evaluation model number")
 @click.option("--variant", default="0", show_default=True, help="comma list of XOR branch picks")
@@ -48,11 +55,11 @@ def main() -> None:
               help="1-based handover to corrupt, or 'none'")
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True)
 @click.option("--block-mean", type=click.FloatRange(min=0, min_open=True), default=6.0,
-              show_default=True,
+              show_default=True, callback=_finite,
               help="mean block interval in simulated seconds")
 @click.option("--fee", type=click.IntRange(min=1), default=18_982, show_default=True,
               help="per-transaction fee [sat]")
-@click.option("--reps", type=int, default=1, show_default=True)
+@click.option("--reps", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 def run(model, variant, verify, greedy, fault_step, seed, block_mean, fee, reps, out) -> None:
     """Execute one scenario and write metrics, chain dumps, and traces."""

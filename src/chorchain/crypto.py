@@ -1,15 +1,20 @@
 """Hashes, secp256k1 keys, and deterministic ECDSA signatures.
 
-Everything here is self-contained on purpose: signatures must be
-reproducible bit-for-bit from a seeded RNG so that two runs with the same
-configuration emit identical transaction bytes. Library signers inject
-fresh randomness per call, which would break that, so signing uses the
-deterministic nonce construction of RFC 6979 over SHA-256.
+Signing is self-contained on purpose: signatures must be reproducible
+bit-for-bit from a seeded RNG so that two runs with the same configuration
+emit identical transaction bytes. Library signers inject fresh randomness
+per call, which would break that, so signing uses the deterministic nonce
+construction of RFC 6979 over SHA-256, in pure Python, as do key derivation
+and key recovery.
 
 Signature bytes follow the Bitcoin convention: strict DER ``(r, s)`` with a
 low ``s`` value, followed by a single hash-type byte (0x01). The nonce is
 re-derived until the result is 71 or 72 bytes long, which keeps the two
 legal signature lengths and nothing else.
+
+Verification parses strictly in Python (those signature rules, a 32-byte
+digest and a 33-byte compressed key) and then leaves the curve arithmetic
+to OpenSSL's secp256k1 through the ``cryptography`` package.
 """
 
 from __future__ import annotations
@@ -18,9 +23,14 @@ import hashlib
 import hmac
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterator
+
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric.utils import Prehashed, encode_dss_signature
 
 # --- secp256k1 domain parameters ---------------------------------------------
 
@@ -146,35 +156,27 @@ else:
 
 
 # --- elliptic-curve arithmetic ---------------------------------------------------
-# Verification computes u1*G + u2*Q; signing and key derivation compute k*G;
-# key recovery computes u2*R and adds u1*G. Every one of these products is a
-# list of (position, affine addend) pairs, and one double-and-add loop,
-# _double_and_add, sums 2^position * addend over the list, highest position
-# first, over Jacobian points. It holds the only inlined doubling and mixed
-# Jacobian-affine addition (Guide to Elliptic Curve Cryptography, algorithm
-# 3.22, which skips every product with Z2 = 1).
+# Signing and key derivation compute k*G; key recovery computes u2*R and adds
+# u1*G. Every one of these products is a list of (position, affine addend)
+# pairs, and one double-and-add loop, _double_and_add, sums 2^position *
+# addend over the list, highest position first, over Jacobian points. It
+# holds the only inlined doubling and mixed Jacobian-affine addition (Guide
+# to Elliptic Curve Cryptography, algorithm 3.22, which skips every product
+# with Z2 = 1).
 #
 # G has one table, a fixed-base comb (Lim & Lee, CRYPTO 1994; Guide,
 # algorithm 3.44) of 12 teeth: a scalar's comb columns are 22 positions,
-# 21..0, with at most one addend each. Q is not known in advance, so u2*Q
+# 21..0, with at most one addend each. R is not known in advance, so u2*R
 # uses the endomorphism lambda*(x, y) = (beta*x, y), with beta a cube root of
 # unity mod P and lambda the matching one mod N: u2 splits as c + d*lambda
 # (mod N) with |c| and |d| near 2^128 (Gallant, Lambert & Vanstone, CRYPTO
 # 2001; Guide, section 3.5), and the nonzero digits of their width-5 NAFs
-# address the odd multiples of Q and lambda*Q. Merged with u1's comb columns,
-# that is one list of about 127 doublings and 65 additions (Guide, algorithm
-# 3.51).
+# address the odd multiples of R and lambda*R: one list of about 127
+# doublings and 43 additions (Guide, algorithm 3.51).
 #
-# Q's odd multiples are made affine with one shared inversion (Montgomery's
-# trick, Guide section 2.2.5), and lambda*Q's cost one multiplication by beta
-# each. They depend on the key alone, so verify keeps those of the last few
-# keys (_key_tables): an audit checks the receiver's signature and then the
-# spend of the same token under one key. Only the tables are kept, never a
-# verdict.
-#
-# verify never makes the loop's result affine. x(R) = X/Z^2 reduces to r mod
-# N exactly when x(R) is r or r + N (the latter only below P), so it compares
-# X with r*Z^2 and (r + N)*Z^2 mod P, which saves the inversion.
+# R's odd multiples are made affine with one shared inversion (Montgomery's
+# trick, Guide section 2.2.5), and lambda*R's cost one multiplication by beta
+# each. verify does none of this arithmetic (see its docstring).
 
 _BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
 _LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
@@ -265,7 +267,7 @@ def _double_and_add(schedule: list[tuple[int, tuple[int, int]]]) -> tuple[int, i
     The running sum is doubled down from one position to the next and the
     addend added there; while it is at infinity the doublings are skipped.
     The doubling is _jac_double's and the addition _add_affine's, inlined
-    because a verify runs them about 127 and 65 times.
+    because a key recovery runs them about 127 and 43 times per ladder.
     """
     x, y, z = _INF
     at = 0
@@ -417,21 +419,11 @@ def _q_tables(q: tuple[int, int]) -> tuple[list, list]:
     return _signed_table(odd), _signed_table(_endo(odd))
 
 
-@lru_cache(maxsize=16)
-def _key_tables(public_key: bytes) -> tuple[list, list] | None:
-    """_q_tables of a compressed key, None when the bytes do not decode."""
-    try:
-        return _q_tables(decode_pubkey(public_key))
-    except SignatureError:
-        return None
-
-
-def _ladder(u1: int, u2: int, q_table: list, q_lambda_table: list) -> tuple[int, int, int]:
-    """u1*G + u2*Q as a Jacobian point, given Q's signed tables: u1's comb
-    columns merged with the width-5 NAF digits of u2's GLV halves c and d,
-    which address Q's and lambda*Q's tables."""
-    c, d = _glv_split(u2 % N)
-    schedule = _comb(u1)
+def _ladder(u: int, q_table: list, q_lambda_table: list) -> tuple[int, int, int]:
+    """u*Q as a Jacobian point, given Q's signed tables: the width-5 NAF
+    digits of u's GLV halves c and d address Q's and lambda*Q's tables."""
+    c, d = _glv_split(u % N)
+    schedule = []
     for k, table in ((c, q_table), (d, q_lambda_table)):
         schedule += [(pos, table[digit]) for pos, digit in _wnaf(k, _Q_WIDTH)]
     schedule.sort(key=itemgetter(0), reverse=True)
@@ -612,27 +604,31 @@ def _split_sig(signature: bytes) -> tuple[int, int]:
     return r, s
 
 
+_SECP256K1 = ec.SECP256K1()
+_ECDSA = ec.ECDSA(Prehashed(hashes.SHA256()))
+
+
 def verify(digest: bytes, signature: bytes, public_key: bytes) -> bool:
     """Check a signature produced by :func:`sign` against a compressed key.
 
-    The key's ladder tables come from :func:`_key_tables`, and x(R) is
-    compared with r in Jacobian coordinates: X = r*Z^2, or (r + N)*Z^2 when
-    r + N < P, since x(R) mod N = r allows exactly those two values.
+    Python refuses what OpenSSL might accept: anything :func:`_split_sig`
+    refuses, a digest of other than 32 bytes, and a key other than 33 bytes
+    with prefix 02 or 03 (OpenSSL also reads uncompressed keys). OpenSSL
+    then decodes the key and checks the equation on (r, s) re-encoded; a key
+    off the curve or a failed check is False, never an exception.
     """
     try:
         r, s = _split_sig(signature)
     except SignatureError:
         return False
-    tables = _key_tables(bytes(public_key))
-    if tables is None:
+    if len(digest) != 32 or len(public_key) != 33 or public_key[0] not in (2, 3):
         return False
-    e = int.from_bytes(digest, "big") % N
-    sinv = pow(s, -1, N)
-    x, _, z = _ladder(e * sinv % N, r * sinv % N, *tables)
-    if not z:
+    try:
+        key = ec.EllipticCurvePublicKey.from_encoded_point(_SECP256K1, bytes(public_key))
+        key.verify(encode_dss_signature(r, s), digest, _ECDSA)
+    except (ValueError, InvalidSignature):
         return False
-    zz = z * z % P
-    return x == r * zz % P or (r + N < P and x == (r + N) * zz % P)
+    return True
 
 
 def recovered_keys(digest: bytes, signature: bytes) -> Iterator[bytes]:
@@ -661,7 +657,7 @@ def recovered_keys(digest: bytes, signature: bytes) -> Iterator[bytes]:
         big_r = _lift_x(x, odd=False)
         if big_r is None:
             continue
-        a = _ladder(0, u2, *_q_tables(big_r))
+        a = _ladder(u2, *_q_tables(big_r))
         for addend in (a, (a[0], P - a[1], a[2])):  # u2*R, then u2*(-R)
             q = _to_affine(_add_affine(addend, *b) if b else addend)
             if q is not None:

@@ -97,7 +97,7 @@ class TxKind(str, Enum):
 # --- data block -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataBlock:
     kind: TxKind
     process_id: int
@@ -188,7 +188,7 @@ def decode_data_block(data: bytes) -> DataBlock:
 # --- scripts --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RedeemScript:
     payee_key_hash: bytes
     data_hash: bytes | None = None
@@ -259,7 +259,7 @@ class OutputKind(str, Enum):
 # --- transaction structures -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxOutput:
     value: int
     script: bytes
@@ -328,7 +328,7 @@ _UNLOCKING_SHAPES = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unlocking:
     """Parameters rendering the referenced locking script true.
 
@@ -366,7 +366,7 @@ class Unlocking:
         raise UnsupportedScriptShape(f"unlocking script with {len(pushes)} pushes")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxInput:
     prev_tx_id: bytes
     prev_output_index: int

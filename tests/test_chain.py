@@ -156,7 +156,7 @@ def test_block_capacity_respected():
 # --- time and waits ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mean", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("mean", [0.0, -1.0, float("nan"), float("inf")])
 def test_block_interval_mean_must_be_above_zero(mean):
     with pytest.raises(ValueError, match="above 0"):
         SimConfig(seed=1, block_interval_mean=mean)

@@ -189,6 +189,21 @@ def test_run_refuses_a_non_positive_fee_or_block_mean_as_a_usage_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option,value", [("--reps", "0"), ("--reps", "-2"),
+                                          ("--block-mean", "inf"), ("--block-mean", "nan")])
+def test_run_refuses_no_reps_or_a_non_finite_block_mean_as_a_usage_error(
+    runner, tmp_path, option, value
+):
+    out = tmp_path / "refused"
+    result = runner.invoke(main, ["run", "--model", "1", option, value, "--out", str(out)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    [error] = [line for line in result.output.splitlines() if line.startswith("Error")]
+    assert error.startswith(f"Error: Invalid value for '{option}': {value} is not ")
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
 def test_audit_refuses_non_hex_line_in_one_line(runner, tmp_path):
     out = tmp_path / "run"
     runner.invoke(main, ["run", "--model", "1", "--seed", "9", "--out", str(out)])

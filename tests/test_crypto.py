@@ -3,6 +3,9 @@ import random
 from itertools import islice
 
 import pytest
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric.utils import Prehashed, encode_dss_signature
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -262,8 +265,11 @@ def test_verify_with_key_hash_rejects_malformed_signature(digest, secret, cut, j
 
 
 def _shamir(u1, u2, q):
-    """u1*G + u2*Q through the kernel's ladder, affine."""
-    return crypto._to_affine(crypto._ladder(u1, u2, *crypto._q_tables(q)))
+    """u1*G + u2*Q as key recovery forms it: the ladder's u2*Q plus the
+    comb's u1*G in one mixed addition, affine."""
+    a = crypto._ladder(u2, *crypto._q_tables(q))
+    b = crypto._mul_g(u1)
+    return crypto._to_affine(crypto._add_affine(a, *b) if b else a)
 
 
 @settings(max_examples=40, deadline=None)
@@ -369,11 +375,8 @@ def test_glv_shamir_with_negative_halves(a1, b1, a2, b2, q):
 
 def test_glv_shamir_doubling_and_infinity_branches():
     lam, n = crypto._LAMBDA, crypto.N
-    # Q's table meets the comb: an addend equals the accumulator (double) or
-    # its negation (infinity). Below 2^22, a bit of u1 is a comb column of
-    # tooth 0 (G at that position), and a small u2 is its own GLV half, so
-    # with Q = G the top digits of hi + lo and lo - hi cancel at position 15
-    # and the next ones double at position 3.
+    # the ladder's u2*Q meets the comb's u1*G: the mixed addition that joins
+    # them doubles (equal points) or lands at infinity (negated points)
     u = 0x1D3F_55A1_9B07_C2E4 << 70 | 1
     hi, lo = 2**15, 2**3
     for u1, u2, q in [
@@ -512,12 +515,10 @@ def test_verify_keeps_tables_not_verdicts(flipped_first):
     genuine = crypto.sign(digest, kp)
     flipped = _flip_s(genuine)
     order = [(flipped, False), (genuine, True)] if flipped_first else [(genuine, True), (flipped, False)]
-    crypto._key_tables.cache_clear()
     for key in (kp.public_key, bytearray(kp.public_key)):
         for sig, valid in order:
             assert _ref_verify(digest, sig, bytes(key)) is valid
             assert crypto.verify(digest, sig, key) is valid
-    assert crypto._key_tables.cache_info().currsize == 1
 
 
 def _off_curve_x():
@@ -540,7 +541,6 @@ def test_verify_refuses_undecodable_keys_every_time(key):
     digest = crypto.sha256(b"undecodable")
     sig = crypto.sign(digest, kp)
     for _ in range(2):
-        assert crypto._key_tables(key) is None
         assert not _ref_verify(digest, sig, key)
         assert crypto.verify(digest, sig, key) is False
     assert crypto.verify(digest, sig, kp.public_key)
@@ -588,6 +588,63 @@ def test_verify_matches_textbook_reference(digest, secret, flip):
     if flip:
         sig = _flip_s(sig)
     assert crypto.verify(digest, sig, kp.public_key) is _ref_verify(digest, sig, kp.public_key)
+
+
+def _flip_r(signature):
+    """The signature with the lowest bit of r flipped: still strict DER."""
+    end = 4 + signature[3]  # r's bytes are signature[4:end]
+    return signature[: end - 1] + bytes([signature[end - 1] ^ 1]) + signature[end:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(digests, secrets, secrets,
+       st.sampled_from(["none", "r", "s", "digest", "other key", "negated key"]))
+def test_verify_agrees_with_textbook_verify_under_single_edits(digest, secret, other, edit):
+    kp = crypto.Keypair(secret)
+    sig = crypto.sign(digest, kp)
+    key = kp.public_key
+    if edit == "r":
+        sig = _flip_r(sig)
+    elif edit == "s":
+        sig = _flip_s(sig)
+    elif edit == "digest":
+        digest = bytes([digest[0] ^ 1]) + digest[1:]
+    elif edit == "other key":
+        key = crypto.Keypair(other).public_key
+    elif edit == "negated key":  # the prefix names the other y: -Q
+        key = bytes([key[0] ^ 1]) + key[1:]
+    valid = edit == "none" or (edit == "other key" and other == secret)
+    assert _ref_verify(digest, sig, key) is valid
+    assert crypto.verify(digest, sig, key) is valid
+
+
+def test_verify_refuses_encodings_beyond_the_strict_rules():
+    """Each case holds the genuine (r, s), key point and digest value, so the
+    equation holds; only Python's length and encoding rules refuse it."""
+    kp = keypair_from_seed(b"strict")
+    digest = b"\x00" + crypto.sha256(b"strict")[1:]  # e also fits 31 bytes
+    sig = crypto.sign(digest, kp)
+    r, s = crypto._split_sig(sig)
+    assert crypto.verify(digest, sig, kp.public_key)
+
+    x, y = kp.point
+    uncompressed = b"\x04" + x.to_bytes(32, "big") + y.to_bytes(32, "big")
+    openssl_key = ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256K1(), uncompressed)
+    openssl_key.verify(encode_dss_signature(r, s), digest, ec.ECDSA(Prehashed(hashes.SHA256())))
+    hybrid = bytes([6 + (y & 1)]) + uncompressed[1:]
+    for key in (uncompressed, hybrid):
+        assert crypto.verify(digest, sig, key) is False
+
+    for other in (digest[1:], b"\x00" + digest):  # 31 and 33 bytes, the same e
+        assert _ref_verify(other, sig, kp.public_key)
+        assert crypto.verify(other, sig, kp.public_key) is False
+
+    r_der = crypto._der_int(r)  # r with one more leading zero byte
+    body = b"\x02" + bytes([r_der[1] + 1]) + b"\x00" + r_der[2:] + crypto._der_int(s)
+    non_minimal = b"\x30" + bytes([len(body)]) + body + bytes([crypto.SIGHASH_ALL])
+    with pytest.raises(crypto.SignatureError, match="non-minimal"):
+        crypto.der_decode(non_minimal[:-1])
+    assert crypto.verify(digest, non_minimal, kp.public_key) is False
 
 
 # --- tampered DER lengths
