@@ -5,12 +5,17 @@ bit-for-bit from a seeded RNG so that two runs with the same configuration
 emit identical transaction bytes. Library signers inject fresh randomness
 per call, which would break that, so signing uses the deterministic nonce
 construction of RFC 6979 over SHA-256, in pure Python, as do key derivation
-and key recovery.
+and key recovery. Signing and key derivation multiply G through a
+precomputed comb; key recovery, which an audit needs only for a handover
+whose token is still unspent, multiplies the recovered point in plain
+binary double-and-add.
 
 Signature bytes follow the Bitcoin convention: strict DER ``(r, s)`` with a
 low ``s`` value, followed by a single hash-type byte (0x01). The nonce is
 re-derived until the result is 71 or 72 bytes long, which keeps the two
-legal signature lengths and nothing else.
+legal signature lengths and nothing else. As in BIP 66, a DER integer must
+be minimal and non-negative (no top bit set without a 0x00 pad), so one
+(r, s) has exactly one encoding.
 
 Verification parses strictly in Python (those signature rules, a 32-byte
 digest and a 33-byte compressed key) and then leaves the curve arithmetic
@@ -24,8 +29,6 @@ import hmac
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
-from typing import Iterator
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
@@ -166,28 +169,14 @@ else:
 #
 # G has one table, a fixed-base comb (Lim & Lee, CRYPTO 1994; Guide,
 # algorithm 3.44) of 12 teeth: a scalar's comb columns are 22 positions,
-# 21..0, with at most one addend each. R is not known in advance, so u2*R
-# uses the endomorphism lambda*(x, y) = (beta*x, y), with beta a cube root of
-# unity mod P and lambda the matching one mod N: u2 splits as c + d*lambda
-# (mod N) with |c| and |d| near 2^128 (Gallant, Lambert & Vanstone, CRYPTO
-# 2001; Guide, section 3.5), and the nonzero digits of their width-5 NAFs
-# address the odd multiples of R and lambda*R: one list of about 127
-# doublings and 43 additions (Guide, algorithm 3.51).
-#
-# R's odd multiples are made affine with one shared inversion (Montgomery's
-# trick, Guide section 2.2.5), and lambda*R's cost one multiplication by beta
-# each. verify does none of this arithmetic (see its docstring).
-
-_BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
-_LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
-# a short basis (a1, b1), (a2, b2) of the lattice {(a, b): a + b*lambda = 0 mod N}
-_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
-_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
-_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
-_B2 = _A1
-
-# wNAF width of the Q tables: 2^(w-2) odd multiples each
-_Q_WIDTH = 5
+# 21..0, with at most one addend each. R is not known in advance and gets no
+# table: u2*R reads u2 in binary (_binary), R once per set bit, about 256
+# doublings and 128 additions. That is about twice the work of a GLV split
+# over wNAF tables of R and lambda*R, and it is paid rarely: an audit checks
+# a spent handover's receiver signature against the key its spender reveals
+# (verify, in OpenSSL) and recovers a key only for a handover whose token is
+# unspent, 0.0167 times per audit of a recorded model-4 dump (the
+# audit_replay benchmark).
 
 
 def _jac_double(p: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -267,7 +256,7 @@ def _double_and_add(schedule: list[tuple[int, tuple[int, int]]]) -> tuple[int, i
     The running sum is doubled down from one position to the next and the
     addend added there; while it is at infinity the doublings are skipped.
     The doubling is _jac_double's and the addition _add_affine's, inlined
-    because a key recovery runs them about 127 and 43 times per ladder.
+    because k*G runs them 21 and up to 22 times, and u2*R about 256 and 128.
     """
     x, y, z = _INF
     at = 0
@@ -354,80 +343,10 @@ def _mul_g(k: int) -> tuple[int, int] | None:
     return _to_affine(_double_and_add(_comb(k)))
 
 
-def _odd_multiples(pt: tuple[int, int], width: int) -> list[tuple[int, int]]:
-    """pt, 3*pt, ..., (2^(width-1) - 1)*pt, affine."""
-    p = _from_affine(pt)
-    twice = _to_affine(_jac_double(p))
-    out = [p]
-    for _ in range((1 << (width - 2)) - 1):
-        out.append(_add_affine(out[-1], *twice))
-    return _batch_to_affine(out)
-
-
-def _signed_table(odd: list[tuple[int, int]]) -> list[tuple[int, int] | None]:
-    """Lookup by a signed odd wNAF digit d: table[d] = d*pt for d > 0, and
-    table[d] = |d|*(-pt) through negative indexing for d < 0."""
-    size = 4 * len(odd)  # 2^width
-    table: list[tuple[int, int] | None] = [None] * size
-    for i, (x, y) in enumerate(odd):
-        table[2 * i + 1] = x, y
-        table[size - 2 * i - 1] = x, P - y
-    return table
-
-
-def _endo(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """lambda*pt for each affine pt: (beta*x, y)."""
-    return [(_BETA * x % P, y) for x, y in points]
-
-
-def _glv_split(k: int) -> tuple[int, int]:
-    """Signed (k1, k2) with k1 + k2*lambda = k (mod N) and both below about
-    2^128 in size, by rounding k onto the short lattice basis (Guide,
-    algorithm 3.74)."""
-    c1 = (_B2 * k + N // 2) // N
-    c2 = (-_B1 * k + N // 2) // N
-    return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
-
-
-def _wnaf(k: int, width: int) -> list[tuple[int, int]]:
-    """The nonzero digits of the width-w non-adjacent form of a signed k, as
-    (position, digit) pairs, least significant first.
-
-    Every digit is odd with |d| < 2^(w-1), and nonzero digits sit at least w
-    positions apart. A negative k gives the negated digits of -k, so a
-    negative GLV half needs no separate negation.
-    """
-    digits: list[tuple[int, int]] = []
-    full = 1 << width
-    pos = 0
-    while k:
-        zeros = (k & -k).bit_length() - 1  # also right for negative k
-        k >>= zeros
-        pos += zeros
-        d = k & (full - 1)
-        if d > full >> 1:
-            d -= full
-        digits.append((pos, d))
-        k = (k - d) >> width  # k - d is a multiple of 2^w
-        pos += width
-    return digits
-
-
-def _q_tables(q: tuple[int, int]) -> tuple[list, list]:
-    """The signed width-5 tables of Q and lambda*Q."""
-    odd = _odd_multiples(q, _Q_WIDTH)
-    return _signed_table(odd), _signed_table(_endo(odd))
-
-
-def _ladder(u: int, q_table: list, q_lambda_table: list) -> tuple[int, int, int]:
-    """u*Q as a Jacobian point, given Q's signed tables: the width-5 NAF
-    digits of u's GLV halves c and d address Q's and lambda*Q's tables."""
-    c, d = _glv_split(u % N)
-    schedule = []
-    for k, table in ((c, q_table), (d, q_lambda_table)):
-        schedule += [(pos, table[digit]) for pos, digit in _wnaf(k, _Q_WIDTH)]
-    schedule.sort(key=itemgetter(0), reverse=True)
-    return _double_and_add(schedule)
+def _binary(k: int, pt: tuple[int, int]) -> list[tuple[int, tuple[int, int]]]:
+    """k*pt for k >= 0 as a _double_and_add schedule: pt at every set bit
+    of k, highest first."""
+    return [(i, pt) for i in range(k.bit_length() - 1, -1, -1) if k >> i & 1]
 
 
 # --- key handling ---------------------------------------------------------------
@@ -443,16 +362,6 @@ def _lift_x(x: int, odd: bool) -> tuple[int, int] | None:
     if (y & 1) != odd:
         y = P - y
     return x, y
-
-
-def decode_pubkey(data: bytes) -> tuple[int, int]:
-    """Parse a 33-byte compressed SEC1 public key."""
-    if len(data) != 33 or data[0] not in (2, 3):
-        raise SignatureError("expected 33-byte compressed public key")
-    pt = _lift_x(int.from_bytes(data[1:], "big"), odd=data[0] == 3)
-    if pt is None:
-        raise SignatureError("public key x-coordinate not on curve")
-    return pt
 
 
 def encode_pubkey(pt: tuple[int, int]) -> bytes:
@@ -535,6 +444,8 @@ def der_decode(sig: bytes) -> tuple[int, int]:
         raw = sig[i + 2 : i + 2 + ln]
         if len(raw) != ln or ln == 0:
             raise SignatureError("truncated DER integer")
+        if raw[0] & 0x80:
+            raise SignatureError("negative DER integer")
         if ln > 1 and raw[0] == 0 and not raw[1] & 0x80:
             raise SignatureError("non-minimal DER integer")
         return int.from_bytes(raw, "big"), i + 2 + ln
@@ -631,45 +542,43 @@ def verify(digest: bytes, signature: bytes, public_key: bytes) -> bool:
     return True
 
 
-def recovered_keys(digest: bytes, signature: bytes) -> Iterator[bytes]:
-    """Lazily yield every compressed public key that verifies the signature.
+def recover_candidates(digest: bytes, signature: bytes) -> list[bytes]:
+    """Every compressed public key that verifies the signature.
 
     For each curve point R with x(R) = r (x = r, then r + N; even y, then
     odd y) the candidate is Q = r^-1 (s*R - e*G) = u1*G + u2*R with
     u1 = -e*r^-1 and u2 = s*r^-1. The two R of one x are negatives of each
     other, so with B = u1*G (the comb, once, affine) and A = u2*R for the
-    even R (one ladder per x, Jacobian), the candidates are B + A and then
-    B - A, each one mixed addition of B and one inversion; when B is at
-    infinity the candidate is A itself, and a candidate at infinity is
-    skipped. Q satisfies the verification equation by construction, so no
-    re-verification is needed; a caller comparing against a known key hash
-    gets the usual 2^-160 bound. A malformed signature yields nothing.
+    even R (one binary double-and-add per x, Jacobian), the candidates are
+    B + A and then B - A, each one mixed addition of B and one inversion;
+    when B is at infinity the candidate is A itself, and a candidate at
+    infinity is skipped. Q satisfies the verification equation by
+    construction, so no re-verification is needed; a caller comparing
+    against a known key hash gets the usual 2^-160 bound. A malformed
+    signature gives no key.
     """
     try:
         r, s = _split_sig(signature)
     except SignatureError:
-        return
+        return []
     e = int.from_bytes(digest, "big") % N
     rinv = pow(r, -1, N)
     b = _mul_g(-e * rinv % N)
     u2 = s * rinv % N
+    keys = []
     for x in (r, r + N):
         big_r = _lift_x(x, odd=False)
         if big_r is None:
             continue
-        a = _ladder(u2, *_q_tables(big_r))
+        a = _double_and_add(_binary(u2, big_r))
         for addend in (a, (a[0], P - a[1], a[2])):  # u2*R, then u2*(-R)
             q = _to_affine(_add_affine(addend, *b) if b else addend)
             if q is not None:
-                yield encode_pubkey(q)
-
-
-def recover_candidates(digest: bytes, signature: bytes) -> list[bytes]:
-    """All keys of :func:`recovered_keys`, in the same order."""
-    return list(recovered_keys(digest, signature))
+                keys.append(encode_pubkey(q))
+    return keys
 
 
 def verify_with_key_hash(digest: bytes, signature: bytes, key_hash: bytes) -> bool:
-    """Signature check when only hash160(pubkey) is known (key recovery);
-    stops at the first candidate key that hashes to ``key_hash``."""
-    return any(hash160(pk) == key_hash for pk in recovered_keys(digest, signature))
+    """Signature check when only hash160(pubkey) is known: true when one of
+    the keys :func:`recover_candidates` finds hashes to ``key_hash``."""
+    return any(hash160(pk) == key_hash for pk in recover_candidates(digest, signature))

@@ -39,7 +39,7 @@ from . import engine as eng
 from . import model as model_mod
 from . import protocol as proto
 from .chain import ChainIndex, ChainSim, SimConfig, load_dump
-from .crypto import Keypair, recovered_keys, sha256, verify_with_key_hash
+from .crypto import Keypair, recover_candidates, sha256, verify_with_key_hash
 from .encoding import OutputKind, TxKind, UnsupportedScriptShape, parse_redeem_script
 from .model import ProcessModel
 
@@ -700,7 +700,7 @@ def _verify_instance_signatures(view: ChainIndex, trace_txs: list) -> list[str]:
             if spender_id is None:
                 # frontier: the receiver key is not yet revealed, so only the
                 # signature's structural validity is checkable
-                if next(recovered_keys(digest, block.receiver_signature), None) is None:
+                if not recover_candidates(digest, block.receiver_signature):
                     issues.append(f"{tx.tx_id.hex()[:16]}: receiver signature malformed")
                 continue
             spender = view.get_transaction(spender_id)

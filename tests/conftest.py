@@ -94,15 +94,21 @@ def make_instance(sim, owner_key, funds, fee_policy, rng, process_id=1, estimate
     return start_tx, token
 
 
-DER_EDITS = ("envelope", "r", "s", "cut body", "cut")
+DER_EDITS = ("envelope", "r", "s", "cut body", "cut", "negative r")
 
 
 def tamper_der(signature: bytes, edit: str, value: int) -> bytes:
     """signature with one DER length byte set to value (r's length to value
     bytes short of the whole body, so value 0 leaves nothing for s); or its
     DER body cut to value bytes, the envelope length set to match and the
-    hash-type byte kept; or the whole signature so cut."""
+    hash-type byte kept; or the whole signature so cut; or r made a negative
+    DER integer, with value unused: its 0x00 pad dropped, which keeps r's
+    value, or else its top bit set."""
     body = signature[:-1]
+    if edit == "negative r":
+        if body[4] == 0:  # the pad: a strict encoding has it only before a top bit
+            return body[:1] + bytes([body[1] - 1, 2, body[3] - 1]) + body[5:] + signature[-1:]
+        return body[:4] + bytes([body[4] | 0x80]) + body[5:] + signature[-1:]
     at, length = {
         "envelope": (1, value),
         "r": (3, (body[1] - 2 - value) % 256),

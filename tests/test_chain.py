@@ -503,9 +503,11 @@ def test_transaction_spending_one_outpoint_twice_refused(funded):
     assert sim.get_spender(twice.inputs[0].outpoint) is None
 
 
-@pytest.mark.parametrize("edit", ["r", "cut body"])
+@pytest.mark.parametrize("edit", ["r", "cut body", "negative r"])
 def test_broadcast_refuses_a_der_signature_without_s(funded, edit):
-    """r's length covering s, or the body cut just after the tag of s."""
+    """r's length covering s, or the body cut just after the tag of s; or,
+    with s intact, r's 0x00 pad dropped (this r has one): the same (r, s)
+    one byte shorter, which would give the transaction a second txid."""
     from dataclasses import replace
 
     sim, key, outs, rng = funded
@@ -513,6 +515,7 @@ def test_broadcast_refuses_a_der_signature_without_s(funded, edit):
     txin = tx.inputs[0]
     signature = txin.unlocking.signature
     bad = tamper_der(signature, edit, 0 if edit == "r" else 5 + signature[3])
+    assert edit != "negative r" or len(bad) == len(signature) - 1  # r has a pad to drop
     tampered = replace(tx, inputs=(replace(txin, unlocking=replace(txin.unlocking, signature=bad)),))
     result = sim.broadcast(tampered)
     assert not result.accepted

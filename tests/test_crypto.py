@@ -100,18 +100,6 @@ def test_recovery_finds_signer():
     assert not crypto.verify_with_key_hash(digest, sig, b"\x00" * 20)
 
 
-def test_pubkey_roundtrip():
-    kp = keypair_from_seed(b"epsilon")
-    assert crypto.encode_pubkey(crypto.decode_pubkey(kp.public_key)) == kp.public_key
-
-
-def test_bad_pubkey_rejected():
-    with pytest.raises(crypto.SignatureError):
-        crypto.decode_pubkey(b"\x04" + b"\x01" * 32)
-    with pytest.raises(crypto.SignatureError):
-        crypto.decode_pubkey(b"\x02" + b"\xff" * 32)
-
-
 def test_der_strictness():
     with pytest.raises(crypto.SignatureError):
         crypto.der_decode(b"\x30\x00")
@@ -121,6 +109,8 @@ def test_der_strictness():
     padded = b"\x30" + bytes([len(sig)]) + b"\x02" + bytes([34]) + b"\x00\x00" + sig[4:36]
     with pytest.raises(crypto.SignatureError):
         crypto.der_decode(padded)
+    with pytest.raises(crypto.SignatureError, match="negative"):
+        crypto.der_decode(bytes.fromhex("3006020180020101"))  # r = 0x80, top bit set
 
 
 @settings(max_examples=40, deadline=None)
@@ -235,7 +225,7 @@ def test_recovered_keys_match_textbook_recovery(digest, secret):
     kp = crypto.Keypair(secret)
     sig = crypto.sign(digest, kp)
     keys = crypto.recover_candidates(digest, sig)
-    assert keys == list(crypto.recovered_keys(digest, sig)) == _ref_recover(digest, sig)
+    assert keys == _ref_recover(digest, sig)
     assert kp.public_key in keys
     assert crypto.verify_with_key_hash(digest, sig, kp.key_hash)
 
@@ -259,15 +249,15 @@ def test_verify_with_key_hash_rejects_malformed_signature(digest, secret, cut, j
     high_s = crypto.der_encode(r, crypto.N - s) + bytes([crypto.SIGHASH_ALL])
     for bad in (sig[:cut], sig[:-1] + b"\x02", high_s):
         assert not crypto.verify_with_key_hash(digest, bad, kp.key_hash)
-        assert next(crypto.recovered_keys(digest, bad), None) is None
+        assert crypto.recover_candidates(digest, bad) == []
     if junk != sig:
         assert not crypto.verify_with_key_hash(digest, junk, kp.key_hash)
 
 
 def _shamir(u1, u2, q):
-    """u1*G + u2*Q as key recovery forms it: the ladder's u2*Q plus the
-    comb's u1*G in one mixed addition, affine."""
-    a = crypto._ladder(u2, *crypto._q_tables(q))
+    """u1*G + u2*Q as key recovery forms it: the binary schedule's u2*Q plus
+    the comb's u1*G in one mixed addition, affine."""
+    a = crypto._double_and_add(crypto._binary(u2, q))
     b = crypto._mul_g(u1)
     return crypto._to_affine(crypto._add_affine(a, *b) if b else a)
 
@@ -310,37 +300,17 @@ def test_keypair_cache_matches_fresh_derivation(secret):
     assert other != kp
 
 
-# --- GLV kernel: split, endomorphism, batch normalisation, ladder branches
+# --- kernel: batch normalisation, the binary schedule and its branches
 
 
-LAMBDA_G = (crypto._BETA * crypto.GX % crypto.P, crypto.GY)
+# lambda, a cube root of unity mod N; lambda*G shares its y with G
+LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+LAMBDA_G = _ref_mul(LAMBDA, G)
 kernel_scalars = st.one_of(
-    st.sampled_from([0, 1, crypto.N - 1, crypto._LAMBDA, crypto.N - crypto._LAMBDA]), secrets
+    st.sampled_from([0, 1, crypto.N - 1, LAMBDA, crypto.N - LAMBDA]), secrets
 )
-# (k1, k2) this small is its own split, so k = k1 + k2*lambda has halves of known sign
+# small signed (k1, k2), combined as k1 + k2*lambda below
 halves = st.integers(min_value=-(2**126), max_value=2**126)
-
-
-@settings(max_examples=200, deadline=None)
-@given(kernel_scalars)
-def test_glv_split_recombines_into_short_halves(k):
-    k1, k2 = crypto._glv_split(k)
-    assert (k1 + k2 * crypto._LAMBDA - k) % crypto.N == 0
-    assert max(abs(k1), abs(k2)) < 2**129
-
-
-@settings(max_examples=100, deadline=None)
-@given(halves, halves)
-def test_glv_split_returns_short_signed_halves(k1, k2):
-    assert crypto._glv_split((k1 + k2 * crypto._LAMBDA) % crypto.N) == (k1, k2)
-
-
-@settings(max_examples=25, deadline=None)
-@given(secrets)
-def test_endomorphism_is_multiplication_by_lambda(secret):
-    pt = _ref_mul(secret, G)
-    assert crypto._endo([G, pt]) == [_ref_mul(crypto._LAMBDA, G), _ref_mul(crypto._LAMBDA, pt)]
-    assert _ref_mul(crypto._LAMBDA, G) == LAMBDA_G
 
 
 @settings(max_examples=50, deadline=None)
@@ -368,15 +338,16 @@ def test_glv_shamir_matches_separate_multiplications(u1, u2, q):
 def test_glv_shamir_with_negative_halves(a1, b1, a2, b2, q):
     if isinstance(q, int):
         q = _ref_mul(q, G)
-    u1 = (a1 + b1 * crypto._LAMBDA) % crypto.N
-    u2 = (a2 + b2 * crypto._LAMBDA) % crypto.N
+    u1 = (a1 + b1 * LAMBDA) % crypto.N
+    u2 = (a2 + b2 * LAMBDA) % crypto.N
     assert _shamir(u1, u2, q) == _ref_add(_ref_mul(u1, G), _ref_mul(u2, q))
 
 
 def test_glv_shamir_doubling_and_infinity_branches():
-    lam, n = crypto._LAMBDA, crypto.N
-    # the ladder's u2*Q meets the comb's u1*G: the mixed addition that joins
-    # them doubles (equal points) or lands at infinity (negated points)
+    lam, n = LAMBDA, crypto.N
+    # the binary schedule's u2*Q meets the comb's u1*G: the mixed addition
+    # that joins them doubles (equal points) or lands at infinity (negated
+    # points)
     u = 0x1D3F_55A1_9B07_C2E4 << 70 | 1
     hi, lo = 2**15, 2**3
     for u1, u2, q in [
@@ -392,6 +363,15 @@ def test_glv_shamir_doubling_and_infinity_branches():
     assert _shamir(lam, n - 1, LAMBDA_G) is None
 
 
+@pytest.mark.parametrize("k", [1, 2, 2**255, crypto.N - 1])
+def test_binary_schedule_at_its_edges(k):
+    q = keypair_from_seed(b"binary").point
+    for pt in (G, NEG_G, q):
+        schedule = crypto._binary(k, pt)
+        assert [pos for pos, _ in schedule] == [i for i in range(255, -1, -1) if k >> i & 1]
+        assert crypto._to_affine(crypto._double_and_add(schedule)) == _ref_mul(k, pt)
+
+
 def test_import_time_tables_keep_their_size():
     # import time counts in the benchmark's setup_s and the table in its
     # peak_rss_mb, so a larger table has to be a deliberate change
@@ -400,7 +380,7 @@ def test_import_time_tables_keep_their_size():
     assert sum(entry is not None for entry in table) == 4095
 
 
-# --- fixed-base comb and one-ladder key recovery
+# --- fixed-base comb and key recovery
 
 
 @pytest.mark.parametrize("u", [1, 2, 3, 0b10100101, 128, 255, 2048, 0b101001011010, 4095])
@@ -444,7 +424,7 @@ recovery_digests = st.one_of(st.just(bytes(32)), st.just(crypto.N.to_bytes(32, "
 @given(recovery_digests, sig_r, sig_s)
 def test_recovered_keys_match_textbook_recovery_for_any_scalars(digest, r, s):
     signature = _raw_signature(r, s)
-    assert list(crypto.recovered_keys(digest, signature)) == _ref_recover(digest, signature)
+    assert crypto.recover_candidates(digest, signature) == _ref_recover(digest, signature)
 
 
 def _lifts(r):
@@ -457,7 +437,7 @@ def test_recovered_keys_of_an_x_above_n_come_in_fours():
     r = next(r for r in range(1, crypto.P - crypto.N) if _lifts(r) == 4)
     signature = _raw_signature(r, 12345)
     for digest in (bytes(32), crypto.sha256(b"m")):
-        keys = list(crypto.recovered_keys(digest, signature))
+        keys = crypto.recover_candidates(digest, signature)
         assert len(keys) == 4 and keys == _ref_recover(digest, signature)
 
 
@@ -470,32 +450,24 @@ def test_recovered_keys_skip_the_candidate_at_infinity(k, s):
     r = _ref_mul(k, G)[0] % crypto.N
     digest = (s * k % crypto.N).to_bytes(32, "big")
     signature = _raw_signature(r, s)
-    keys = list(crypto.recovered_keys(digest, signature))
+    keys = crypto.recover_candidates(digest, signature)
     assert keys == _ref_recover(digest, signature)
     assert len(keys) == _lifts(r) - 1
 
 
-# --- sparse wNAF, the key-table memo and the inversion-free x(R) test
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(st.integers(-(2**260), 2**260), st.sampled_from([0, 1, -1, 2**128, -(2**128) + 1])),
-       st.sampled_from([5, 8]))
-def test_sparse_wnaf_recombines_into_spaced_odd_digits(k, width):
-    digits = crypto._wnaf(k, width)
-    assert sum(d << pos for pos, d in digits) == k
-    for pos, d in digits:
-        assert d % 2 == 1 and abs(d) < 1 << (width - 1)
-    positions = [pos for pos, _ in digits]
-    assert all(b - a >= width for a, b in zip(positions, positions[1:]))
+# --- verify against the textbook check
 
 
 def _ref_verify(digest, signature, public_key):
     """Textbook check: x(e/s*G + r/s*Q) mod N == r, over plain double-and-add."""
     try:
         r, s = crypto._split_sig(signature)
-        q = crypto.decode_pubkey(public_key)
     except crypto.SignatureError:
+        return False
+    if len(public_key) != 33 or public_key[0] not in (2, 3):
+        return False
+    q = crypto._lift_x(int.from_bytes(public_key[1:], "big"), odd=public_key[0] == 3)
+    if q is None:
         return False
     w = pow(s, -1, crypto.N)
     e = int.from_bytes(digest, "big") % crypto.N
@@ -654,6 +626,8 @@ def test_verify_refuses_encodings_beyond_the_strict_rules():
 @given(digests, secrets, st.sampled_from(DER_EDITS), st.integers(0, 255))
 @example(bytes(32), 1, "r", 0)  # r's length covers s
 @example(bytes(32), 1, "cut body", 38)  # ends on the tag of s
+@example(bytes(32), 1, "negative r", 0)  # r's pad dropped: the same (r, s), 71 bytes
+@example(bytes(32), 2, "negative r", 0)  # r has no pad: its top bit set
 def test_tampered_der_lengths_are_refused_as_signature_errors(digest, secret, edit, value):
     kp = crypto.Keypair(secret)
     signature = crypto.sign(digest, kp)
@@ -663,7 +637,7 @@ def test_tampered_der_lengths_are_refused_as_signature_errors(digest, secret, ed
     try:
         r, s = crypto.der_decode(bad[:-1])
     except crypto.SignatureError:
-        assert next(crypto.recovered_keys(digest, bad), None) is None
+        assert crypto.recover_candidates(digest, bad) == []
     else:  # the edit happens to spell another strict encoding
         assert crypto.der_encode(r, s) == bad[:-1]
     assert crypto.verify(digest, bad, kp.public_key) is False
@@ -674,4 +648,4 @@ def test_der_integer_running_past_the_end_is_refused():
         crypto.der_decode(bytes.fromhex("3006020401010101"))
     signature = bytes.fromhex("300602040101010101")
     assert crypto.verify(bytes(32), signature, keypair_from_seed(b"der").public_key) is False
-    assert list(crypto.recovered_keys(bytes(32), signature)) == []
+    assert crypto.recover_candidates(bytes(32), signature) == []

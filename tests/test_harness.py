@@ -533,6 +533,42 @@ def test_seed11_dumps_audit_clean(model_id):
     assert H.audit(dump, model_doc(model_id)).all_clean
 
 
+@pytest.mark.parametrize("model_id", [1, 2, 3, 4])
+def test_audit_recovers_keys_only_for_frontier_handovers(model_id, monkeypatch):
+    """Key recovery is plain double-and-add, not tuned, because an audit
+    needs it only for a handover whose token no transaction spends: never
+    on a complete dump, and once per handover whose token the END spent
+    when the END line is deleted."""
+    from chorchain import crypto
+    from chorchain.encoding import TxKind, tx_from_hex
+
+    recover = crypto.recover_candidates
+    recovered = []
+
+    def counted(digest, signature):
+        recovered.append(signature)
+        return recover(digest, signature)
+
+    monkeypatch.setattr(crypto, "recover_candidates", counted)
+    monkeypatch.setattr(H, "recover_candidates", counted)
+    dump, lines, instance = _seed11_dump(model_id)
+    assert H.audit(dump, model_doc(model_id)).all_clean
+    assert recovered == []
+
+    end = tx_from_hex(lines[instance[-1]])
+    spent_by_end = {txin.outpoint for txin in end.inputs}
+    txs = [tx_from_hex(lines[i]) for i in instance]
+    frontier = [
+        tx.data_block.receiver_signature
+        for tx in txs
+        if tx.kind == TxKind.HANDOVER and (tx.tx_id, tx.token_outputs[0][0]) in spent_by_end
+    ]
+    assert frontier
+    without_end = "\n".join(line for i, line in enumerate(lines) if i != instance[-1]) + "\n"
+    H.audit(without_end, model_doc(model_id))
+    assert sorted(recovered) == sorted(frontier)
+
+
 def test_auditing_one_document_twice_parses_it_once(monkeypatch):
     dump, _, _ = _seed11_dump(1)
     document = model_doc(1) + "\n"  # a text no other test audits
@@ -662,15 +698,22 @@ def test_flipped_receiver_signature_digit_is_flagged(data, model_id):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from([1, 2, 3, 4]), st.sampled_from(DER_EDITS), st.integers(0, 255))
 @example(4, "r", 0)  # r's length covers s
+@example(1, "negative r", 0)  # the same (r, s) one byte shorter
 def test_tampered_der_length_in_an_input_signature_is_flagged(model_id, edit, value):
     """One DER length byte of the first handover's input signature is edited,
-    or the signature is cut. The audit flags that input instead of raising."""
+    or the signature is cut, or its r made negative. The audit flags that
+    input instead of raising. A negative r is made on the first handover
+    whose r has a 0x00 pad, so that dropping the pad keeps its value."""
     from dataclasses import replace
 
     from chorchain.encoding import TxKind, tx_from_hex, tx_to_hex
 
     _, lines, instance = _seed11_dump(model_id)
-    at = next(i for i in instance if tx_from_hex(lines[i]).kind == TxKind.HANDOVER)
+    at = next(
+        i for i in instance
+        if (tx := tx_from_hex(lines[i])).kind == TxKind.HANDOVER
+        and (edit != "negative r" or tx.inputs[0].unlocking.signature[4] == 0)
+    )
     handover = tx_from_hex(lines[at])
     txin = handover.inputs[0]
     signature = txin.unlocking.signature

@@ -534,7 +534,7 @@ def test_one_handover_makes_the_expected_public_key_operations(monkeypatch):
         P, "_identity_verify",
         counting(None, P._identity_verify, lambda der, *_: "root" if der == root_der else "verify"),
     )
-    monkeypatch.setattr(crypto, "recovered_keys", counting("recover", crypto.recovered_keys))
+    monkeypatch.setattr(crypto, "recover_candidates", counting("recover", crypto.recover_candidates))
     monkeypatch.setattr(eng, "verify", counting("ecdsa", eng.verify))
     finalize = eng.finalize_and_sign_as_sender
 
