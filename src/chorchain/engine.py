@@ -13,8 +13,8 @@ The receiver's signature lands inside the data block, the sender's in the
 input's unlocking script.
 
 An instance is rebuilt from the chain alone by :func:`walk_instance`, the one
-forward walk over token spend links: the trace, the audit's value tally, a
-run's fee totals and the owner's monitor all read its result.
+forward walk over token spend links: the trace, the audit's value tally and
+a run's fee totals all read its result.
 """
 
 from __future__ import annotations

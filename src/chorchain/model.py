@@ -32,7 +32,7 @@ from itertools import islice
 from typing import Iterator
 
 MIN_TASK_ID = 1
-MAX_TASK_ID = 251
+MAX_TASK_ID = 250  # 251 is the filler handover's task id (engine.FILLER_TASK_ID)
 
 
 class ModelError(ValueError):

@@ -25,9 +25,8 @@ the certificate reaches it at NEGOTIATE, and its long-lived identity
 remembers the (root, certificate) pair; the issuer and the validity window
 are checked at every NEGOTIATE. Within a session, the address attestation
 must carry the certificate negotiated, whose validity window alone is
-checked again. The owner's monitor keeps the full check. The receiver's
-transaction signature comes with the public key it was made with, and the
-sender checks it against that key.
+checked again. The receiver's transaction signature comes with the public
+key it was made with, and the sender checks it against that key.
 All messages are tagged binary frames (one length-prefixed byte string per
 field), carried by the in-process channel. A frame or reply that does not
 parse, and a frame that arrives out of protocol order, aborts the session
@@ -101,8 +100,6 @@ class FrameType(Enum):
     TEMPLATE_KEY = 0x04
     RECEIVER_SIG = 0x05
     ACK = 0x06
-    IDENTITY_QUERY = 0x07
-    IDENTITY_REPLY = 0x08
 
 
 def _fixed(field: bytes, width: int, name: str) -> bytes:
@@ -269,26 +266,22 @@ class TrustRoot:
         return Identity(name, key, cert)
 
     def check(
-        self,
-        cert: Certificate,
-        now: int,
-        vouched: set[tuple[Certificate, Certificate]] | None = None,
+        self, cert: Certificate, now: int, vouched: set[tuple[Certificate, Certificate]]
     ) -> None:
         """Refuse a certificate this root did not issue or that is outside its
-        validity window. Given a checker's ``vouched`` set, the root's
-        signature is verified only for a certificate not yet in it, under this
+        validity window. The root's signature is verified only for a
+        certificate not yet in the checker's ``vouched`` set, under this
         root's certificate, and a verified one is added; the issuer and the
         window are checked on every call."""
         if cert.issuer != self.name:
             raise CertificateError(f"certificate issued by unknown authority {cert.issuer!r}")
         pair = (self.identity.certificate, cert)
-        if vouched is None or pair not in vouched:
+        if pair not in vouched:
             if not _identity_verify(
                 self.identity.certificate.public_key_der, cert.signature, cert.signed_payload()
             ):
                 raise CertificateError("certificate signature invalid")
-            if vouched is not None:
-                vouched.add(pair)
+            vouched.add(pair)
         cert.check_validity(now)
 
 
@@ -338,22 +331,15 @@ def make_attestation(
 
 
 def verify_attestation(
-    att: AddressAttestation,
-    root: TrustRoot,
-    now: int,
-    seen_nonces: set[bytes],
-    negotiated: Certificate | None = None,
+    att: AddressAttestation, negotiated: Certificate, now: int, seen_nonces: set[bytes]
 ) -> None:
-    """Check an attestation's certificate, nonce and signature. Within a
-    session, ``negotiated`` is the peer certificate the root already vouched
-    for at NEGOTIATE: the attestation must carry that same certificate, and
-    only its validity window is checked again."""
-    if negotiated is None:
-        root.check(att.certificate, now)
-    elif att.certificate != negotiated:
+    """Check an attestation's certificate, nonce and signature.
+    ``negotiated`` is the peer certificate the root already vouched for at
+    NEGOTIATE: the attestation must carry that same certificate, and only
+    its validity window is checked again."""
+    if att.certificate != negotiated:
         raise CertificateError("certificate differs from the one negotiated")
-    else:
-        att.certificate.check_validity(now)
+    att.certificate.check_validity(now)
     if att.nonce in seen_nonces:
         raise CertificateError("attestation nonce replayed")
     if not _identity_verify(att.certificate.public_key_der, att.signature, att.signed_payload()):
@@ -583,7 +569,6 @@ class Participant:
         self._latest: dict[str, HandoverSession] = {}
         self.holdings: list[eng.ProcessToken] = []
         self.process_data: dict[int, bytes] = {}
-        self.attestation_log: dict[bytes, AddressAttestation] = {}
         self._seen_nonces: set[bytes] = set()
         transport.register(self.name, self.on_request)
 
@@ -748,9 +733,7 @@ class Participant:
             return False
         att = AddressAttestation.from_bytes(body)
         try:
-            verify_attestation(
-                att, self.root, self._now(), self._seen_nonces, session.peer_certificate
-            )
+            verify_attestation(att, session.peer_certificate, self._now(), self._seen_nonces)
         except CertificateError as exc:
             session.abort(f"address attestation: {exc}")
             return False
@@ -819,7 +802,6 @@ class Participant:
             session.abort(f"broadcast: {result.reason}")
             return SenderOutcome(False, reason=session.abort_reason)
         session.advance(SessionState.PUBLISHED)
-        self.attestation_log[final.tx_id] = session.peer_attestation
         return SenderOutcome(True, tx_id=final.tx_id)
 
     def confirm_receipt(self, session: HandoverSession) -> eng.ProcessToken | None:
@@ -864,8 +846,6 @@ class Participant:
         kind, body = split_frame(frame)
         if kind == FrameType.NEGOTIATE:
             return self._on_negotiate(src, body)
-        if kind == FrameType.IDENTITY_QUERY:
-            return self._on_identity_query(body)
         if kind not in _ADMITTED_IN:
             return _ack(1, f"unexpected frame {kind.name}")
         session = self._session_for(src)
@@ -914,9 +894,7 @@ class Participant:
     def _on_addr_attest(self, session: HandoverSession, body: bytes) -> bytes:
         att = AddressAttestation.from_bytes(body)
         try:
-            verify_attestation(
-                att, self.root, self._now(), self._seen_nonces, session.peer_certificate
-            )
+            verify_attestation(att, session.peer_certificate, self._now(), self._seen_nonces)
         except CertificateError as exc:
             return _refuse(session, f"address attestation: {exc}", str(exc))
         session.peer_attestation = att
@@ -976,13 +954,6 @@ class Participant:
             FrameType.RECEIVER_SIG, pack_fields(signature, session.receive_key.public_key)
         )
 
-    def _on_identity_query(self, body: bytes) -> bytes:
-        (tx_id,) = unpack_fields(body, 1)
-        att = self.attestation_log.get(_fixed(tx_id, 32, "transaction id"))
-        if att is None:
-            return make_frame(FrameType.IDENTITY_REPLY, pack_fields(b"\x00", b""))
-        return make_frame(FrameType.IDENTITY_REPLY, pack_fields(b"\x01", att.to_bytes()))
-
 
 def _ack(status: int, detail: str, cert: bytes = b"", sig: bytes = b"", check: int = 0) -> bytes:
     return make_frame(
@@ -997,99 +968,3 @@ def _refuse(
     (the abort reason unless given) and the number of the failed check."""
     session.abort(reason, check or None)
     return _ack(status, detail or reason, check=check)
-
-
-# --- owner monitoring -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProgressEntry:
-    tx_id: bytes
-    kind: str
-    task_id: int | None
-    participant: str | None
-    gap: bool = False
-
-
-@dataclass(frozen=True)
-class ProgressReport:
-    process_id: int
-    entries: tuple[ProgressEntry, ...]
-
-    @property
-    def identities(self) -> dict[bytes, str]:
-        return {e.tx_id: e.participant for e in self.entries if e.participant}
-
-
-class OwnerMonitor:
-    """Pull-based monitoring: walk the instance on the chain, then ask each
-    handover's sender for the identity of its receiver."""
-
-    def __init__(
-        self,
-        owner: Participant,
-        start_tx_id: bytes,
-        process_id: int,
-    ):
-        self.owner = owner
-        self.start_tx_id = start_tx_id
-        self.process_id = process_id
-        self._entries: dict[bytes, ProgressEntry] = {}
-
-    def collect(self) -> ProgressReport:
-        owner = self.owner
-        try:
-            walk = eng.walk_instance(owner.chain_view, self.start_tx_id)
-        except eng.EngineError:  # the start is not on the chain
-            return ProgressReport(self.process_id, ())
-        # holder of each token outpoint, as far as identities are known
-        holder = {(self.start_tx_id, walk.start.token_outputs[0][0]): owner.name}
-        # one provider charge per token outpoint the walk followed
-        for _ in range(len(walk.steps) + len(walk.unspent)):
-            owner.chain.advance_time(LOGIC_COST, "provider")
-        for step in walk.steps:
-            tx_id = step.tx.tx_id
-            kind = step.tx.kind.value
-            sender = holder.get(step.spent)
-            if tx_id not in self._entries:
-                if kind == "handover":
-                    participant, gap = self._resolve_identity(tx_id, sender)
-                    self._entries[tx_id] = ProgressEntry(
-                        tx_id, kind, step.tx.data_block.task_id, participant, gap
-                    )
-                else:
-                    self._entries[tx_id] = ProgressEntry(tx_id, kind, None, sender)
-            entry = self._entries[tx_id]
-            next_holder = entry.participant if kind == "handover" else sender
-            for idx, _ in step.tx.token_outputs:
-                holder[(tx_id, idx)] = next_holder
-        return ProgressReport(self.process_id, tuple(self._entries.values()))
-
-    def _resolve_identity(self, tx_id: bytes, sender: str | None) -> tuple[str | None, bool]:
-        """Ask the handover's sender who received the token."""
-        owner = self.owner
-        if sender is None:
-            return None, True
-        if sender == owner.name:
-            att = owner.attestation_log.get(tx_id)
-            return (att.certificate.subject, False) if att else (None, True)
-        owner.chain.advance_time(LOGIC_COST, "logic")
-        try:
-            reply = owner.transport.request(
-                owner.name, sender, make_frame(FrameType.IDENTITY_QUERY, pack_fields(tx_id))
-            )
-        except TransportTimeout:
-            owner.chain.advance_time(STEP_TIMEOUT, "logic")
-            return None, True
-        try:
-            kind, body = split_frame(reply)
-            if kind != FrameType.IDENTITY_REPLY:
-                return None, True
-            found, att_bytes = unpack_fields(body, 2)
-            if found != b"\x01":
-                return None, True
-            att = AddressAttestation.from_bytes(att_bytes)
-            verify_attestation(att, owner.root, int(owner.chain.now), set())
-        except (FrameError, CertificateError):
-            return None, True
-        return att.certificate.subject, False

@@ -33,7 +33,8 @@ def block_models(draw, max_depth=2, max_branches=3, max_steps=3):
     block may be empty (a split reaches its join by one edge only). A step
     is a block with probability 0.35, XOR or AND with even odds, with 2 to
     ``max_branches`` branches, nested at most ``max_depth`` deep; otherwise
-    it is a task. Task ids are distinct draws from 1..251.
+    it is a task. Task ids are distinct draws from 1..250 (251 is the
+    filler handover's).
     """
     nodes = [{"id": "s", "kind": "start"}, {"id": "e", "kind": "end"}]
     edges = []
@@ -60,7 +61,7 @@ def block_models(draw, max_depth=2, max_branches=3, max_steps=3):
 
     edges.append((segment("s", 0), "e"))
     tasks = [n for n in nodes if n["kind"] == "task"]
-    ids = draw(st.lists(st.integers(1, 251), min_size=len(tasks), max_size=len(tasks), unique=True))
+    ids = draw(st.lists(st.integers(1, 250), min_size=len(tasks), max_size=len(tasks), unique=True))
     for node, task_id in zip(tasks, ids):
         node["task_id"] = task_id
     return json.dumps({

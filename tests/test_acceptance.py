@@ -16,11 +16,12 @@ from scipy import stats as scipy_stats
 from chorchain import engine as eng
 from chorchain import harness as H
 from chorchain import model as M
-from chorchain.chain import ChainSim, SimConfig
-from chorchain.crypto import Keypair, sign
+from chorchain.chain import ChainSim, SimConfig, load_dump
+from chorchain.crypto import Keypair, hash160, sign
 from chorchain.encoding import (
     DataBlock,
     EnrichedTransaction,
+    OutputKind,
     RedeemScript,
     TxInput,
     TxKind,
@@ -407,3 +408,63 @@ def test_criterion_9_baseline_consistency():
         assert spread < 0.02, f"model {model_id} spread {spread:.4f}"
         worst = max(worst, spread)
     report(9, f"verification-off runs: worst sigma/mean {worst:.4%} over 10 seeds x 4 models")
+
+
+# --- 10. anonymity ---------------------------------------------------------------------------
+
+
+def instance_keys(tx):
+    """The public keys a transaction's inputs reveal, and every key hash it
+    names: each input key's hash160, each redeem script's payee and each
+    key-hash output."""
+    keys = {txin.unlocking.public_key for txin in tx.inputs if txin.unlocking.public_key}
+    key_hashes = {hash160(key) for key in keys}
+    key_hashes.update(
+        parse_redeem_script(txin.unlocking.redeem_script).payee_key_hash
+        for txin in tx.inputs
+        if txin.unlocking.redeem_script
+    )
+    key_hashes.update(out.key_hash for out in tx.outputs if out.kind == OutputKind.KEY_HASH)
+    return keys, key_hashes
+
+
+def test_criterion_10_anonymity():
+    started = time.monotonic()
+    configs = [
+        H.ScenarioConfig(
+            model_id=model_id, greedy=greedy, fault_step=fault_step, seed=11, repetitions=2
+        )
+        for model_id in (1, 2, 3, 4)
+        for greedy in (False, True)
+        for fault_step in (None, 1, 2)
+    ]
+    dumps = txs = 0
+    for config in configs:
+        task_ids = H.builtin_model(config.model_id).task_ids
+        names = [H.OWNER] + [H.participant_for(t) for t in task_ids]
+        identities = [H.shared_identity(name).certificate for name in names]
+        secrets = [c.to_bytes() for c in identities] + [c.public_key_der for c in identities]
+        assert all(len(c.public_key_der) == 44 for c in identities)
+        for dump in H.run_scenario(config).dumps:
+            view = load_dump(dump)
+            raw = b"".join(serialize_transaction(tx) for tx in view.all_transactions())
+            for secret in secrets:
+                assert secret not in raw and secret.hex() not in dump, config
+            seen_keys, seen_hashes = set(), set()
+            for tx in view.all_transactions():
+                if tx.data_block is None:
+                    continue
+                keys, key_hashes = instance_keys(tx)
+                assert not keys & seen_keys, (config, tx.kind)
+                assert not key_hashes & seen_hashes, (config, tx.kind)
+                seen_keys |= keys
+                seen_hashes |= key_hashes
+                txs += 1
+            dumps += 1
+    elapsed = time.monotonic() - started
+    assert dumps == 2 * len(configs)
+    report(
+        10,
+        f"{txs} instance transactions in {dumps} dumps: no key or key hash in two,"
+        f" no certificate or identity key, {elapsed:.1f}s",
+    )

@@ -247,4 +247,4 @@ def test_audit_refuses_a_task_id_that_is_no_integer_in_one_line(runner, tmp_path
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     [line] = result.output.splitlines()
-    assert line.startswith("Error: task id must be 1..251")
+    assert line.startswith("Error: task id must be 1..250")
