@@ -19,14 +19,20 @@ be minimal and non-negative (no top bit set without a 0x00 pad), so one
 
 Verification parses strictly in Python (those signature rules, a 32-byte
 digest and a 33-byte compressed key) and then leaves the curve arithmetic
-to OpenSSL's secp256k1 through the ``cryptography`` package.
+to OpenSSL's secp256k1 through the ``cryptography`` package, which releases
+the GIL while it checks. Broadcast verifies inline, one signature after
+another; an audit hands each instance's signatures to :func:`verify_many`,
+which verifies them on the calling thread and one helper thread side by
+side.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
+import os
 import random
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -540,6 +546,50 @@ def verify(digest: bytes, signature: bytes, public_key: bytes) -> bool:
     except (ValueError, InvalidSignature):
         return False
     return True
+
+
+# --- verifying a batch on two threads ---------------------------------------------
+# OpenSSL's check, most of a verify, runs without the GIL, so two threads
+# verify side by side. A batch is shared, not split: the caller and the one
+# helper thread each take the next unverified check until none is left, so a
+# helper that is slow to wake costs the caller at most the one check it
+# holds, and one that has not started by then is cancelled.
+
+_helper = None  # a one-worker ThreadPoolExecutor, started on the first batch of two or more
+_helper_lock = threading.Lock()
+
+
+def verify_many(checks) -> list[bool]:
+    """``[verify(*check) for check in checks]`` for (digest, signature,
+    public key) triples, with the calling thread and one helper thread
+    taking the checks in turn; inline when the process may run on one CPU
+    only, where the two threads could only take turns. An exception from
+    either thread is raised here."""
+    global _helper
+    checks = list(checks)
+    results = [False] * len(checks)
+    todo = iter(range(len(checks)))  # shared: next() on it is atomic under the GIL
+
+    def drain() -> None:
+        for i in todo:
+            results[i] = verify(*checks[i])
+
+    if len(checks) < 2 or len(os.sched_getaffinity(0)) < 2:
+        drain()
+        return results
+    with _helper_lock:
+        if _helper is None:
+            # imported here, as it brings logging along: a process that never
+            # audits, such as one that only broadcasts, never loads it
+            from concurrent.futures import ThreadPoolExecutor
+
+            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="chorchain-verify")
+    helper = _helper.submit(drain)
+    try:
+        drain()
+    finally:
+        helper.cancel() or helper.result()
+    return results
 
 
 def recover_candidates(digest: bytes, signature: bytes) -> list[bytes]:

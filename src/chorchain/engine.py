@@ -529,35 +529,68 @@ def build_end(
 # --- script validation --------------------------------------------------------------
 
 
-def validate_transaction_scripts(tx: EnrichedTransaction, chain_view: ChainView) -> None:
-    """Full unlock validation: every input's script parameters must render
-    the referenced locking script true. Raises :class:`ScriptValidationError`."""
+SignatureCheck = tuple[bytes, bytes, bytes]  # (digest, signature, public key), for crypto.verify
+
+
+def script_checks(
+    tx: EnrichedTransaction, chain_view: ChainView
+) -> tuple[list[SignatureCheck], ScriptValidationError | None]:
+    """The structural half of unlock validation, input by input: the
+    signature check of each input up to the first one that breaks a
+    structural rule, and that rule's error (None when no input does)."""
     digest = signing_digest(tx)
+    checks: list[SignatureCheck] = []
     for n, txin in enumerate(tx.inputs):
         prev = chain_view.get_transaction(txin.prev_tx_id)
         if prev is None or txin.prev_output_index >= len(prev.outputs):
-            raise ScriptValidationError(f"input {n} references an unknown output")
+            return checks, ScriptValidationError(f"input {n} references an unknown output")
         out = prev.outputs[txin.prev_output_index]
         unlocking = txin.unlocking
         if out.kind == OutputKind.DATA:
-            raise ScriptValidationError(f"input {n} spends a data output, which never unlocks")
+            return checks, ScriptValidationError(f"input {n} spends a data output, which never unlocks")
         if out.kind == OutputKind.SCRIPT_HASH:
             if not unlocking.redeem_script:
-                raise ScriptValidationError(f"input {n} missing redeem script")
+                return checks, ScriptValidationError(f"input {n} missing redeem script")
             if hash160(unlocking.redeem_script) != out.script_hash:
-                raise ScriptValidationError(f"input {n} redeem script hash mismatch")
+                return checks, ScriptValidationError(f"input {n} redeem script hash mismatch")
             try:
                 payee = parse_redeem_script(unlocking.redeem_script).payee_key_hash
             except UnsupportedScriptShape as exc:
-                raise ScriptValidationError(f"input {n} redeem script: {exc}") from exc
+                error = ScriptValidationError(f"input {n} redeem script: {exc}")
+                error.__cause__ = exc
+                return checks, error
         else:
             payee = out.key_hash
         if not unlocking.signature or not unlocking.public_key:
-            raise ScriptValidationError(f"input {n} missing signature or public key")
+            return checks, ScriptValidationError(f"input {n} missing signature or public key")
         if hash160(unlocking.public_key) != payee:
-            raise ScriptValidationError(f"input {n} public key does not hash to the payee")
-        if not verify(digest, unlocking.signature, unlocking.public_key):
-            raise ScriptValidationError(f"input {n} signature invalid")
+            return checks, ScriptValidationError(f"input {n} public key does not hash to the payee")
+        checks.append((digest, unlocking.signature, unlocking.public_key))
+    return checks, None
+
+
+def script_error(
+    verdicts: Iterable[bool], structural: ScriptValidationError | None
+) -> ScriptValidationError | None:
+    """What unlock validation refuses, given the verdicts of
+    :func:`script_checks`' checks in input order and its structural error:
+    the first input whose signature is invalid, as in a validation that
+    verifies each input before it reads the next, else the structural error.
+    Stops reading verdicts at the first False."""
+    for n, ok in enumerate(verdicts):
+        if not ok:
+            return ScriptValidationError(f"input {n} signature invalid")
+    return structural
+
+
+def validate_transaction_scripts(tx: EnrichedTransaction, chain_view: ChainView) -> None:
+    """Full unlock validation: every input's script parameters must render
+    the referenced locking script true. Verifies inline, no signature after
+    the first invalid one. Raises :class:`ScriptValidationError`."""
+    checks, structural = script_checks(tx, chain_view)
+    error = script_error((verify(*check) for check in checks), structural)
+    if error is not None:
+        raise error
 
 
 # --- execution-history reconstruction --------------------------------------------------

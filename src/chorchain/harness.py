@@ -31,15 +31,15 @@ import random
 import statistics
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import count
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import engine as eng
 from . import model as model_mod
 from . import protocol as proto
 from .chain import ChainIndex, ChainSim, SimConfig, load_dump
-from .crypto import Keypair, recover_candidates, sha256, verify_with_key_hash
+from .crypto import Keypair, recover_candidates, sha256, verify_many, verify_with_key_hash
 from .encoding import OutputKind, TxKind, UnsupportedScriptShape, parse_redeem_script
 from .model import ProcessModel
 
@@ -177,8 +177,11 @@ def build_plan(model: ProcessModel, choices: list[int]) -> list[PlanStep]:
 
     plan: list[PlanStep] = [PlanStart()]
 
-    def walk(steps: tuple[model_mod.Step, ...], holder: str, skip_task: int | None) -> str:
-        """Emit the steps' plan; returns the final holder."""
+    def walk(
+        steps: tuple[model_mod.Step, ...], holder: str, skip_task: int | None
+    ) -> tuple[str, int | None]:
+        """Emit the steps' plan; returns the final holder, and the task whose
+        handover a join already documented if these steps never reached it."""
         nonlocal cursor
         for i, step in enumerate(steps):
             if isinstance(step, int):
@@ -191,11 +194,10 @@ def build_plan(model: ProcessModel, choices: list[int]) -> list[PlanStep]:
                 holder = actor
             elif step.kind == model_mod.NodeKind.XOR_SPLIT:
                 cursor += 1
-                holder = walk(branch(step, cursor - 1), holder, skip_task)
-                skip_task = None
+                holder, skip_task = walk(branch(step, cursor - 1), holder, skip_task)
             else:
                 plan.append(PlanSplit(holder, len(step.branches)))
-                finals = [walk(b, holder, None) for b in step.branches]
+                finals = [walk(b, holder, None)[0] for b in step.branches]
                 proceed_task = next(tasks_ahead(steps[i + 1 :], count(cursor)), None)
                 proceed = OWNER if proceed_task is None else participant_for(proceed_task)
                 # first finished branch hands over for the next task, the
@@ -210,9 +212,9 @@ def build_plan(model: ProcessModel, choices: list[int]) -> list[PlanStep]:
                 plan.append(PlanJoin(proceed, len(step.branches)))
                 holder = proceed
                 skip_task = proceed_task
-        return holder
+        return holder, skip_task
 
-    final_holder = walk(model.body, OWNER, None)
+    final_holder, _ = walk(model.body, OWNER, None)
     if final_holder != OWNER:
         plan.append(PlanHandover(final_holder, OWNER, eng.FILLER_TASK_ID, filler=True))
     plan.append(PlanEnd(OWNER))
@@ -674,9 +676,26 @@ def _value_tally(view: ChainIndex, walk: eng.InstanceWalk) -> tuple[int, int, bo
     return fees, residual, resolved
 
 
-def _verify_instance_signatures(view: ChainIndex, trace_txs: list) -> list[str]:
-    """Script issues of every transaction, and the receiver signature of
-    every handover.
+@dataclass(frozen=True)
+class _ReceiverCheck:
+    """How the audit checks a published handover's receiver signature:
+    ``issue`` stands unless ``triple``, verified in the instance's batch,
+    passes, or, with no triple, unless ``fallback()`` passes. With neither,
+    nothing can pass."""
+
+    issue: str
+    triple: eng.SignatureCheck | None = None
+    fallback: Callable[[], bool] | None = None
+
+    def passes(self, verdicts: dict[eng.SignatureCheck, bool]) -> bool:
+        if self.triple is not None:
+            return verdicts[self.triple]
+        return self.fallback is not None and self.fallback()
+
+
+def _receiver_check(view: ChainIndex, tx) -> _ReceiverCheck | None:
+    """The receiver check of a published handover; None for any other
+    transaction.
 
     A handover's receiver is known on chain only by the payee key hash of
     its token's redeem script. Once the token is spent, the spending input
@@ -686,43 +705,69 @@ def _verify_instance_signatures(view: ChainIndex, trace_txs: list) -> list[str]:
     verifies is one of the recovered ones, and two keys with the same
     hash160 are equal short of a collision.
     """
+    block = tx.data_block
+    if block is None or block.kind != TxKind.HANDOVER or block.is_template:
+        return None
+    digest, signature = eng.signing_digest(tx), block.receiver_signature
+    index, _ = tx.token_outputs[0]
+    spender_id = view.get_spender((tx.tx_id, index))
+    if spender_id is None:
+        # frontier: the receiver key is not yet revealed, so only the
+        # signature's structural validity is checkable
+        return _ReceiverCheck(
+            "receiver signature malformed", fallback=partial(recover_candidates, digest, signature)
+        )
+    unlocking = None
+    for txin in view.get_transaction(spender_id).inputs:
+        if txin.outpoint == (tx.tx_id, index) and txin.unlocking.redeem_script:
+            unlocking = txin.unlocking
+    if unlocking is None:
+        return _ReceiverCheck("token spend reveals no redeem script")
+    try:
+        payee = parse_redeem_script(unlocking.redeem_script).payee_key_hash
+    except UnsupportedScriptShape as exc:
+        return _ReceiverCheck(f"token spend redeem script: {exc}")
+    key = unlocking.public_key
+    if eng.hash160(key) == payee:
+        return _ReceiverCheck("receiver signature invalid", triple=(digest, signature, key))
+    return _ReceiverCheck(
+        "receiver signature invalid", fallback=partial(verify_with_key_hash, digest, signature, payee)
+    )
+
+
+def _payments_from(view: ChainIndex, txs: list) -> list:
+    """The transactions with no data block that spend a key-hash output of
+    these, a start's change or an end's payout. No walk reaches them, so
+    their scripts are checked with the instance whose output they spend."""
+    payments = {}
+    for tx in txs:
+        for n, out in enumerate(tx.outputs):
+            spender_id = out.kind == OutputKind.KEY_HASH and view.get_spender((tx.tx_id, n))
+            if spender_id and (spender := view.get_transaction(spender_id)).kind is None:
+                payments[spender_id] = spender
+    return list(payments.values())
+
+
+def _verify_instance_signatures(view: ChainIndex, trace_txs: list) -> list[str]:
+    """Script issues of every transaction, and the receiver signature of
+    every handover, in transaction order.
+
+    Every signature with its key at hand, in a script or a receiver's, is
+    verified in one :func:`verify_many` batch; key recovery, for the
+    receiver checks that need it, runs afterwards one call at a time.
+    """
+    scripts = [eng.script_checks(tx, view) for tx in trace_txs]
+    receivers = [_receiver_check(view, tx) for tx in trace_txs]
+    triples = [check for checks, _ in scripts for check in checks]
+    triples += [r.triple for r in receivers if r is not None and r.triple is not None]
+    verdicts = dict(zip(triples, verify_many(triples)))
     issues = []
-    for tx in trace_txs:
-        try:
-            eng.validate_transaction_scripts(tx, view)
-        except eng.ScriptValidationError as exc:
-            issues.append(f"{tx.tx_id.hex()[:16]}: {exc}")
-        block = tx.data_block
-        if block is not None and block.kind == TxKind.HANDOVER and not block.is_template:
-            digest = eng.signing_digest(tx)
-            index, _ = tx.token_outputs[0]
-            spender_id = view.get_spender((tx.tx_id, index))
-            if spender_id is None:
-                # frontier: the receiver key is not yet revealed, so only the
-                # signature's structural validity is checkable
-                if not recover_candidates(digest, block.receiver_signature):
-                    issues.append(f"{tx.tx_id.hex()[:16]}: receiver signature malformed")
-                continue
-            spender = view.get_transaction(spender_id)
-            unlocking = None
-            for txin in spender.inputs:
-                if txin.outpoint == (tx.tx_id, index) and txin.unlocking.redeem_script:
-                    unlocking = txin.unlocking
-            if unlocking is None:
-                issues.append(f"{tx.tx_id.hex()[:16]}: token spend reveals no redeem script")
-                continue
-            try:
-                payee = parse_redeem_script(unlocking.redeem_script).payee_key_hash
-            except UnsupportedScriptShape as exc:
-                issues.append(f"{tx.tx_id.hex()[:16]}: token spend redeem script: {exc}")
-                continue
-            key = unlocking.public_key
-            if eng.hash160(key) == payee:
-                valid = eng.verify(digest, block.receiver_signature, key)
-            else:
-                valid = verify_with_key_hash(digest, block.receiver_signature, payee)
-            if not valid:
-                issues.append(f"{tx.tx_id.hex()[:16]}: receiver signature invalid")
+    for tx, (checks, structural), receiver in zip(trace_txs, scripts, receivers):
+        error = eng.script_error([verdicts[check] for check in checks], structural)
+        if error is not None:
+            issues.append(f"{tx.tx_id.hex()[:16]}: {error}")
+        if receiver is not None and not receiver.passes(verdicts):
+            issues.append(f"{tx.tx_id.hex()[:16]}: {receiver.issue}")
     return issues
 
 
@@ -730,7 +775,13 @@ def audit(dump_text: str, model_doc: str) -> AuditReport:
     """Classify every transaction in a chain dump, walk each process
     instance once, and verify conformance, signatures, hash links, value
     conservation and that every process transaction belongs to an
-    instance."""
+    instance.
+
+    An instance's signatures, those of its transactions and of any payment
+    spending its change or payout, are verified in one batch on the calling
+    thread and one helper thread (:func:`chorchain.crypto.verify_many`);
+    the key recovery of a handover whose token is unspent runs afterwards,
+    on the calling thread."""
     view = load_dump(dump_text)
     process_model = parsed_model(model_doc)
     instances = []
@@ -749,6 +800,7 @@ def audit(dump_text: str, model_doc: str) -> AuditReport:
         verdict = model_mod.check_conformance(process_model, trace)
         end_event = trace.end_event
         fees, residual, resolved = _value_tally(view, walk)
+        txs = [tx] + [step.tx for step in walk.steps]
         instances.append(
             InstanceAudit(
                 process_id=tx.data_block.process_id,
@@ -758,9 +810,7 @@ def audit(dump_text: str, model_doc: str) -> AuditReport:
                 ended=end_event is not None,
                 aborted_by_detection=end_event.extraordinary if end_event else False,
                 value_conserved=resolved and tx.token_outputs[0][1].value == fees + residual,
-                signature_issues=_verify_instance_signatures(
-                    view, [tx] + [step.tx for step in walk.steps]
-                ),
+                signature_issues=_verify_instance_signatures(view, txs + _payments_from(view, txs)),
                 lineage_issues=[str(link) for link in walk.broken],
             )
         )

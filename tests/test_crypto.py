@@ -1,5 +1,9 @@
+import functools
 import hashlib
+import os
 import random
+import sys
+import threading
 from itertools import islice
 
 import pytest
@@ -649,3 +653,133 @@ def test_der_integer_running_past_the_end_is_refused():
     signature = bytes.fromhex("300602040101010101")
     assert crypto.verify(bytes(32), signature, keypair_from_seed(b"der").public_key) is False
     assert crypto.recover_candidates(bytes(32), signature) == []
+
+
+# --- verify_many: the calling thread and one helper thread
+
+
+MANY_KEYS = [keypair_from_seed(b"verify_many %d" % i) for i in range(3)]
+OTHER_KEY = keypair_from_seed(b"verify_many other").public_key
+CHECK_EDITS = (None, "r", "s", "digest", "key", "key prefix")
+
+
+@functools.lru_cache(maxsize=None)
+def _genuine_check(i):
+    digest = crypto.sha256(b"check %d" % i)
+    key = MANY_KEYS[i % len(MANY_KEYS)]
+    return digest, crypto.sign(digest, key), key.public_key
+
+
+def _edited_check(i, edit):
+    """The genuine check i, or that check with r, s, the digest, the key or
+    the key's prefix byte changed."""
+    digest, signature, key = _genuine_check(i)
+    r, s = crypto.der_decode(signature[:-1])
+    if edit in ("r", "s"):
+        r, s = (r ^ 1, s) if edit == "r" else (r, s ^ 1)
+        signature = crypto.der_encode(r, s) + signature[-1:]
+    elif edit == "digest":
+        digest = bytes([digest[0] ^ 1]) + digest[1:]
+    elif edit == "key":
+        key = OTHER_KEY
+    elif edit == "key prefix":
+        key = bytes([key[0] ^ 1]) + key[1:]  # 02 <-> 03: the negated point
+    return digest, signature, key
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 7), st.sampled_from(CHECK_EDITS)), max_size=24))
+@example([])
+@example([(0, None)])
+@example([(0, None), (1, "s")])
+@example([(i, None) for i in range(8)] * 2)
+def test_verify_many_is_verify_of_each(draws):
+    checks = [_edited_check(i, edit) for i, edit in draws]
+    assert crypto.verify_many(checks) == [crypto.verify(*check) for check in checks]
+    assert crypto.verify_many(iter(checks)) == [edit is None for _, edit in draws]
+
+
+two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU: verify_many starts no helper")
+
+
+@two_cpus
+def test_an_exception_in_the_helper_thread_reaches_the_caller(monkeypatch):
+    """The caller holds the first check until the helper has taken the
+    second, which raises. The caller runs on a thread of its own, so that a
+    batch that never finishes fails the test instead of hanging it."""
+    helper_took_one = threading.Event()
+    verify = crypto.verify
+    raised = []
+
+    def verify_or_fail(*check):
+        if threading.current_thread() is caller:
+            helper_took_one.wait(10)
+            return verify(*check)
+        helper_took_one.set()
+        raise RuntimeError("helper failed")
+
+    def call():
+        try:
+            crypto.verify_many([_genuine_check(0), _genuine_check(1)])
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    monkeypatch.setattr(crypto, "verify", verify_or_fail)
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert helper_took_one.is_set()
+    assert [str(exc) for exc in raised] == ["helper failed"]
+
+
+@two_cpus
+def test_repeated_batches_share_one_helper_thread(monkeypatch):
+    before = threading.active_count()
+    threads = set()
+    verify = crypto.verify
+    monkeypatch.setattr(crypto, "verify", lambda *check: threads.add(threading.current_thread()) or verify(*check))
+    checks = [_genuine_check(i) for i in range(8)]
+    for _ in range(20):
+        assert crypto.verify_many(checks) == [True] * 8
+    assert threading.active_count() <= before + 1
+    assert len(threads) <= 2
+    assert sum(t.name.startswith("chorchain-verify") for t in threading.enumerate()) == 1
+
+
+def test_a_process_on_one_cpu_verifies_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(crypto.os, "sched_getaffinity", lambda pid: {0})
+    threads = []
+    verify = crypto.verify
+    monkeypatch.setattr(crypto, "verify", lambda *check: threads.append(threading.current_thread()) or verify(*check))
+    assert crypto.verify_many([_genuine_check(i) for i in range(4)]) == [True] * 4
+    assert threads == [threading.current_thread()] * 4
+
+
+def test_concurrent_callers_each_get_their_own_results():
+    """Four calling threads share the one helper, with the interpreter
+    switching threads as often as it can; every batch still gets exactly
+    its own verdicts."""
+    draws = [(i, CHECK_EDITS[i % len(CHECK_EDITS)]) for i in range(8)]
+    checks = [_edited_check(i, edit) for i, edit in draws]
+    expected = [edit is None for _, edit in draws]
+    wrong = []
+
+    def caller(offset):
+        for k in range(10):
+            order = [(offset + k + j) % len(checks) for j in range(len(checks))]
+            if crypto.verify_many([checks[j] for j in order]) != [expected[j] for j in order]:
+                wrong.append((offset, k))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(offset,)) for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []

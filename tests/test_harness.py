@@ -128,6 +128,53 @@ def test_every_plan_is_pinned(model_id, pick):
     assert [row(s) for s in plan] == PINNED_PLANS[model_id, pick]
 
 
+def _model_doc(model_id, nodes, edges):
+    return json.dumps({
+        "model_id": model_id,
+        "nodes": [{"id": n, "kind": k} if t is None else {"id": n, "kind": k, "task_id": t} for n, k, t in nodes],
+        "edges": [{"from": a, "to": b} for a, b in edges],
+    })
+
+
+# AND((10), (20)), then XOR((), (30)), then 40
+AND_THEN_EMPTY_XOR = _model_doc(
+    9,
+    [("s", "start", None), ("a", "and_split", None), ("t10", "task", 10), ("t20", "task", 20),
+     ("aj", "and_join", None), ("x", "xor_split", None), ("t30", "task", 30),
+     ("xj", "xor_join", None), ("t40", "task", 40), ("e", "end", None)],
+    [("s", "a"), ("a", "t10"), ("a", "t20"), ("t10", "aj"), ("t20", "aj"), ("aj", "x"),
+     ("x", "xj"), ("x", "t30"), ("t30", "xj"), ("xj", "t40"), ("t40", "e")],
+)
+
+
+@pytest.mark.parametrize("pick", [0, 1])
+def test_a_join_hands_over_the_task_after_an_xor_once(pick, monkeypatch):
+    """The join hands the token over for the first task ahead. When the XOR
+    after the join takes its empty branch, that task is 40, and 40 must not
+    be handed over a second time, by its own performer to itself."""
+    model = H.parsed_model(AND_THEN_EMPTY_XOR)
+    plan = H.build_plan(model, [pick])
+    handed = [h.task_id for h in H.planned_handovers(plan) if not h.filler]
+    assert handed == ([10, 20, 40] if pick == 0 else [10, 20, 30, 40])
+    assert all(h.sender != h.receiver for h in H.planned_handovers(plan))
+
+    monkeypatch.setattr(H, "builtin_model", lambda model_id: model)
+    result = H.run_scenario(H.ScenarioConfig(model_id=9, variant=str(pick), seed=3))
+    (run,) = result.runs
+    assert not run.aborted
+    assert H.audit(result.dumps[0], AND_THEN_EMPTY_XOR).all_clean
+
+
+def test_a_run_that_never_audits_starts_no_helper_thread(monkeypatch):
+    """Broadcast verifies inline; only an audit's batches use the helper."""
+    from chorchain import crypto
+
+    monkeypatch.setattr(crypto, "_helper", None)
+    result = H.run_scenario(H.ScenarioConfig(model_id=4, seed=3))
+    assert not any(run.aborted for run in result.runs)
+    assert crypto._helper is None
+
+
 def test_fault_step_validated():
     with pytest.raises(H.ScenarioError, match="fault step"):
         H.run_scenario(H.ScenarioConfig(model_id=1, fault_step=9))
@@ -569,6 +616,30 @@ def test_audit_recovers_keys_only_for_frontier_handovers(model_id, monkeypatch):
     assert sorted(recovered) == sorted(frontier)
 
 
+@pytest.mark.parametrize("model_id", [1, 2, 3, 4])
+def test_batched_verification_gives_the_serial_reports(model_id, monkeypatch):
+    """The audit verifies an instance's signatures in one verify_many batch.
+    Over every single-line deletion and duplicate of the seed-11 dump, its
+    report is the one a serial verify of each check gives. A dump the
+    loader refuses never reaches verification."""
+    from chorchain import crypto
+    from chorchain.chain import DumpFormatError
+
+    _, lines, _ = _seed11_dump(model_id)
+    edited = [lines[:i] + lines[i + 1:] for i in range(len(lines))]
+    edited += [lines[:i + 1] + lines[i:] for i in range(len(lines))]
+    batched = {}
+    for i, edit in enumerate(edited):
+        try:
+            batched[i] = H.audit("\n".join(edit) + "\n", model_doc(model_id)).to_json()
+        except DumpFormatError:
+            pass
+    assert batched
+    monkeypatch.setattr(H, "verify_many", lambda checks: [crypto.verify(*check) for check in checks])
+    for i, report in batched.items():
+        assert H.audit("\n".join(edited[i]) + "\n", model_doc(model_id)).to_json() == report
+
+
 def test_auditing_one_document_twice_parses_it_once(monkeypatch):
     dump, _, _ = _seed11_dump(1)
     document = model_doc(1) + "\n"  # a text no other test audits
@@ -606,6 +677,99 @@ def test_any_single_edit_of_an_instance_line_is_flagged_or_refused(data, model_i
         edited[at] = line[:pos] + digit + line[pos + 1:]
     else:
         del edited[at]
+    try:
+        report = H.audit("\n".join(edited) + "\n", model_doc(model_id))
+    except DumpFormatError:
+        return
+    assert not report.all_clean
+
+
+# kind: (inputs, token outputs, key-hash outputs) it may have, each a range
+FORGED_SHAPES = {
+    "payment": ((1, 2), (0, 1), (1, 1)),
+    "start": ((1, 2), (1, 1), (0, 1)),
+    "handover": ((1, 1), (1, 1), (0, 0)),
+    "split": ((1, 1), (2, 3), (0, 0)),
+    "join": ((2, 2), (1, 1), (0, 0)),
+    "end": ((1, 1), (0, 0), (0, 1)),
+}
+
+
+def _forged_transaction(data, rng, spendable, timestamp, process_id):
+    """A parseable transaction of a drawn kind that spends drawn outputs,
+    each input signed with a fresh key, and pays fresh keys. ``spendable``
+    holds every output of value, and those of them no transaction spends."""
+    from dataclasses import replace
+
+    from chorchain.crypto import Keypair, sign
+    from chorchain.encoding import (
+        DataBlock, EnrichedTransaction, TxInput, TxKind, TxOutput, Unlocking, build_redeem_script,
+        signing_digest,
+    )
+
+    kind = data.draw(st.sampled_from(sorted(FORGED_SHAPES)))
+    (n_in, max_in), (n_tok, max_tok), (n_key, max_key) = FORGED_SHAPES[kind]
+    spent = data.draw(st.lists(
+        st.sampled_from(spendable[1]) | st.sampled_from(spendable[0]), min_size=n_in, max_size=max_in, unique=True
+    ))
+    tokens = data.draw(st.integers(n_tok, max_tok))
+    keyed = data.draw(st.integers(n_key, max_key))
+    share = (sum(out.value for _, _, out in spent) - 1_000) // max(tokens + keyed, 1)
+    payees = [Keypair.generate(rng) for _ in range(tokens + keyed)]
+    outputs = [TxOutput.to_script_hash(share, H.eng.hash160(build_redeem_script(k.key_hash))) for k in payees[:tokens]]
+    outputs += [TxOutput.to_key_hash(share, k.key_hash) for k in payees[tokens:]]
+    if kind != "payment":
+        handover = kind == "handover"
+        outputs.append(TxOutput.data(DataBlock(
+            TxKind[kind.upper()], process_id, timestamp,
+            data.draw(st.integers(1, 251)) if handover else None,
+            sign(bytes(32), Keypair.generate(rng)) if handover else b"",
+            extraordinary=kind == "end" and data.draw(st.booleans()),
+        )))
+    tx = EnrichedTransaction(
+        inputs=tuple(TxInput(tx_id, n, prev_value=out.value) for tx_id, n, out in spent),
+        outputs=tuple(outputs),
+    )
+    digest = signing_digest(tx)
+    keys = [Keypair.generate(rng) for _ in spent]
+    return replace(tx, inputs=tuple(
+        replace(txin, unlocking=Unlocking(sign(digest, key), key.public_key, build_redeem_script(key.key_hash)))
+        for txin, key in zip(tx.inputs, keys)
+    ))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), model_id=st.sampled_from([1, 2, 3, 4]))
+def test_forged_transactions_are_refused_or_flagged(data, model_id):
+    """One to three parseable transactions of random kinds, signed with
+    fresh keys and spending instance outputs and others (the grant's, and
+    those of the forged transactions before them), are appended in a new
+    block or in the mempool. The loader refuses the dump, or the audit
+    flags it; nothing else is raised."""
+    import random
+
+    from chorchain.chain import DumpFormatError, load_dump
+    from chorchain.encoding import tx_from_hex, tx_to_hex
+
+    dump, lines, instance = _seed11_dump(model_id)
+    view = load_dump(dump)
+    outputs = [(tx.tx_id, n, out) for tx in view.all_transactions() for n, out in enumerate(tx.outputs) if out.value]
+    spendable = (outputs, [o for o in outputs if view.get_spender(o[:2]) is None])
+    last_block = [line for line in lines if line.startswith("block ")][-1].split()
+    timestamp = int(last_block[2]) + data.draw(st.integers(0, 30))
+    process_id = data.draw(st.sampled_from([tx_from_hex(lines[instance[0]]).data_block.process_id, 7]))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    forged = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        tx = _forged_transaction(data, rng, spendable, timestamp, process_id)
+        for pool in spendable:
+            pool += [(tx.tx_id, n, out) for n, out in enumerate(tx.outputs) if out.value]
+        forged.append(tx_to_hex(tx))
+    assert lines[-1] == "mempool"
+    if data.draw(st.booleans()):  # a new block
+        edited = list(lines[:-1]) + [f"block {int(last_block[1]) + 1} {timestamp}"] + forged + ["mempool"]
+    else:
+        edited = list(lines) + forged
     try:
         report = H.audit("\n".join(edited) + "\n", model_doc(model_id))
     except DumpFormatError:
