@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import os
 import random
 import threading
 from dataclasses import dataclass
@@ -562,9 +561,8 @@ _helper_lock = threading.Lock()
 def verify_many(checks) -> list[bool]:
     """``[verify(*check) for check in checks]`` for (digest, signature,
     public key) triples, with the calling thread and one helper thread
-    taking the checks in turn; inline when the process may run on one CPU
-    only, where the two threads could only take turns. An exception from
-    either thread is raised here."""
+    taking the checks in turn. An exception from either thread is raised
+    here."""
     global _helper
     checks = list(checks)
     results = [False] * len(checks)
@@ -574,7 +572,7 @@ def verify_many(checks) -> list[bool]:
         for i in todo:
             results[i] = verify(*checks[i])
 
-    if len(checks) < 2 or len(os.sched_getaffinity(0)) < 2:
+    if len(checks) < 2:
         drain()
         return results
     with _helper_lock:

@@ -20,7 +20,7 @@ documented without influencing evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 
@@ -420,28 +420,9 @@ class EnrichedTransaction:
 
     @cached_property
     def _signing_digest(self) -> bytes:
-        """See :func:`signing_digest`."""
-        inputs = tuple(
-            TxInput(i.prev_tx_id, i.prev_output_index, Unlocking(), prev_value=i.prev_value)
-            for i in self.inputs
-        )
-        outputs = []
-        for out in self.outputs:
-            if out.kind == OutputKind.DATA:
-                block = out.data_block
-                if block.kind == TxKind.HANDOVER:
-                    out = TxOutput.data(
-                        DataBlock(
-                            TxKind.HANDOVER,
-                            block.process_id,
-                            block.timestamp,
-                            block.task_id,
-                            TEMPLATE_SIGNATURE,
-                        )
-                    )
-            outputs.append(out)
-        stripped = EnrichedTransaction(inputs, tuple(outputs), self.version, self.locktime)
-        return sha256d(serialize_transaction(stripped))
+        """See :func:`signing_digest`. The signed form is written from this
+        transaction directly, by the writer of its wire form."""
+        return sha256d(_serialize(self, signed=True))
 
     @property
     def data_block(self) -> DataBlock | None:
@@ -542,7 +523,10 @@ class _Reader:
         return self.pos == len(self.data)
 
 
-def serialize_transaction(tx: EnrichedTransaction) -> bytes:
+def _serialize(tx: EnrichedTransaction, signed: bool) -> bytes:
+    """The wire form; or, when ``signed``, the form :func:`signing_digest`
+    hashes: every unlocking script empty, and a handover data block with the
+    placeholder in its receiver-signature field."""
     _check_structure(tx)
     out = bytearray()
     out += tx.version.to_bytes(4, "little")
@@ -550,17 +534,26 @@ def serialize_transaction(tx: EnrichedTransaction) -> bytes:
     for txin in tx.inputs:
         out += txin.prev_tx_id
         out += txin.prev_output_index.to_bytes(4, "little")
-        script = txin.unlocking.to_script()
+        script = b"" if signed else txin.unlocking.to_script()
         out += _varint(len(script))
         out += script
         out += SEQUENCE_FINAL.to_bytes(4, "little")
     out += _varint(len(tx.outputs))
     for txout in tx.outputs:
+        script = txout.script
+        if signed and txout.kind == OutputKind.DATA:
+            block = txout.data_block
+            if block.kind == TxKind.HANDOVER:
+                script = TxOutput.data(replace(block, receiver_signature=TEMPLATE_SIGNATURE)).script
         out += txout.value.to_bytes(8, "little")
-        out += _varint(len(txout.script))
-        out += txout.script
+        out += _varint(len(script))
+        out += script
     out += tx.locktime.to_bytes(4, "little")
     return bytes(out)
+
+
+def serialize_transaction(tx: EnrichedTransaction) -> bytes:
+    return _serialize(tx, signed=False)
 
 
 def deserialize_transaction(data: bytes) -> EnrichedTransaction:

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from chorchain import engine as eng
 from chorchain.chain import ChainSim, SimConfig
 from chorchain.crypto import N, Keypair, sha256
-from chorchain.harness import builtin_model
+from chorchain.harness import RunMetrics, ScenarioConfig, builtin_model, run_scenario
 
 
 @pytest.fixture
@@ -121,3 +122,10 @@ def tamper_der(signature: bytes, edit: str, value: int) -> bytes:
         cut = value % len(body)
         return (body[:1] + bytes([max(cut - 2, 0)]) + body[2:cut])[:cut] + signature[-1:]
     return signature[: value % len(signature)]
+
+
+@functools.lru_cache(maxsize=None)
+def scenario_run(config: ScenarioConfig) -> RunMetrics:
+    """The metrics of ``config``'s first run, run once per session, so that
+    tests that run the same seeded configs share them."""
+    return run_scenario(config).runs[0]

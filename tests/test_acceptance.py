@@ -36,6 +36,8 @@ from chorchain.encoding import (
     signing_digest,
 )
 
+from conftest import scenario_run
+
 
 def report(n, text):
     print(f"\nACCEPTANCE {n} PASS: {text}")
@@ -166,9 +168,7 @@ def test_criterion_3_confirmation_dominance():
 def mean_duration(model_id, greedy, seeds):
     durations = []
     for seed in seeds:
-        run = H.run_scenario(
-            H.ScenarioConfig(model_id=model_id, variant="0", greedy=greedy, seed=seed)
-        ).runs[0]
+        run = scenario_run(H.ScenarioConfig(model_id=model_id, variant="0", greedy=greedy, seed=seed))
         durations.append(run.duration)
     return statistics.fmean(durations)
 

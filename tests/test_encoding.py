@@ -251,6 +251,86 @@ def test_signing_digest_ignores_unlockings_and_receiver_sig():
     assert enc.signing_digest(changed) != digest
 
 
+def stripped_copy_digest(tx):
+    """The signing digest by its definition: the hash of a copy of ``tx``
+    with every unlocking emptied and a handover block's receiver signature
+    replaced by the placeholder, serialized on the wire."""
+    inputs = tuple(
+        enc.TxInput(i.prev_tx_id, i.prev_output_index, enc.Unlocking(), prev_value=i.prev_value)
+        for i in tx.inputs
+    )
+    outputs = []
+    for out in tx.outputs:
+        if out.kind == enc.OutputKind.DATA and out.data_block.kind == enc.TxKind.HANDOVER:
+            b = out.data_block
+            out = enc.TxOutput.data(
+                enc.DataBlock(b.kind, b.process_id, b.timestamp, b.task_id, enc.TEMPLATE_SIGNATURE)
+            )
+        outputs.append(out)
+    stripped = enc.EnrichedTransaction(inputs, tuple(outputs), tx.version, tx.locktime)
+    return sha256d(enc.serialize_transaction(stripped))
+
+
+@st.composite
+def digest_blocks(draw):
+    """A data block of any kind; a handover's with a 71- or 72-byte
+    receiver signature or the placeholder."""
+    kind = draw(st.sampled_from(list(enc.TxKind)))
+    pid, ts = draw(st.integers(0, 65535)), draw(st.integers(0, 2**32 - 1))
+    if kind == enc.TxKind.HANDOVER:
+        sig = draw(st.just(enc.TEMPLATE_SIGNATURE) | st.binary(min_size=71, max_size=72))
+        return enc.DataBlock(kind, pid, ts, draw(st.integers(1, 251)), sig)
+    return enc.DataBlock(kind, pid, ts, extraordinary=kind == enc.TxKind.END and draw(st.booleans()))
+
+
+@st.composite
+def digest_txs(draw):
+    """Transactions in the shapes of the acceptance tests' ``random_tx``,
+    with any unlocking shape (even those the wire refuses), zero to two
+    data blocks, outpoints that may repeat and input values that may fall
+    short, so that some are structurally invalid."""
+    inputs = tuple(
+        enc.TxInput(
+            bytes([draw(st.integers(0, 3))]) * 32,
+            draw(st.integers(0, 1)),
+            enc.Unlocking(
+                draw(st.sampled_from([b"", b"\x30" * 71, b"\x30" * 72])),
+                draw(st.sampled_from([b"", b"\x02" * 33])),
+                draw(st.sampled_from([b"", enc.build_redeem_script(b"\x05" * 20)])),
+            ),
+            draw(st.none() | st.integers(0, 3 * 10**6)),
+        )
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    outputs = [
+        enc.TxOutput.to_script_hash(draw(st.integers(1, 10**6)), b"\x07" * 20)
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    if draw(st.booleans()):
+        outputs.append(enc.TxOutput.to_key_hash(draw(st.integers(1, 10**6)), b"\x08" * 20))
+    outputs += [enc.TxOutput.data(draw(digest_blocks())) for _ in range(draw(st.integers(0, 2)))]
+    version, locktime = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1))
+    return enc.EnrichedTransaction(inputs, tuple(draw(st.permutations(outputs))), version, locktime)
+
+
+@settings(max_examples=200, deadline=None)
+@given(digest_txs())
+@example(sample_tx())
+@example(sample_tx(data_outputs=2))
+@example(sample_tx(prev_value=100))
+def test_signing_digest_is_the_stripped_copys_hash(tx):
+    """The signing digest, written straight from the transaction, is the
+    hash of the stripped copy; a transaction whose copy is structurally
+    invalid has no digest."""
+    try:
+        want = stripped_copy_digest(tx)
+    except enc.TransactionInvariantError:
+        with pytest.raises(enc.TransactionInvariantError):
+            enc.signing_digest(tx)
+    else:
+        assert enc.signing_digest(tx) == want
+
+
 def test_hex_roundtrip():
     tx = sample_tx()
     assert enc.tx_from_hex(enc.tx_to_hex(tx)) == tx

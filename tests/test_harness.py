@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from chorchain import harness as H
 from chorchain.engine import FILLER_TASK_ID
 
-from conftest import DER_EDITS, tamper_der
+from conftest import DER_EDITS, scenario_run, tamper_der
 
 
 # --- planning ---------------------------------------------------------------------
@@ -955,7 +955,7 @@ def test_nongreedy_median_confirmation_near_exponential_median():
 
     waits = []
     for seed in range(200):
-        run = H.run_scenario(H.ScenarioConfig(model_id=1, seed=seed, greedy=False)).runs[0]
+        run = scenario_run(H.ScenarioConfig(model_id=1, seed=seed, greedy=False))
         waits.extend(run.confirmation_waits)
     median = statistics.median(waits)
     expected = 6.0 * math.log(2)
