@@ -32,8 +32,7 @@ import statistics
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import count
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import engine as eng
 from . import model as model_mod
@@ -150,69 +149,58 @@ def participant_for(task_id: int) -> str:
 def build_plan(model: ProcessModel, choices: list[int]) -> list[PlanStep]:
     """Compile the model plus XOR picks into the linear step list the
     harness executes (sequential actor turns; AND branches run in branch
-    order, which is one legal interleaving)."""
+    order, which is one legal interleaving).
+
+    An AND block is joined by the next task the walk reaches: the first
+    branch's final holder hands over for that task, the other branches send
+    fillers, and the task's performer joins the tokens before doing it.
+    Steps that open a block and end before any task joins it (say, an XOR
+    branch) join it at the owner, the first branch sending a filler too. An
+    AND block reached while another is still unjoined is refused."""
     xor_splits = sum(n.kind == model_mod.NodeKind.XOR_SPLIT for n in model.nodes)
     if len(choices) == 1 and xor_splits > 1:
         choices = choices * xor_splits
     if len(choices) < xor_splits:
         raise ScenarioError(f"model has {xor_splits} XOR splits, variant picks {len(choices)}")
-    cursor = 0  # XOR picks taken so far, in walk order
-
-    def branch(gateway: model_mod.Gateway, pick_no: int) -> tuple[model_mod.Step, ...]:
-        pick = choices[pick_no]
-        if not 0 <= pick < len(gateway.branches):
-            raise ScenarioError(f"variant picks branch {pick} of {len(gateway.branches)}")
-        return gateway.branches[pick]
-
-    def tasks_ahead(steps: tuple[model_mod.Step, ...], pick_nos: Iterator[int]) -> Iterator[int]:
-        """Tasks these steps will execute, in order. XOR picks are peeked,
-        not consumed; the main walk takes them later."""
-        for step in steps:
-            if isinstance(step, int):
-                yield step
-            elif step.kind == model_mod.NodeKind.AND_SPLIT:
-                raise ScenarioError("parallel block directly after a join is unsupported")
-            else:
-                yield from tasks_ahead(branch(step, next(pick_nos)), pick_nos)
-
+    picks = iter(choices)  # taken in walk order, as each XOR split is reached
     plan: list[PlanStep] = [PlanStart()]
 
+    def join(finals: list[str], actor: str, task_id: int) -> None:
+        first, *rest = finals
+        plan.append(PlanHandover(first, actor, task_id, filler=task_id == eng.FILLER_TASK_ID))
+        plan.extend(PlanHandover(other, actor, eng.FILLER_TASK_ID, filler=True) for other in rest)
+        plan.append(PlanJoin(actor, len(finals)))
+
     def walk(
-        steps: tuple[model_mod.Step, ...], holder: str, skip_task: int | None
-    ) -> tuple[str, int | None]:
-        """Emit the steps' plan; returns the final holder, and the task whose
-        handover a join already documented if these steps never reached it."""
-        nonlocal cursor
-        for i, step in enumerate(steps):
+        steps: tuple[model_mod.Step, ...], holder: str, inherited: list[str] | None
+    ) -> tuple[str, list[str] | None]:
+        """Emit the steps' plan from ``holder``. ``inherited`` lists the final
+        holders of an AND block before these steps that no task has joined;
+        returns the final holder, and that block if these steps left it so."""
+        unjoined = inherited
+        for step in steps:
             if isinstance(step, int):
                 actor = participant_for(step)
-                if step == skip_task:
-                    skip_task = None  # handover already documented before the join
+                if unjoined:
+                    join(unjoined, actor, step)
                 else:
                     plan.append(PlanHandover(holder, actor, step))
                 plan.append(PlanTask(actor, step))
-                holder = actor
+                holder, unjoined = actor, None
             elif step.kind == model_mod.NodeKind.XOR_SPLIT:
-                cursor += 1
-                holder, skip_task = walk(branch(step, cursor - 1), holder, skip_task)
+                pick = next(picks)
+                if not 0 <= pick < len(step.branches):
+                    raise ScenarioError(f"variant picks branch {pick} of {len(step.branches)}")
+                holder, unjoined = walk(step.branches[pick], holder, unjoined)
+            elif unjoined:
+                raise ScenarioError("parallel block directly after a join is unsupported")
             else:
                 plan.append(PlanSplit(holder, len(step.branches)))
-                finals = [walk(b, holder, None)[0] for b in step.branches]
-                proceed_task = next(tasks_ahead(steps[i + 1 :], count(cursor)), None)
-                proceed = OWNER if proceed_task is None else participant_for(proceed_task)
-                # first finished branch hands over for the next task, the
-                # others return custody only
-                first, *rest = finals
-                if proceed_task is None:
-                    plan.append(PlanHandover(first, proceed, eng.FILLER_TASK_ID, filler=True))
-                else:
-                    plan.append(PlanHandover(first, proceed, proceed_task))
-                for other in rest:
-                    plan.append(PlanHandover(other, proceed, eng.FILLER_TASK_ID, filler=True))
-                plan.append(PlanJoin(proceed, len(step.branches)))
-                holder = proceed
-                skip_task = proceed_task
-        return holder, skip_task
+                unjoined = [walk(b, holder, None)[0] for b in step.branches]
+        if unjoined and unjoined is not inherited:  # opened by these steps
+            join(unjoined, OWNER, eng.FILLER_TASK_ID)
+            return OWNER, None
+        return holder, unjoined
 
     final_holder, _ = walk(model.body, OWNER, None)
     if final_holder != OWNER:

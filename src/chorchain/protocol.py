@@ -540,8 +540,7 @@ def _reply_guard(failed: Callable[[HandoverSession], object]):
 class Participant:
     """One choreography actor: an identity, a transport endpoint, and the
     engine state it needs to send and receive process tokens. ``chain`` is
-    the ``ChainSim``; ``acceptable_tasks`` is the receiver's negotiation
-    policy (None accepts any task)."""
+    the ``ChainSim``."""
 
     def __init__(
         self,
@@ -552,7 +551,6 @@ class Participant:
         fee_policy: eng.FeePolicy,
         process_model,
         rng: random.Random,
-        acceptable_tasks: frozenset[int] | None = None,
     ):
         self.identity = identity
         self.root = root
@@ -562,7 +560,6 @@ class Participant:
         self.fee_policy = fee_policy
         self.model = process_model
         self.rng = rng
-        self.acceptable_tasks = acceptable_tasks
         # the sessions this participant receives, by (process id, sender);
         # frames go to the session the sender's latest NEGOTIATE opened
         self.sessions: dict[tuple[int, str], HandoverSession] = {}
@@ -876,9 +873,6 @@ class Participant:
             return _ack(1, f"identity: {exc}")
         if not _identity_verify(cert.public_key_der, sig, terms_bytes):
             return _ack(1, "identity: terms signature invalid")
-        acceptable = self.acceptable_tasks
-        if acceptable is not None and terms.task_id not in acceptable:
-            return _ack(1, f"task {terms.task_id} not acceptable")
         session = HandoverSession(src, terms, peer_certificate=cert)
         self.sessions[(terms.process_id, src)] = self._latest[src] = session
         terms_echo = terms.to_bytes()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from chorchain import engine as eng
+from chorchain import model as M
 from chorchain.chain import ChainSim, SimConfig
 from chorchain.crypto import N, Keypair, sha256
 from chorchain.harness import RunMetrics, ScenarioConfig, builtin_model, run_scenario
@@ -122,6 +123,17 @@ def tamper_der(signature: bytes, edit: str, value: int) -> bytes:
         cut = value % len(body)
         return (body[:1] + bytes([max(cut - 2, 0)]) + body[2:cut])[:cut] + signature[-1:]
     return signature[: value % len(signature)]
+
+
+def synthetic_trace(seq, ended):
+    """A trace whose handovers do the tasks of ``seq`` in order, with a
+    normal END if ``ended``."""
+    events = [M.TraceEvent(M.EventKind.START, 0)]
+    for i, task in enumerate(seq, 1):
+        events.append(M.TraceEvent(M.EventKind.HANDOVER, i, task_id=task))
+    if ended:
+        events.append(M.TraceEvent(M.EventKind.END, len(seq) + 1))
+    return M.ExecutionTrace(tuple(events))
 
 
 @functools.lru_cache(maxsize=None)

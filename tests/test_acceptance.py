@@ -36,7 +36,7 @@ from chorchain.encoding import (
     signing_digest,
 )
 
-from conftest import scenario_run
+from conftest import scenario_run, synthetic_trace
 
 
 def report(n, text):
@@ -207,15 +207,6 @@ def test_criterion_5_exponential_blocks():
 
 
 # --- 6. conformance oracle equivalence ------------------------------------------------------
-
-
-def synthetic_trace(seq, ended):
-    events = [M.TraceEvent(M.EventKind.START, 0)]
-    for i, task in enumerate(seq, 1):
-        events.append(M.TraceEvent(M.EventKind.HANDOVER, i, task_id=task))
-    if ended:
-        events.append(M.TraceEvent(M.EventKind.END, len(seq) + 1))
-    return M.ExecutionTrace(tuple(events))
 
 
 def test_criterion_6_conformance_oracle_equivalence():

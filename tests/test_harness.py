@@ -1,5 +1,6 @@
 import functools
 import io
+import itertools
 import json
 import statistics
 
@@ -8,9 +9,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from chorchain import harness as H
+from chorchain import model as M
 from chorchain.engine import FILLER_TASK_ID
 
-from conftest import DER_EDITS, scenario_run, tamper_der
+from conftest import DER_EDITS, block_models, scenario_run, synthetic_trace, tamper_der
 
 
 # --- planning ---------------------------------------------------------------------
@@ -147,6 +149,17 @@ AND_THEN_EMPTY_XOR = _model_doc(
 )
 
 
+# XOR((AND((10), (20))), (30)), then 40: the AND block ends its XOR branch
+XOR_ENDING_IN_AND = _model_doc(
+    8,
+    [("s", "start", None), ("x", "xor_split", None), ("a", "and_split", None),
+     ("t10", "task", 10), ("t20", "task", 20), ("aj", "and_join", None), ("t30", "task", 30),
+     ("xj", "xor_join", None), ("t40", "task", 40), ("e", "end", None)],
+    [("s", "x"), ("x", "a"), ("a", "t10"), ("a", "t20"), ("t10", "aj"), ("t20", "aj"),
+     ("aj", "xj"), ("x", "t30"), ("t30", "xj"), ("xj", "t40"), ("t40", "e")],
+)
+
+
 @pytest.mark.parametrize("pick", [0, 1])
 def test_a_join_hands_over_the_task_after_an_xor_once(pick, monkeypatch):
     """The join hands the token over for the first task ahead. When the XOR
@@ -163,6 +176,116 @@ def test_a_join_hands_over_the_task_after_an_xor_once(pick, monkeypatch):
     (run,) = result.runs
     assert not run.aborted
     assert H.audit(result.dumps[0], AND_THEN_EMPTY_XOR).all_clean
+
+
+def _reference_plan(model, choices):
+    """The plan compiler as it was before it became one walk: a cursor over
+    the picks, a look-ahead walk for the task after an AND block, and that
+    task threaded through the recursion so that its handover is not planned
+    twice. Kept as the reference that ``build_plan`` must match."""
+    xor_splits = sum(n.kind == M.NodeKind.XOR_SPLIT for n in model.nodes)
+    if len(choices) == 1 and xor_splits > 1:
+        choices = choices * xor_splits
+    if len(choices) < xor_splits:
+        raise H.ScenarioError(f"model has {xor_splits} XOR splits, variant picks {len(choices)}")
+    cursor = 0  # XOR picks taken so far, in walk order
+
+    def branch(gateway, pick_no):
+        pick = choices[pick_no]
+        if not 0 <= pick < len(gateway.branches):
+            raise H.ScenarioError(f"variant picks branch {pick} of {len(gateway.branches)}")
+        return gateway.branches[pick]
+
+    def tasks_ahead(steps, pick_nos):
+        """Tasks these steps will execute, in order. XOR picks are peeked,
+        not consumed; the main walk takes them later."""
+        for step in steps:
+            if isinstance(step, int):
+                yield step
+            elif step.kind == M.NodeKind.AND_SPLIT:
+                raise H.ScenarioError("parallel block directly after a join is unsupported")
+            else:
+                yield from tasks_ahead(branch(step, next(pick_nos)), pick_nos)
+
+    plan = [H.PlanStart()]
+
+    def walk(steps, holder, skip_task):
+        """Emit the steps' plan; returns the final holder, and the task whose
+        handover a join already documented if these steps never reached it."""
+        nonlocal cursor
+        for i, step in enumerate(steps):
+            if isinstance(step, int):
+                actor = H.participant_for(step)
+                if step == skip_task:
+                    skip_task = None  # handover already documented before the join
+                else:
+                    plan.append(H.PlanHandover(holder, actor, step))
+                plan.append(H.PlanTask(actor, step))
+                holder = actor
+            elif step.kind == M.NodeKind.XOR_SPLIT:
+                cursor += 1
+                holder, skip_task = walk(branch(step, cursor - 1), holder, skip_task)
+            else:
+                plan.append(H.PlanSplit(holder, len(step.branches)))
+                finals = [walk(b, holder, None)[0] for b in step.branches]
+                proceed_task = next(tasks_ahead(steps[i + 1 :], itertools.count(cursor)), None)
+                proceed = H.OWNER if proceed_task is None else H.participant_for(proceed_task)
+                # first finished branch hands over for the next task, the
+                # others return custody only
+                first, *rest = finals
+                if proceed_task is None:
+                    plan.append(H.PlanHandover(first, proceed, FILLER_TASK_ID, filler=True))
+                else:
+                    plan.append(H.PlanHandover(first, proceed, proceed_task))
+                for other in rest:
+                    plan.append(H.PlanHandover(other, proceed, FILLER_TASK_ID, filler=True))
+                plan.append(H.PlanJoin(proceed, len(step.branches)))
+                holder = proceed
+                skip_task = proceed_task
+        return holder, skip_task
+
+    final_holder, _ = walk(model.body, H.OWNER, None)
+    if final_holder != H.OWNER:
+        plan.append(H.PlanHandover(final_holder, H.OWNER, FILLER_TASK_ID, filler=True))
+    plan.append(H.PlanEnd(H.OWNER))
+    return plan
+
+
+@st.composite
+def models_with_picks(draw):
+    """A random block model's document and XOR picks for it: each pick in
+    0..3, from none up to one more than the model has XOR splits."""
+    document = draw(block_models())
+    xors = sum(n.kind == M.NodeKind.XOR_SPLIT for n in M.load_model(document).nodes)
+    return document, draw(st.lists(st.integers(0, 3), max_size=xors + 1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(models_with_picks())
+@example((AND_THEN_EMPTY_XOR, [0]))
+@example((AND_THEN_EMPTY_XOR, [1]))
+@example((XOR_ENDING_IN_AND, [0]))  # joins at the owner, not at 40
+def test_plan_is_the_reference_plan_and_replays_conformant(model_and_picks):
+    """``build_plan`` gives the reference's plan, or its refusal word for
+    word. A plan's tasks, replayed with a normal end, conform to the model,
+    and its non-filler handovers hand exactly those tasks to their
+    performers."""
+    document, picks = model_and_picks
+    model = M.load_model(document)
+    try:
+        want = _reference_plan(model, picks)
+    except H.ScenarioError as refusal:
+        with pytest.raises(H.ScenarioError) as got:
+            H.build_plan(model, picks)
+        assert str(got.value) == str(refusal)
+        return
+    plan = H.build_plan(model, picks)
+    assert plan == want
+    tasks = planned_task_sequence(plan)
+    assert M.check_conformance(model, synthetic_trace(tasks, True)) == M.Conformant()
+    handed = [h for h in H.planned_handovers(plan) if not h.filler]
+    assert tuple(h.task_id for h in handed) == tasks
+    assert all(h.receiver == H.participant_for(h.task_id) for h in handed)
 
 
 def test_a_run_that_never_audits_starts_no_helper_thread(monkeypatch):
@@ -185,7 +308,8 @@ def test_bad_variant_rejected():
         H.run_scenario(H.ScenarioConfig(model_id=2, variant="7"))
     with pytest.raises(H.ScenarioError):
         H.run_scenario(H.ScenarioConfig(model_id=2, variant="zebra"))
-    # model 4's XOR block follows its AND block, so the join peeks the pick
+    # model 4's XOR block follows its AND block: its pick is refused where
+    # the walk reaches it, after the block's branches
     for variant in ("2", "7", "-1"):
         with pytest.raises(H.ScenarioError, match=f"variant picks branch {variant} of 2"):
             H.run_scenario(H.ScenarioConfig(model_id=4, variant=variant))

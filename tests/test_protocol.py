@@ -288,7 +288,7 @@ class Env:
     Their identities are the harness's shared ones, or, given a ``root``,
     fresh ones that root issues."""
 
-    def __init__(self, seed=21, model_id=1, acceptable_tasks=None, root=None):
+    def __init__(self, seed=21, model_id=1, root=None):
         self.rng = random.Random(seed)
         self.sim = ChainSim(SimConfig(seed=seed, block_interval_mean=6.0))
         self.transport = P.InProcTransport()
@@ -299,9 +299,7 @@ class Env:
         for name in ("owner", "alice", "bob"):
             identity = root.issue(name, now=0, lifetime=2**33) if root else shared_identity(name)
             self.participants[name] = P.Participant(
-                identity, self.root, self.transport, self.sim, self.fee,
-                self.model, self.rng,
-                acceptable_tasks=acceptable_tasks if name != "owner" else None,
+                identity, self.root, self.transport, self.sim, self.fee, self.model, self.rng
             )
         owner_key = Keypair.generate(self.rng)
         funds = self.sim.grant(owner_key, [2_000_000])
@@ -430,15 +428,6 @@ def test_corrupted_data_source_rejected_at_check2():
     assert sender.exchange_addresses(session)
     outcome = sender.run_sender(session)
     assert not outcome.published and outcome.check == 2
-
-
-def test_negotiation_rejected_for_unacceptable_task():
-    env = Env(acceptable_tasks=frozenset({9}))
-    sender = env.participants["owner"]
-    session = sender.open_session("alice", P.NegotiatedTerms(1, 1, int(env.sim.now)))
-    assert not sender.negotiate(session)
-    assert session.state == P.SessionState.ABORTED
-    assert "not acceptable" in session.abort_reason
 
 
 def test_timeout_aborts_session_and_charges_clock():
