@@ -38,9 +38,9 @@ from dataclasses import dataclass, field
 from typing import Container, Iterator
 
 from .encoding import (
+    EncodingError,
     EnrichedTransaction,
     OutputKind,
-    TransactionInvariantError,
     TxOutput,
     tx_from_hex,
     tx_to_hex,
@@ -214,8 +214,8 @@ class ChainSim(ChainIndex):
         """Why ``tx`` would be refused, or None and its fee if it would be
         admitted, as if the mempool transactions in ``gone`` were evicted."""
         try:
-            tx_id = tx.tx_id  # serializes, so it checks the structure
-        except TransactionInvariantError as exc:
+            tx_id = tx.tx_id  # serializes, so it checks the structure and push sizes
+        except EncodingError as exc:
             return f"invalid: {exc}", 0
         if tx_id in self._tx_at and tx_id not in gone:
             return "duplicate", 0

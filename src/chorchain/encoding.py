@@ -393,6 +393,12 @@ class EnrichedTransaction:
     version: int = 1
     locktime: int = 0
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.version < 2**32:
+            raise TransactionInvariantError(f"version {self.version} out of range")
+        if not 0 <= self.locktime < 2**32:
+            raise TransactionInvariantError(f"locktime {self.locktime} out of range")
+
     @property
     def data_outputs(self) -> tuple[TxOutput, ...]:
         return tuple(o for o in self.outputs if o.kind == OutputKind.DATA)

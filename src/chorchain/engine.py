@@ -5,12 +5,12 @@ fee, so other participants never contribute coins of their own. Handovers
 move that token between freshly generated keys; splits and joins fan it out
 and merge it for parallel paths; the end transaction returns the residual.
 
-A handover is negotiated around a partially signed template: the sender
-fills in everything except the two signatures, the receiver runs four checks
-against it, and both parties then sign the same digest (the serialization
-with unlocking scripts empty and the receiver-signature field zero-filled).
-The receiver's signature lands inside the data block, the sender's in the
-input's unlocking script.
+A handover is negotiated around its template, the handover transaction
+itself before either signature: the sender builds it, the receiver runs four
+checks against it, and both parties then sign the same digest (the
+serialization with unlocking scripts empty and the receiver-signature field
+zero-filled). The receiver's signature lands inside the data block, the
+sender's in the input's unlocking script.
 
 An instance is rebuilt from the chain alone by :func:`walk_instance`, the one
 forward walk over token spend links: the trace, the audit's value tally and
@@ -64,10 +64,6 @@ class InsufficientFunds(EngineError):
 
 
 class TokenValueError(EngineError):
-    pass
-
-
-class KeyMismatch(EngineError):
     pass
 
 
@@ -142,31 +138,6 @@ class ExpectedTerms:
     timestamp: int
     receiver_key_hash: bytes
     data_hash: bytes | None = None  # hash of the process data just received
-
-
-@dataclass(frozen=True)
-class HandoverTemplate:
-    tx: EnrichedTransaction
-    receiver_key_hash: bytes
-    data_hash: bytes | None
-
-    @property
-    def digest(self) -> bytes:
-        return signing_digest(self.tx)
-
-    @property
-    def data_block(self) -> DataBlock:
-        block = self.tx.data_block
-        if block is None:
-            raise EngineError("handover template carries no data block")
-        return block
-
-    @property
-    def token_output(self) -> tuple[int, TxOutput]:
-        return self.tx.token_outputs[0]
-
-    def output_redeem_script(self) -> bytes:
-        return build_redeem_script(self.receiver_key_hash, self.data_hash)
 
 
 @dataclass(frozen=True)
@@ -260,7 +231,8 @@ def build_handover_template(
     receiver_key_hash: bytes,
     data_hash: bytes | None,
     fee_policy: FeePolicy,
-) -> HandoverTemplate:
+) -> EnrichedTransaction:
+    """The handover transaction before either party signs it."""
     if not 1 <= next_task_id <= 251:
         raise EngineError(f"task id {next_task_id} outside 1..251")
     fee = fee_policy.per_tx_fee
@@ -269,7 +241,7 @@ def build_handover_template(
             f"token of {token.value} satoshi cannot pay the {fee} satoshi fee and survive"
         )
     out_redeem = build_redeem_script(receiver_key_hash, data_hash)
-    tx = EnrichedTransaction(
+    return EnrichedTransaction(
         inputs=(
             TxInput(
                 token.tx_id,
@@ -285,11 +257,10 @@ def build_handover_template(
             ),
         ),
     )
-    return HandoverTemplate(tx, receiver_key_hash, data_hash)
 
 
 def validate_template(
-    template: HandoverTemplate,
+    template: EnrichedTransaction,
     expected: ExpectedTerms,
     process_model: model_mod.ProcessModel,
     chain_view: ChainView,
@@ -301,17 +272,21 @@ def validate_template(
     2. the token output can be reconstructed from the receiver's own key
        hash and the hash of the data just received;
     3. the data block repeats the negotiated terms;
-    4. the execution history reconstructed from the chain conforms to the
-       process model.
+    4. the execution history reconstructed from the chain, followed by the
+       template's own task, conforms to the process model.
 
     The consumed output's data hash is not compared with anything: it
     documents the data the sender received, which the sender's task has
     changed since.
 
-    An ancestor that cannot be resolved at all raises
-    :class:`UnresolvableAncestor` instead of producing a verdict.
+    A transaction without a handover data block raises :class:`EngineError`,
+    and an ancestor that cannot be resolved at all raises
+    :class:`UnresolvableAncestor`, instead of producing a verdict.
     """
-    txin = template.tx.inputs[0]
+    block = template.data_block
+    if block is None or block.kind != TxKind.HANDOVER:
+        raise EngineError("template carries no handover data block")
+    txin = template.inputs[0]
     prev_tx = chain_view.get_transaction(txin.prev_tx_id)
     if prev_tx is None:
         raise UnresolvableAncestor(f"referenced transaction {txin.prev_tx_id.hex()} unknown")
@@ -329,14 +304,13 @@ def validate_template(
     except Exception as exc:
         return TemplateVerdict.reject(1, f"redeem script unparseable: {exc}")
 
-    _, token_out = template.token_output
+    _, token_out = template.token_outputs[0]
     want = hash160(build_redeem_script(expected.receiver_key_hash, expected.data_hash))
     if token_out.script_hash != want:
         return TemplateVerdict.reject(
             2, "token output does not lock to the receiver's key and data hash"
         )
 
-    block = template.data_block
     if block.process_id != expected.process_id:
         return TemplateVerdict.reject(3, f"process id {block.process_id} not negotiated")
     if block.task_id != expected.task_id:
@@ -346,41 +320,40 @@ def validate_template(
     if abs(block.timestamp - expected.timestamp) > TIMESTAMP_SKEW:
         return TemplateVerdict.reject(3, "timestamp outside the agreed skew window")
 
-    start_id = _find_start(chain_view, txin.prev_tx_id)
-    trace = reconstruct_trace(chain_view, start_id)
-    verdict = model_mod.check_conformance(process_model, trace)
+    history = reconstruct_trace(chain_view, _find_start(chain_view, txin.prev_tx_id))
+    step = model_mod.TraceEvent(
+        model_mod.EventKind.HANDOVER,
+        block.timestamp,
+        task_id=block.task_id,
+        filler=block.task_id == FILLER_TASK_ID,
+    )
+    verdict = model_mod.check_conformance(
+        process_model, model_mod.ExecutionTrace(history.events + (step,))
+    )
     if not verdict.ok:
         return TemplateVerdict.reject(4, f"execution history deviates: {verdict}")
     return TemplateVerdict.accept()
 
 
-def sign_as_receiver(template: HandoverTemplate, receiver_keypair: Keypair) -> bytes:
-    if receiver_keypair.key_hash != template.receiver_key_hash:
-        raise KeyMismatch("keypair does not hash to the key the template locks to")
-    _, token_out = template.token_output
-    if token_out.script_hash != hash160(template.output_redeem_script()):
-        raise KeyMismatch("template token output inconsistent with echoed terms")
-    return sign(template.digest, receiver_keypair)
-
-
 def finalize_and_sign_as_sender(
-    template: HandoverTemplate,
+    template: EnrichedTransaction,
+    receiver_key_hash: bytes,
     receiver_signature: bytes,
     receiver_public_key: bytes,
     sender_keypair: Keypair,
 ) -> EnrichedTransaction:
     """The published handover: the receiver's signature, checked against
     the public key it revealed with it, goes into the data block and the
-    sender's into the input. The key must hash to the one the template
-    locks the token to."""
-    digest = template.digest
-    if hash160(receiver_public_key) != template.receiver_key_hash:
+    sender's into the input. The key must hash to ``receiver_key_hash``,
+    the one the receiver attested and the template locks the token to."""
+    digest = signing_digest(template)
+    if hash160(receiver_public_key) != receiver_key_hash:
         raise BadReceiverSignature("receiver key does not hash to the token key")
     if len(receiver_signature) not in (71, 72) or not verify(
         digest, receiver_signature, receiver_public_key
     ):
         raise BadReceiverSignature("receiver signature does not verify against the token key")
-    txin = template.tx.inputs[0]
+    txin = template.inputs[0]
     parsed = parse_redeem_script(txin.unlocking.redeem_script)
     if sender_keypair.key_hash != parsed.payee_key_hash:
         raise UnlockError("sender key cannot unlock the consumed token output")
@@ -391,12 +364,12 @@ def finalize_and_sign_as_sender(
     )
     outputs = tuple(
         TxOutput.data(final_block) if o.kind == OutputKind.DATA else o
-        for o in template.tx.outputs
+        for o in template.outputs
     )
     unlocking = Unlocking(
         sign(digest, sender_keypair), sender_keypair.public_key, txin.unlocking.redeem_script
     )
-    return replace(template.tx, inputs=(replace(txin, unlocking=unlocking),), outputs=outputs)
+    return replace(template, inputs=(replace(txin, unlocking=unlocking),), outputs=outputs)
 
 
 def token_from_handover(

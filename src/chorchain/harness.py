@@ -436,7 +436,8 @@ class _Run:
         outcome = sender.run_sender(session)
         if not outcome.published:
             self.aborted = True
-            self.detection = "detected" if outcome.check == 3 and outcome.abort_tx_id else "missed"
+            detected = outcome.check in (3, 4) and outcome.abort_tx_id
+            self.detection = "detected" if detected else "missed"
             if outcome.abort_tx_id:
                 self._record(outcome.abort_tx_id)
             return False

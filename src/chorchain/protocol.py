@@ -9,8 +9,10 @@ receiver, is:
 3. exchange freshly generated transaction addresses under identity
    signatures,
 4. build the handover-transaction template,
-5. send the template together with the data key, identity-signed; the
-   receiver runs its four checks and answers with its token-key signature,
+5. send the template (the unsigned handover transaction) and the data key
+   under one identity signature; the receiver runs its four checks, signs
+   the template with its fresh transaction key and answers with the
+   signature and that key,
 6. finalize with the sender's signature and broadcast.
 
 A rejected template aborts the session and the sender closes the instance
@@ -57,7 +59,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import engine as eng
 from .chain import BroadcastResult
-from .crypto import Keypair, sha256
+from .crypto import Keypair, sha256, sign
 from .encoding import (
     _VARINT_SIZES,
     EncodingError,
@@ -66,6 +68,7 @@ from .encoding import (
     _varint,
     deserialize_transaction,
     serialize_transaction,
+    signing_digest,
 )
 from .provider import ProviderChainView
 
@@ -487,7 +490,7 @@ class HandoverSession:
     data_hash: bytes | None = None
     plaintext: bytes | None = None
     ciphertext: EncryptedProcessData | None = None
-    template: eng.HandoverTemplate | None = None
+    template: EnrichedTransaction | None = None
     template_bytes: bytes = b""
     template_identity_sig: bytes = b""
     receiver_signature: bytes = b""
@@ -746,25 +749,15 @@ class Participant:
         terms = session.terms
         token = session.token
         task_id = session.fault_task_id or terms.task_id
+        receiver_key_hash = session.peer_attestation.bitcoin_key_hash
         self._charge()
         template = eng.build_handover_template(
-            token,
-            task_id,
-            self._now(),
-            session.peer_attestation.bitcoin_key_hash,
-            session.data_hash,
-            self.fee_policy,
+            token, task_id, self._now(), receiver_key_hash, session.data_hash, self.fee_policy
         )
         session.template = template
-        tx_bytes = serialize_transaction(template.tx)
+        tx_bytes = serialize_transaction(template)
         identity_sig = self.identity.sign(sha256(tx_bytes + session.data_key))
-        payload = pack_fields(
-            tx_bytes,
-            template.receiver_key_hash,
-            template.data_hash or b"",
-            session.data_key,
-            identity_sig,
-        )
+        payload = pack_fields(tx_bytes, session.data_key, identity_sig)
         reply = self._request(session, make_frame(FrameType.TEMPLATE_KEY, payload))
         if reply is None:
             return SenderOutcome(False, reason=session.abort_reason)
@@ -786,7 +779,7 @@ class Participant:
         self._charge()
         try:
             final = eng.finalize_and_sign_as_sender(
-                template, receiver_sig, receiver_key, token.holder_key
+                template, receiver_key_hash, receiver_sig, receiver_key, token.holder_key
             )
         except eng.EngineError as exc:
             session.abort(f"finalize: {exc}")
@@ -808,11 +801,11 @@ class Participant:
             return None
         template = session.template
         self._charge("provider")
-        spender = self.chain_view.get_spender(template.tx.inputs[0].outpoint)
+        spender = self.chain_view.get_spender(template.inputs[0].outpoint)
         if spender is None:
             return None
         final = self.chain_view.get_transaction(spender)
-        if final is None or eng.signing_digest(final) != template.digest:
+        if final is None or signing_digest(final) != signing_digest(template):
             session.abort("published transaction does not match the signed template")
             return None
         token = eng.token_from_handover(final, session.receive_key, session.data_hash)
@@ -900,7 +893,7 @@ class Participant:
         return make_frame(FrameType.ADDR_ATTEST, own.to_bytes())
 
     def _on_template_key(self, session: HandoverSession, body: bytes) -> bytes:
-        tx_bytes, receiver_key_hash, data_hash, data_key, identity_sig = unpack_fields(body, 5)
+        tx_bytes, data_key, identity_sig = unpack_fields(body, 3)
         if not _identity_verify(
             session.peer_certificate.public_key_der, identity_sig, sha256(tx_bytes + data_key)
         ):
@@ -918,8 +911,7 @@ class Participant:
         tx = deserialize_transaction(tx_bytes)
         if tx.kind != TxKind.HANDOVER:
             return _refuse(session, "template is not a handover")
-        template = eng.HandoverTemplate(tx, receiver_key_hash, data_hash or None)
-        session.template = template
+        session.template = tx
         expected = eng.ExpectedTerms(
             process_id=session.terms.process_id,
             task_id=session.terms.task_id,
@@ -929,16 +921,13 @@ class Participant:
         )
         self._charge("provider")
         try:
-            verdict = eng.validate_template(template, expected, self.model, self.chain_view)
+            verdict = eng.validate_template(tx, expected, self.model, self.chain_view)
         except (eng.UnresolvableAncestor, eng.BrokenLineage) as exc:
             return _refuse(session, f"history unresolvable: {exc}", status=2)
         if not verdict.accepted:
             check = verdict.failed_check
             return _refuse(session, f"check {check}: {verdict.reason}", verdict.reason, check=check)
-        try:
-            signature = eng.sign_as_receiver(template, session.receive_key)
-        except eng.EngineError as exc:
-            return _refuse(session, f"signing: {exc}", str(exc))
+        signature = sign(signing_digest(tx), session.receive_key)
         session.data_key = data_key
         session.plaintext = plaintext
         session.data_hash = received_hash

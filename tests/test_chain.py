@@ -503,6 +503,30 @@ def test_transaction_spending_one_outpoint_twice_refused(funded):
     assert sim.get_spender(twice.inputs[0].outpoint) is None
 
 
+@pytest.mark.parametrize("case", ["redeem script push", "signature push", "version", "locktime"])
+def test_transaction_that_cannot_be_written_is_refused(funded, case):
+    """A push over 255 bytes has no encoding here, and version and locktime
+    are four unsigned bytes. Broadcast refuses the push as invalid instead
+    of raising; a version or locktime out of range is refused, with the
+    same error, when the transaction is built, so it never reaches the
+    chain. Either way the mempool is unchanged."""
+    from dataclasses import replace
+
+    sim, key, outs, rng = funded
+    tx, _ = payment([(outs[0].tx_id, 0, outs[0].value, key)], [outs[0].value - 1000], rng=rng)
+    txin = tx.inputs[0]
+    if case.endswith("push"):
+        field = "redeem_script" if case.startswith("redeem") else "signature"
+        unlocking = replace(txin.unlocking, **{field: b"\x51" * 256})
+        result = sim.broadcast(replace(tx, inputs=(replace(txin, unlocking=unlocking),)))
+        assert not result.accepted and result.reason == "invalid: push too large"
+    else:
+        with pytest.raises(encoding.TransactionInvariantError, match=f"^{case} .* out of range$"):
+            replace(tx, **{case: -1 if case == "version" else 2**32})
+    assert sim.mempool_ids == []
+    assert sim.get_spender(txin.outpoint) is None
+
+
 @pytest.mark.parametrize("edit", ["r", "cut body", "negative r"])
 def test_broadcast_refuses_a_der_signature_without_s(funded, edit):
     """r's length covering s, or the body cut just after the tag of s; or,

@@ -200,7 +200,7 @@ def test_transaction_roundtrip_all_kinds(rng, fee_policy):
     join, merged = eng.build_join(tokens, 120, fee_policy, rng)
     tpl = eng.build_handover_template(merged, 9, 130, owner.key_hash, None, fee_policy)
     end = eng.build_end(merged, merged.holder_key, 140, fee_policy)
-    for tx in (start, split, join, tpl.tx, end):
+    for tx in (start, split, join, tpl, end):
         raw = enc.serialize_transaction(tx)
         assert enc.deserialize_transaction(raw) == tx
 

@@ -5,7 +5,7 @@ import pytest
 from chorchain import engine as eng
 from chorchain import harness as H
 from chorchain import model as M
-from chorchain.crypto import Keypair, hash160, sha256, sign
+from chorchain.crypto import Keypair, hash160, sha256, sign, verify
 from chorchain.encoding import (
     EnrichedTransaction,
     OutputKind,
@@ -13,6 +13,7 @@ from chorchain.encoding import (
     TxKind,
     TxOutput,
     build_redeem_script,
+    signing_digest,
 )
 
 from conftest import make_instance
@@ -110,6 +111,19 @@ def expected_terms(live, task=1, **kw):
     return eng.ExpectedTerms(**defaults)
 
 
+def receiver_sign(tpl, key):
+    """The receiver's signature once its checks pass: the template's
+    signing digest under its fresh transaction key."""
+    return sign(signing_digest(tpl), key)
+
+
+def finalize(tpl, key, holder_key):
+    """The published handover of ``tpl`` to ``key``."""
+    return eng.finalize_and_sign_as_sender(
+        tpl, key.key_hash, receiver_sign(tpl, key), key.public_key, holder_key
+    )
+
+
 def template(live, task=1, data_hash="default", ts=None):
     dh = live["data_hash"] if data_hash == "default" else data_hash
     return eng.build_handover_template(
@@ -121,20 +135,20 @@ def template(live, task=1, data_hash="default", ts=None):
 def test_template_output_recomputes(live):
     tpl = template(live)
     want = hash160(build_redeem_script(live["receiver"].key_hash, live["data_hash"]))
-    assert tpl.token_output[1].script_hash == want
+    assert tpl.token_outputs[0][1].script_hash == want
     assert eng.validate_template(tpl, expected_terms(live), live["model"], live["sim"]).accepted
 
 
 def test_template_without_data_hash_locks_plain_clause(live):
     tpl = template(live, data_hash=None)
-    assert tpl.token_output[1].script_hash == hash160(
+    assert tpl.token_outputs[0][1].script_hash == hash160(
         build_redeem_script(live["receiver"].key_hash)
     )
 
 
 def test_template_fee_deducted(live):
     tpl = template(live)
-    assert tpl.token_output[1].value == live["token"].value - live["fee"].per_tx_fee
+    assert tpl.token_outputs[0][1].value == live["token"].value - live["fee"].per_tx_fee
 
 
 def test_template_token_would_vanish(live):
@@ -161,14 +175,25 @@ def test_check1_redeem_script_mismatch(live):
     from chorchain.encoding import Unlocking
 
     wrong_redeem = build_redeem_script(Keypair.generate(live["rng"]).key_hash)
-    txin = replace(tpl.tx.inputs[0], unlocking=Unlocking(redeem_script=wrong_redeem))
-    bad = eng.HandoverTemplate(replace(tpl.tx, inputs=(txin,)), tpl.receiver_key_hash, tpl.data_hash)
+    txin = replace(tpl.inputs[0], unlocking=Unlocking(redeem_script=wrong_redeem))
+    bad = replace(tpl, inputs=(txin,))
     verdict = eng.validate_template(bad, expected_terms(live), live["model"], live["sim"])
     assert not verdict.accepted and verdict.failed_check == 1
 
 
 def test_check2_wrong_data_hash(live):
     tpl = template(live, data_hash=sha256(b"mutated"))
+    verdict = eng.validate_template(tpl, expected_terms(live), live["model"], live["sim"])
+    assert not verdict.accepted and verdict.failed_check == 2
+
+
+def test_check2_template_locked_to_another_key(live):
+    """What the receiver signs is locked to its own key: a template whose
+    token output pays another key is refused before any signature."""
+    other = Keypair.generate(live["rng"])
+    tpl = eng.build_handover_template(
+        live["token"], 1, int(live["sim"].now), other.key_hash, live["data_hash"], live["fee"]
+    )
     verdict = eng.validate_template(tpl, expected_terms(live), live["model"], live["sim"])
     assert not verdict.accepted and verdict.failed_check == 2
 
@@ -192,10 +217,7 @@ def test_check4_history_must_conform(live, models):
     # straight after task 1); the next honest receiver must walk away
     sim, fee, rng = live["sim"], live["fee"], live["rng"]
     tpl = template(live)
-    sig = eng.sign_as_receiver(tpl, live["receiver"])
-    final = eng.finalize_and_sign_as_sender(
-        tpl, sig, live["receiver"].public_key, live["token"].holder_key
-    )
+    final = finalize(tpl, live["receiver"], live["token"].holder_key)
     assert sim.broadcast(final).accepted
     token2 = eng.token_from_handover(final, live["receiver"], live["data_hash"])
 
@@ -203,9 +225,7 @@ def test_check4_history_must_conform(live, models):
     tpl_bad = eng.build_handover_template(
         token2, 3, int(sim.now), rogue_key.key_hash, live["data_hash"], fee
     )
-    final_bad = eng.finalize_and_sign_as_sender(
-        tpl_bad, eng.sign_as_receiver(tpl_bad, rogue_key), rogue_key.public_key, token2.holder_key
-    )
+    final_bad = finalize(tpl_bad, rogue_key, token2.holder_key)
     assert sim.broadcast(final_bad).accepted  # miners do not check conformance
 
     token3 = eng.token_from_handover(final_bad, rogue_key, live["data_hash"])
@@ -218,14 +238,26 @@ def test_check4_history_must_conform(live, models):
     assert not verdict.accepted and verdict.failed_check == 4
 
 
+def test_check4_judges_the_step_being_signed(live):
+    """Model 1 runs 1 -> 2 -> 3. Over a history with no task yet, a
+    negotiated handover for task 2 is refused at check 4; a filler handover
+    moves custody only and is a legal step."""
+    model, sim = live["model"], live["sim"]
+    verdict = eng.validate_template(template(live, task=2), expected_terms(live, 2), model, sim)
+    assert not verdict.accepted and verdict.failed_check == 4
+    assert "Deviation(position=1, expected=frozenset({1}), actual=2)" in verdict.reason
+    filler = eng.FILLER_TASK_ID
+    assert eng.validate_template(
+        template(live, task=filler), expected_terms(live, filler), model, sim
+    ).accepted
+
+
 def test_unresolvable_ancestor_is_an_error_not_a_verdict(live):
     tpl = template(live)
     from dataclasses import replace
 
-    txin = replace(tpl.tx.inputs[0], prev_tx_id=b"\x77" * 32)
-    orphan = eng.HandoverTemplate(
-        replace(tpl.tx, inputs=(txin,)), tpl.receiver_key_hash, tpl.data_hash
-    )
+    txin = replace(tpl.inputs[0], prev_tx_id=b"\x77" * 32)
+    orphan = replace(tpl, inputs=(txin,))
     with pytest.raises(eng.UnresolvableAncestor):
         eng.validate_template(orphan, expected_terms(live), live["model"], live["sim"])
 
@@ -235,26 +267,19 @@ def test_unresolvable_ancestor_is_an_error_not_a_verdict(live):
 
 def test_sign_as_receiver_and_lengths(live):
     tpl = template(live)
-    sig = eng.sign_as_receiver(tpl, live["receiver"])
+    sig = receiver_sign(tpl, live["receiver"])
     assert len(sig) in (71, 72)
-    from chorchain.crypto import verify
-
-    assert verify(tpl.digest, sig, live["receiver"].public_key)
-
-
-def test_sign_as_receiver_key_mismatch(live):
-    tpl = template(live)
-    with pytest.raises(eng.KeyMismatch):
-        eng.sign_as_receiver(tpl, Keypair.generate(live["rng"]))
+    assert verify(signing_digest(tpl), sig, live["receiver"].public_key)
 
 
 def test_finalize_rejects_corrupt_receiver_signature(live):
     tpl = template(live)
-    sig = bytearray(eng.sign_as_receiver(tpl, live["receiver"]))
+    receiver = live["receiver"]
+    sig = bytearray(receiver_sign(tpl, receiver))
     sig[12] ^= 0xFF
     with pytest.raises(eng.BadReceiverSignature, match="does not verify"):
         eng.finalize_and_sign_as_sender(
-            tpl, bytes(sig), live["receiver"].public_key, live["token"].holder_key
+            tpl, receiver.key_hash, bytes(sig), receiver.public_key, live["token"].holder_key
         )
 
 
@@ -265,36 +290,32 @@ def test_finalize_rejects_a_receiver_key_off_the_template(live):
     other = Keypair.generate(live["rng"])
     with pytest.raises(eng.BadReceiverSignature, match="does not hash"):
         eng.finalize_and_sign_as_sender(
-            tpl, sign(tpl.digest, other), other.public_key, live["token"].holder_key
+            tpl, live["receiver"].key_hash, receiver_sign(tpl, other), other.public_key,
+            live["token"].holder_key,
         )
 
 
 def test_finalize_rejects_the_right_key_under_a_signature_it_did_not_make(live):
     tpl = template(live)
-    forged = sign(tpl.digest, Keypair.generate(live["rng"]))
+    forged = receiver_sign(tpl, Keypair.generate(live["rng"]))
+    receiver = live["receiver"]
     with pytest.raises(eng.BadReceiverSignature, match="does not verify"):
         eng.finalize_and_sign_as_sender(
-            tpl, forged, live["receiver"].public_key, live["token"].holder_key
+            tpl, receiver.key_hash, forged, receiver.public_key, live["token"].holder_key
         )
 
 
 def test_finalize_rejects_wrong_sender_key(live):
     tpl = template(live)
-    sig = eng.sign_as_receiver(tpl, live["receiver"])
     with pytest.raises(eng.UnlockError):
-        eng.finalize_and_sign_as_sender(
-            tpl, sig, live["receiver"].public_key, Keypair.generate(live["rng"])
-        )
+        finalize(tpl, live["receiver"], Keypair.generate(live["rng"]))
 
 
 def test_finalized_tx_passes_script_validation_and_broadcast(live):
     tpl = template(live)
-    sig = eng.sign_as_receiver(tpl, live["receiver"])
-    final = eng.finalize_and_sign_as_sender(
-        tpl, sig, live["receiver"].public_key, live["token"].holder_key
-    )
+    final = finalize(tpl, live["receiver"], live["token"].holder_key)
     eng.validate_transaction_scripts(final, live["sim"])
-    assert final.data_block.receiver_signature == sig
+    assert final.data_block.receiver_signature == receiver_sign(tpl, live["receiver"])
     assert live["sim"].broadcast(final).accepted
 
 
@@ -396,10 +417,7 @@ def run_split_join_instance(live):
     sim, fee, rng = live["sim"], live["fee"], live["rng"]
     ts = int(sim.now)
     h = template(live)
-    final = eng.finalize_and_sign_as_sender(
-        h, eng.sign_as_receiver(h, live["receiver"]), live["receiver"].public_key,
-        live["token"].holder_key,
-    )
+    final = finalize(h, live["receiver"], live["token"].holder_key)
     assert sim.broadcast(final).accepted
     token = eng.token_from_handover(final, live["receiver"], live["data_hash"])
     split_tx, tokens = eng.build_split(token, 2, ts + 1, fee, rng)
@@ -409,9 +427,7 @@ def run_split_join_instance(live):
     for i, t in enumerate(tokens):
         k = Keypair.generate(rng)
         tpl = eng.build_handover_template(t, 2 + i, ts + 2 + i, k.key_hash, None, fee)
-        fin = eng.finalize_and_sign_as_sender(
-            tpl, eng.sign_as_receiver(tpl, k), k.public_key, t.holder_key
-        )
+        fin = finalize(tpl, k, t.holder_key)
         assert sim.broadcast(fin).accepted
         branch_tokens.append(eng.token_from_handover(fin, k, None))
     join_tx, merged = eng.build_join(branch_tokens, ts + 5, fee, rng)
@@ -517,14 +533,16 @@ def test_default_tx_estimate(models):
     assert estimate(4, [0]) == estimate(4, [1]) == 4 + 1 + 1 + 2 + 1
 
 
-def test_template_without_data_block_raises():
+def test_template_without_data_block_raises(live):
+    """validate_template refuses to judge a transaction that is not a
+    handover, before any check or chain query."""
     tx = EnrichedTransaction(
         inputs=(TxInput(b"\x21" * 32, 0, prev_value=50_000),),
         outputs=(TxOutput.to_key_hash(40_000, bytes(20)),),
     )
-    template = eng.HandoverTemplate(tx, bytes(20), None)
-    with pytest.raises(eng.EngineError, match="no data block"):
-        template.data_block
+    for not_a_handover in (tx, live["start"]):
+        with pytest.raises(eng.EngineError, match="no handover data block"):
+            eng.validate_template(not_a_handover, expected_terms(live), live["model"], live["sim"])
 
 
 def test_token_from_handover_refuses_other_kinds(funded_sim, fee_policy, rng):

@@ -386,6 +386,46 @@ def test_fault_injection_detected_and_recorded():
     assert result.trace_reports[0]["verdict"] == "conformant"  # prefix of a legal run
 
 
+def _run_skipping(task):
+    """Model 1 (1 -> 2 -> 3) run at seed 5 on a plan built from the model
+    without ``task``: the run's metrics, its trace report and the audit of
+    its dump against the real model."""
+    kept = [t for t in (1, 2, 3) if t != task]
+    names = ["s"] + [f"t{t}" for t in kept] + ["e"]
+    nodes = [("s", "start", None)] + [(f"t{t}", "task", t) for t in kept] + [("e", "end", None)]
+    plan = H.build_plan(H.parsed_model(_model_doc(1, nodes, list(zip(names, names[1:])))), [0])
+    run = H._Run(H.ScenarioConfig(model_id=1, seed=5), 0, H.builtin_model(1), plan)
+    metrics, dump, report = run.run()
+    return metrics, report, H.audit(dump, model_doc(1))
+
+
+@pytest.mark.parametrize("task, tx_count", [(1, 2), (2, 3)])
+def test_a_skipped_task_is_refused_at_the_handover_that_skips_it(task, tx_count):
+    """Check 4 judges the history followed by the step being signed, so the
+    receiver refuses the handover for the task after the skipped one. The
+    sender ends the instance there, and the chain holds a legal prefix."""
+    metrics, report, audit = _run_skipping(task)
+    assert metrics.aborted and metrics.detection == "detected"
+    assert metrics.tx_count == tx_count  # start, the handovers before the skip, extraordinary end
+    handed = [e["task_id"] for e in report["events"] if e["kind"] == "handover"]
+    assert handed == list(range(1, task))
+    assert report["events"][-1]["extraordinary"]
+    assert report["verdict"] == "conformant"
+    assert audit.all_clean
+
+
+def test_a_skipped_last_task_ends_normally_and_is_flagged():
+    """A filler handover after task 2 is a legal step of an unfinished
+    instance, so nobody refuses it, and the owner ends the instance
+    normally; the trace report and the audit flag the missing task 3."""
+    metrics, report, audit = _run_skipping(3)
+    assert not metrics.aborted and metrics.detection == ""
+    assert report["verdict"] == (
+        "deviation: Deviation(position=3, expected=frozenset({3}), actual=None)"
+    )
+    assert not audit.all_clean and not audit.instances[0].conformant
+
+
 @pytest.mark.parametrize("greedy", [False, True])
 def test_receiver_refusing_the_published_handover_stops_the_run(monkeypatch, greedy):
     """The receiver compares the published transaction against the template
@@ -398,10 +438,9 @@ def test_receiver_refusing_the_published_handover_stops_the_run(monkeypatch, gre
     original = proto.Participant.confirm_receipt
 
     def confirm_against_another_template(self, session):
-        tx = session.template.tx
+        tx = session.template
         token = replace(tx.outputs[0], value=tx.outputs[0].value - 1)
-        other = replace(tx, outputs=(token,) + tx.outputs[1:])
-        session.template = replace(session.template, tx=other)
+        session.template = replace(tx, outputs=(token,) + tx.outputs[1:])
         return original(self, session)
 
     monkeypatch.setattr(proto.Participant, "confirm_receipt", confirm_against_another_template)

@@ -831,13 +831,13 @@ def test_template_that_is_not_a_handover_is_refused():
     def endpoint(src, frame):
         kind, body = P.split_frame(frame)
         if kind == P.FrameType.TEMPLATE_KEY:
-            tx_bytes, key_hash, data_hash, data_key, _ = P.unpack_fields(body, 5)
+            tx_bytes, data_key, _ = P.unpack_fields(body, 3)
             tx = deserialize_transaction(tx_bytes)
             bare = serialize_transaction(
                 EnrichedTransaction(inputs=(), outputs=tuple(o for _, o in tx.token_outputs))
             )
             sig = owner.identity.sign(sha256(bare + data_key))
-            frame = P.make_frame(kind, P.pack_fields(bare, key_hash, data_hash, data_key, sig))
+            frame = P.make_frame(kind, P.pack_fields(bare, data_key, sig))
         return alice.on_request(src, frame)
 
     env.transport.register("alice", endpoint)
@@ -928,10 +928,10 @@ def test_signed_template_that_does_not_parse_is_refused():
     def endpoint(src, frame):
         kind, body = P.split_frame(frame)
         if kind == P.FrameType.TEMPLATE_KEY:
-            tx_bytes, key_hash, data_hash, data_key, _ = P.unpack_fields(body, 5)
+            tx_bytes, data_key, _ = P.unpack_fields(body, 3)
             cut = tx_bytes[:10]
             sig = owner.identity.sign(sha256(cut + data_key))
-            frame = P.make_frame(kind, P.pack_fields(cut, key_hash, data_hash, data_key, sig))
+            frame = P.make_frame(kind, P.pack_fields(cut, data_key, sig))
         return alice.on_request(src, frame)
 
     env.transport.register("alice", endpoint)

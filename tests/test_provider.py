@@ -1,7 +1,8 @@
 import pytest
 
 from chorchain import engine as eng
-from chorchain.crypto import Keypair, sha256
+from chorchain.crypto import Keypair, sha256, sign
+from chorchain.encoding import signing_digest
 from chorchain.provider import PROVIDER_QUERY_COST, ProviderChainView
 
 from conftest import make_instance
@@ -14,8 +15,9 @@ def populated(rng, fee_policy, funded_sim):
     receiver = Keypair.generate(rng)
     dh = sha256(b"data")
     tpl = eng.build_handover_template(token, 1, int(sim.now), receiver.key_hash, dh, fee_policy)
+    receiver_sig = sign(signing_digest(tpl), receiver)
     final = eng.finalize_and_sign_as_sender(
-        tpl, eng.sign_as_receiver(tpl, receiver), receiver.public_key, token.holder_key
+        tpl, receiver.key_hash, receiver_sig, receiver.public_key, token.holder_key
     )
     assert sim.broadcast(final).accepted
     sim.await_confirmation(final.tx_id, 1)
