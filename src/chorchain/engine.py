@@ -124,10 +124,6 @@ class ProcessToken:
     redeem_script: bytes
     attached_data_hash: bytes | None = None
 
-    @property
-    def outpoint(self) -> tuple[bytes, int]:
-        return (self.tx_id, self.output_index)
-
 
 @dataclass(frozen=True)
 class ExpectedTerms:
@@ -136,6 +132,7 @@ class ExpectedTerms:
     process_id: int
     task_id: int
     timestamp: int
+    sender_key_hash: bytes  # the key hash the sender attested in ADDR_ATTEST
     receiver_key_hash: bytes
     data_hash: bytes | None = None  # hash of the process data just received
 
@@ -268,7 +265,7 @@ def validate_template(
     """The receiver's four checks before it signs anything.
 
     1. the consumed input reveals a parsable redeem script that hashes to
-       the referenced output;
+       the referenced output and pays the key hash the sender attested;
     2. the token output can be reconstructed from the receiver's own key
        hash and the hash of the data just received;
     3. the data block repeats the negotiated terms;
@@ -300,9 +297,11 @@ def validate_template(
     if prev_out.kind != OutputKind.SCRIPT_HASH or hash160(redeem) != prev_out.script_hash:
         return TemplateVerdict.reject(1, "redeem script does not hash to the referenced output")
     try:
-        parse_redeem_script(redeem)
+        payee = parse_redeem_script(redeem).payee_key_hash
     except Exception as exc:
         return TemplateVerdict.reject(1, f"redeem script unparseable: {exc}")
+    if payee != expected.sender_key_hash:
+        return TemplateVerdict.reject(1, "redeem script pays another key than the sender attested")
 
     _, token_out = template.token_outputs[0]
     want = hash160(build_redeem_script(expected.receiver_key_hash, expected.data_hash))

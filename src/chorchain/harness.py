@@ -239,7 +239,7 @@ class RunMetrics:
     start_budget: int
     end_residual: int
     confirmation_waits: tuple[float, ...]
-    detection: str  # "" | "detected" | "missed"
+    detection: str  # "" | "detected" | "missed" | "false-refusal"
     aborted: bool
 
     @property
@@ -436,8 +436,12 @@ class _Run:
         outcome = sender.run_sender(session)
         if not outcome.published:
             self.aborted = True
-            detected = outcome.check in (3, 4) and outcome.abort_tx_id
-            self.detection = "detected" if detected else "missed"
+            refused = outcome.check in (3, 4) and outcome.abort_tx_id
+            # a refusal detects only what the run injected: a task id or an off-model plan
+            faulted = self.config.fault_step is not None or self.plan != build_plan(
+                self.model, self.config.xor_choices()
+            )
+            self.detection = ("detected" if faulted else "false-refusal") if refused else "missed"
             if outcome.abort_tx_id:
                 self._record(outcome.abort_tx_id)
             return False

@@ -6,13 +6,13 @@ receiver, is:
 1. negotiate terms under mutual PKI identification,
 2. transfer the symmetrically encrypted process data (hash retained by the
    sender; the receiver cannot open it yet),
-3. exchange freshly generated transaction addresses under identity
-   signatures,
+3. exchange freshly generated transaction addresses; the receiver signs
+   its answer over the session transcript,
 4. build the handover-transaction template,
 5. send the template (the unsigned handover transaction) and the data key
-   under one identity signature; the receiver runs its four checks, signs
-   the template with its fresh transaction key and answers with the
-   signature and that key,
+   under the sender's signature over the session transcript; the receiver
+   runs its four checks, signs the template with its fresh transaction key
+   and answers with the signature and that key,
 6. finalize with the sender's signature and broadcast.
 
 A rejected template aborts the session and the sender closes the instance
@@ -21,14 +21,16 @@ receiver picks its new token off the chain: watching for that transaction
 is also how it proves the sender really broadcast what both parties signed.
 
 Identities are Ed25519 certificates issued by a single self-signed trust
-root; transaction keys are separate, fresh per handover. A participant
-verifies the root's signature on a peer certificate once, the first time
-the certificate reaches it at NEGOTIATE, and its long-lived identity
-remembers the (root, certificate) pair; the issuer and the validity window
-are checked at every NEGOTIATE. Within a session, the address attestation
-must carry the certificate negotiated, whose validity window alone is
-checked again. The receiver's transaction signature comes with the public
-key it was made with, and the sender checks it against that key.
+root; transaction keys are separate, fresh per handover. At NEGOTIATE,
+which is unsigned, each side checks that the peer's certificate names the
+peer and comes from the root, whose signature on it is verified once per
+certificate. Each party then signs once per handover, over the session
+transcript (every frame and reply so far, as in TLS 1.3's
+CertificateVerify), under the negotiated certificate: the receiver in its
+ADDR_ATTEST answer, the sender in TEMPLATE_KEY. Both nonces are in every
+signed transcript, which binds each signed frame to one session. The
+receiver's transaction signature comes with the public key it was made
+with, and the sender checks it against that key.
 All messages are tagged binary frames (one length-prefixed byte string per
 field), carried by the in-process channel. A frame or reply that does not
 parse, and a frame that arrives out of protocol order, aborts the session
@@ -287,67 +289,17 @@ class TrustRoot:
             vouched.add(pair)
         cert.check_validity(now)
 
-
-# --- attestations and encrypted data -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AddressAttestation:
-    """Identity-signed claim of ownership of a transaction key hash."""
-
-    bitcoin_key_hash: bytes
-    process_id: int
-    nonce: bytes
-    certificate: Certificate
-    signature: bytes
-
-    def signed_payload(self) -> bytes:
-        return self.bitcoin_key_hash + self.process_id.to_bytes(2, "big") + self.nonce
-
-    def to_bytes(self) -> bytes:
-        return pack_fields(
-            self.bitcoin_key_hash,
-            self.process_id.to_bytes(2, "big"),
-            self.nonce,
-            self.certificate.to_bytes(),
-            self.signature,
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "AddressAttestation":
-        key_hash, pid, nonce, cert, sig = unpack_fields(data, 5)
-        return cls(
-            _fixed(key_hash, 20, "attested key hash"),
-            int.from_bytes(_fixed(pid, 2, "process id"), "big"),
-            _fixed(nonce, NONCE_SIZE, "attestation nonce"),
-            Certificate.from_bytes(cert),
-            sig,
-        )
+    def check_peer(
+        self, cert: Certificate, name: str, now: int, vouched: set[tuple[Certificate, Certificate]]
+    ) -> None:
+        """:meth:`check` for the certificate of the party ``name``: one
+        issued to any other subject is refused first."""
+        if cert.subject != name:
+            raise CertificateError(f"certificate names {cert.subject!r}, not {name!r}")
+        self.check(cert, now, vouched)
 
 
-def make_attestation(
-    identity: Identity, key_hash: bytes, process_id: int, rng: random.Random
-) -> AddressAttestation:
-    nonce = rng.getrandbits(8 * NONCE_SIZE).to_bytes(NONCE_SIZE, "big")
-    att = AddressAttestation(key_hash, process_id, nonce, identity.certificate, b"")
-    return replace(att, signature=identity.sign(att.signed_payload()))
-
-
-def verify_attestation(
-    att: AddressAttestation, negotiated: Certificate, now: int, seen_nonces: set[bytes]
-) -> None:
-    """Check an attestation's certificate, nonce and signature.
-    ``negotiated`` is the peer certificate the root already vouched for at
-    NEGOTIATE: the attestation must carry that same certificate, and only
-    its validity window is checked again."""
-    if att.certificate != negotiated:
-        raise CertificateError("certificate differs from the one negotiated")
-    att.certificate.check_validity(now)
-    if att.nonce in seen_nonces:
-        raise CertificateError("attestation nonce replayed")
-    if not _identity_verify(att.certificate.public_key_der, att.signature, att.signed_payload()):
-        raise CertificateError("attestation signature invalid")
-    seen_nonces.add(att.nonce)
+# --- encrypted data ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -367,6 +319,10 @@ class EncryptedProcessData:
 
 def new_data_key(rng: random.Random) -> bytes:
     return rng.getrandbits(256).to_bytes(32, "big")
+
+
+def new_nonce(rng: random.Random) -> bytes:
+    return rng.getrandbits(8 * NONCE_SIZE).to_bytes(NONCE_SIZE, "big")
 
 
 def encrypt_process_data(key: bytes, plaintext: bytes, rng: random.Random) -> EncryptedProcessData:
@@ -484,15 +440,14 @@ class HandoverSession:
     abort_reason: str = ""
     abort_check: int | None = None
     peer_certificate: Certificate | None = None
-    peer_attestation: AddressAttestation | None = None
+    peer_key_hash: bytes = b""  # the transaction key hash the peer attested
+    transcript: bytes = b""  # every frame and reply of the session so far, packed
     receive_key: Keypair | None = None  # receiver's fresh transaction key
     data_key: bytes | None = None
     data_hash: bytes | None = None
     plaintext: bytes | None = None
     ciphertext: EncryptedProcessData | None = None
     template: EnrichedTransaction | None = None
-    template_bytes: bytes = b""
-    template_identity_sig: bytes = b""
     receiver_signature: bytes = b""
     token: "eng.ProcessToken | None" = None  # sender side: the token being handed over
     fault_task_id: int | None = None  # injected: template built off the negotiated task
@@ -508,6 +463,14 @@ class HandoverSession:
         self.state = SessionState.ABORTED
         self.abort_reason = reason
         self.abort_check = check
+
+    def check_peer_signature(self, signature: bytes, signed: bytes, now: int) -> None:
+        """Refuse a transcript signature that does not verify over ``signed``
+        under the negotiated certificate, or that certificate once it is
+        outside its validity window."""
+        self.peer_certificate.check_validity(now)
+        if not _identity_verify(self.peer_certificate.public_key_der, signature, signed):
+            raise CertificateError("transcript signature invalid")
 
 
 @dataclass(frozen=True)
@@ -569,7 +532,6 @@ class Participant:
         self._latest: dict[str, HandoverSession] = {}
         self.holdings: list[eng.ProcessToken] = []
         self.process_data: dict[int, bytes] = {}
-        self._seen_nonces: set[bytes] = set()
         transport.register(self.name, self.on_request)
 
     @property
@@ -654,21 +616,22 @@ class Participant:
         return HandoverSession(peer, terms, token=self.token_for(terms.process_id))
 
     def _request(self, session: HandoverSession, frame: bytes) -> bytes | None:
+        """The peer's reply to ``frame``, both added to the transcript; a
+        timeout aborts the session and gives None."""
         try:
-            return self.transport.request(self.name, session.peer, frame)
+            reply = self.transport.request(self.name, session.peer, frame)
         except TransportTimeout as exc:
             self.chain.advance_time(STEP_TIMEOUT, "logic")
             session.abort(f"timeout: {exc}")
             return None
+        session.transcript += pack_fields(frame, reply)
+        return reply
 
     @_reply_guard(lambda session: False)
     def negotiate(self, session: HandoverSession) -> bool:
         """Step 1: mutual identification plus agreement on the terms."""
         self._charge()
-        terms_bytes = session.terms.to_bytes()
-        payload = pack_fields(
-            terms_bytes, self.identity.certificate.to_bytes(), self.identity.sign(terms_bytes)
-        )
+        payload = pack_fields(session.terms.to_bytes(), self.identity.certificate.to_bytes())
         reply = self._request(session, make_frame(FrameType.NEGOTIATE, payload))
         if reply is None:
             return False
@@ -676,18 +639,15 @@ class Participant:
         if kind != FrameType.ACK:
             session.abort("negotiation: unexpected reply")
             return False
-        status, _, detail, cert_bytes, sig = unpack_fields(body, 5)
+        status, _, detail, cert_bytes = unpack_fields(body, 4)
         if status != b"\x00":
             session.abort(f"negotiation rejected: {detail.decode(errors='replace')}")
             return False
         cert = Certificate.from_bytes(cert_bytes)
         try:
-            self.root.check(cert, self._now(), self.identity.vouched)
+            self.root.check_peer(cert, session.peer, self._now(), self.identity.vouched)
         except CertificateError as exc:
             session.abort(f"identity: {exc}")
-            return False
-        if not _identity_verify(cert.public_key_der, sig, terms_bytes):
-            session.abort("identity: peer signature over terms invalid")
             return False
         session.peer_certificate = cert
         return True
@@ -705,7 +665,7 @@ class Participant:
         if reply is None:
             return False
         kind, body = split_frame(reply)
-        if kind != FrameType.ACK or unpack_fields(body, 5)[0] != b"\x00":
+        if kind != FrameType.ACK or unpack_fields(body, 4)[0] != b"\x00":
             session.abort("data transfer not acknowledged")
             return False
         session.advance(SessionState.DATA_TRANSFERRED)
@@ -713,31 +673,36 @@ class Participant:
 
     @_reply_guard(lambda session: False)
     def exchange_addresses(self, session: HandoverSession) -> bool:
-        """Step 3: swap identity-signed transaction addresses."""
+        """Step 3: swap transaction key hashes and nonces. The receiver's
+        answer is signed over the transcript, this frame included."""
         if session.state != SessionState.DATA_TRANSFERRED:
             raise ProtocolError(f"cannot exchange addresses in state {session.state.value}")
         self._charge()
-        own = make_attestation(
-            self.identity, session.token.holder_key.key_hash, session.terms.process_id, self.rng
-        )
-        reply = self._request(session, make_frame(FrameType.ADDR_ATTEST, own.to_bytes()))
+        own = pack_fields(session.token.holder_key.key_hash, new_nonce(self.rng))
+        frame = make_frame(FrameType.ADDR_ATTEST, own)
+        signed = session.transcript + pack_fields(frame)
+        reply = self._request(session, frame)
         if reply is None:
             return False
         kind, body = split_frame(reply)
         if kind == FrameType.ACK:
-            detail = unpack_fields(body, 5)[2].decode(errors="replace")
+            detail = unpack_fields(body, 4)[2].decode(errors="replace")
             session.abort(f"address exchange rejected: {detail}")
             return False
         if kind != FrameType.ADDR_ATTEST:
             session.abort("address exchange: unexpected reply")
             return False
-        att = AddressAttestation.from_bytes(body)
+        key_hash, nonce, signature = unpack_fields(body, 3)
+        _fixed(key_hash, 20, "attested key hash")
+        _fixed(nonce, NONCE_SIZE, "nonce")
         try:
-            verify_attestation(att, session.peer_certificate, self._now(), self._seen_nonces)
+            session.check_peer_signature(
+                signature, signed + pack_fields(key_hash, nonce), self._now()
+            )
         except CertificateError as exc:
-            session.abort(f"address attestation: {exc}")
+            session.abort(f"address exchange: {exc}")
             return False
-        session.peer_attestation = att
+        session.peer_key_hash = key_hash
         session.advance(SessionState.ADDRESSES_EXCHANGED)
         return True
 
@@ -749,22 +714,22 @@ class Participant:
         terms = session.terms
         token = session.token
         task_id = session.fault_task_id or terms.task_id
-        receiver_key_hash = session.peer_attestation.bitcoin_key_hash
+        receiver_key_hash = session.peer_key_hash
         self._charge()
         template = eng.build_handover_template(
             token, task_id, self._now(), receiver_key_hash, session.data_hash, self.fee_policy
         )
         session.template = template
-        tx_bytes = serialize_transaction(template)
-        identity_sig = self.identity.sign(sha256(tx_bytes + session.data_key))
-        payload = pack_fields(tx_bytes, session.data_key, identity_sig)
-        reply = self._request(session, make_frame(FrameType.TEMPLATE_KEY, payload))
+        signed = pack_fields(serialize_transaction(template), session.data_key)
+        signature = self.identity.sign(session.transcript + signed)
+        frame = make_frame(FrameType.TEMPLATE_KEY, signed + pack_fields(signature))
+        reply = self._request(session, frame)
         if reply is None:
             return SenderOutcome(False, reason=session.abort_reason)
         session.advance(SessionState.TEMPLATE_SENT)
         kind, body = split_frame(reply)
         if kind == FrameType.ACK:
-            status, check_byte, detail, _, _ = unpack_fields(body, 5)
+            status, check_byte, detail, _ = unpack_fields(body, 4)
             check = check_byte[0] if status == b"\x01" and check_byte[0] else None
             session.abort(f"receiver rejected template: {detail.decode(errors='replace')}", check)
             abort_tx = self._publish_extraordinary_end(token)
@@ -788,7 +753,7 @@ class Participant:
         session.advance(SessionState.RECEIVER_SIGNED)
         result = self.publish(final, spent=(token,))
         if not result.accepted:
-            # receiver keeps the identity-signed template as proof of intent
+            # the receiver's transcript keeps the signed template as proof of intent
             session.abort(f"broadcast: {result.reason}")
             return SenderOutcome(False, reason=session.abort_reason)
         session.advance(SessionState.PUBLISHED)
@@ -832,10 +797,11 @@ class Participant:
     def _dispatch(self, src: str, frame: bytes) -> bytes:
         """Route a frame. An in-session frame is admitted only in the one
         session state that follows its predecessor; out of order, it is
-        refused and aborts the session."""
+        refused and aborts the session. The frame and its answer join the
+        session's transcript."""
         kind, body = split_frame(frame)
         if kind == FrameType.NEGOTIATE:
-            return self._on_negotiate(src, body)
+            return self._on_negotiate(src, frame, body)
         if kind not in _ADMITTED_IN:
             return _ack(1, f"unexpected frame {kind.name}")
         session = self._session_for(src)
@@ -844,10 +810,13 @@ class Participant:
         if session.state != _ADMITTED_IN[kind]:
             return _refuse(session, f"{kind.name} out of order in state {session.state.value}")
         if kind == FrameType.DATA:
-            return self._on_data(session, body)
-        if kind == FrameType.ADDR_ATTEST:
-            return self._on_addr_attest(session, body)
-        return self._on_template_key(session, body)
+            reply = self._on_data(session, body)
+        elif kind == FrameType.ADDR_ATTEST:
+            reply = self._on_addr_attest(session, frame, body)
+        else:
+            reply = self._on_template_key(session, body)
+        session.transcript += pack_fields(frame, reply)
+        return reply
 
     def _session_for(self, src: str) -> HandoverSession | None:
         """The session the sender's latest NEGOTIATE opened, unless aborted."""
@@ -856,50 +825,46 @@ class Participant:
             return None
         return session
 
-    def _on_negotiate(self, src: str, body: bytes) -> bytes:
-        terms_bytes, cert_bytes, sig = unpack_fields(body, 3)
+    def _on_negotiate(self, src: str, frame: bytes, body: bytes) -> bytes:
+        terms_bytes, cert_bytes = unpack_fields(body, 2)
         terms = NegotiatedTerms.from_bytes(terms_bytes)
         cert = Certificate.from_bytes(cert_bytes)
         try:
-            self.root.check(cert, self._now(), self.identity.vouched)
+            self.root.check_peer(cert, src, self._now(), self.identity.vouched)
         except CertificateError as exc:
             return _ack(1, f"identity: {exc}")
-        if not _identity_verify(cert.public_key_der, sig, terms_bytes):
-            return _ack(1, "identity: terms signature invalid")
-        session = HandoverSession(src, terms, peer_certificate=cert)
-        self.sessions[(terms.process_id, src)] = self._latest[src] = session
-        terms_echo = terms.to_bytes()
-        return _ack(
-            0, "", self.identity.certificate.to_bytes(), self.identity.sign(terms_echo)
+        reply = _ack(0, "", self.identity.certificate.to_bytes())
+        session = HandoverSession(
+            src, terms, peer_certificate=cert, transcript=pack_fields(frame, reply)
         )
+        self.sessions[(terms.process_id, src)] = self._latest[src] = session
+        return reply
 
     def _on_data(self, session: HandoverSession, body: bytes) -> bytes:
         session.ciphertext = EncryptedProcessData.from_bytes(body)
         session.advance(SessionState.DATA_TRANSFERRED)
         return _ack(0, "")
 
-    def _on_addr_attest(self, session: HandoverSession, body: bytes) -> bytes:
-        att = AddressAttestation.from_bytes(body)
-        try:
-            verify_attestation(att, session.peer_certificate, self._now(), self._seen_nonces)
-        except CertificateError as exc:
-            return _refuse(session, f"address attestation: {exc}", str(exc))
-        session.peer_attestation = att
+    def _on_addr_attest(self, session: HandoverSession, frame: bytes, body: bytes) -> bytes:
+        """Keep the sender's key hash and answer with a fresh key hash and
+        nonce, signed over the transcript with ``frame`` added."""
+        key_hash, nonce = unpack_fields(body, 2)
+        session.peer_key_hash = _fixed(key_hash, 20, "attested key hash")
+        _fixed(nonce, NONCE_SIZE, "nonce")
         session.receive_key = Keypair.generate(self.rng)
-        own = make_attestation(
-            self.identity, session.receive_key.key_hash, session.terms.process_id, self.rng
-        )
+        own = pack_fields(session.receive_key.key_hash, new_nonce(self.rng))
+        signature = self.identity.sign(session.transcript + pack_fields(frame) + own)
         session.advance(SessionState.ADDRESSES_EXCHANGED)
-        return make_frame(FrameType.ADDR_ATTEST, own.to_bytes())
+        return make_frame(FrameType.ADDR_ATTEST, own + pack_fields(signature))
 
     def _on_template_key(self, session: HandoverSession, body: bytes) -> bytes:
-        tx_bytes, data_key, identity_sig = unpack_fields(body, 3)
-        if not _identity_verify(
-            session.peer_certificate.public_key_der, identity_sig, sha256(tx_bytes + data_key)
-        ):
-            return _refuse(session, "template identity signature invalid")
-        session.template_bytes = tx_bytes
-        session.template_identity_sig = identity_sig
+        tx_bytes, data_key, sender_sig = unpack_fields(body, 3)
+        try:
+            session.check_peer_signature(
+                sender_sig, session.transcript + pack_fields(tx_bytes, data_key), self._now()
+            )
+        except CertificateError as exc:
+            return _refuse(session, f"template: {exc}")
         session.advance(SessionState.TEMPLATE_SENT)
 
         # the key arrived with the template, so the data can now be opened
@@ -916,6 +881,7 @@ class Participant:
             process_id=session.terms.process_id,
             task_id=session.terms.task_id,
             timestamp=session.terms.timestamp,
+            sender_key_hash=session.peer_key_hash,
             receiver_key_hash=session.receive_key.key_hash,
             data_hash=received_hash,
         )
@@ -938,9 +904,9 @@ class Participant:
         )
 
 
-def _ack(status: int, detail: str, cert: bytes = b"", sig: bytes = b"", check: int = 0) -> bytes:
+def _ack(status: int, detail: str, cert: bytes = b"", check: int = 0) -> bytes:
     return make_frame(
-        FrameType.ACK, pack_fields(bytes([status]), bytes([check]), detail.encode(), cert, sig)
+        FrameType.ACK, pack_fields(bytes([status]), bytes([check]), detail.encode(), cert)
     )
 
 

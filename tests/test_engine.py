@@ -104,6 +104,7 @@ def expected_terms(live, task=1, **kw):
         process_id=1,
         task_id=task,
         timestamp=int(live["sim"].now),
+        sender_key_hash=live["token"].holder_key.key_hash,
         receiver_key_hash=live["receiver"].key_hash,
         data_hash=live["data_hash"],
     )
@@ -181,6 +182,16 @@ def test_check1_redeem_script_mismatch(live):
     assert not verdict.accepted and verdict.failed_check == 1
 
 
+def test_check1_redeem_script_paying_another_key_than_the_sender_attested(live):
+    """The template reveals the token's real redeem script, but the sender
+    attested another key hash: it does not hold the token it hands over."""
+    other = Keypair.generate(live["rng"]).key_hash
+    terms = expected_terms(live, sender_key_hash=other)
+    verdict = eng.validate_template(template(live), terms, live["model"], live["sim"])
+    assert not verdict.accepted and verdict.failed_check == 1
+    assert verdict.reason == "redeem script pays another key than the sender attested"
+
+
 def test_check2_wrong_data_hash(live):
     tpl = template(live, data_hash=sha256(b"mutated"))
     verdict = eng.validate_template(tpl, expected_terms(live), live["model"], live["sim"])
@@ -233,7 +244,9 @@ def test_check4_history_must_conform(live, models):
     tpl3 = eng.build_handover_template(
         token3, 2, int(sim.now), honest.key_hash, live["data_hash"], fee
     )
-    terms3 = eng.ExpectedTerms(1, 2, int(sim.now), honest.key_hash, live["data_hash"])
+    terms3 = expected_terms(
+        live, 2, sender_key_hash=rogue_key.key_hash, receiver_key_hash=honest.key_hash
+    )
     verdict = eng.validate_template(tpl3, terms3, live["model"], sim)
     assert not verdict.accepted and verdict.failed_check == 4
 

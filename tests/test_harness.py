@@ -386,6 +386,18 @@ def test_fault_injection_detected_and_recorded():
     assert result.trace_reports[0]["verdict"] == "conformant"  # prefix of a legal run
 
 
+def test_fault_free_run_refused_at_check4_reads_false_refusal(monkeypatch):
+    """A run with no injected fault and the model's own plan, whose first
+    handover a receiver refuses at check 4, is not a detection."""
+    from chorchain import engine as eng
+
+    monkeypatch.setattr(
+        eng, "validate_template", lambda *args: eng.TemplateVerdict.reject(4, "refused")
+    )
+    run = H.run_scenario(H.ScenarioConfig(model_id=1, seed=8)).runs[0]
+    assert run.aborted and run.detection == "false-refusal"
+
+
 def _run_skipping(task):
     """Model 1 (1 -> 2 -> 3) run at seed 5 on a plan built from the model
     without ``task``: the run's metrics, its trace report and the audit of

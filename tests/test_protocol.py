@@ -132,42 +132,30 @@ def test_root_check_remembers_only_what_it_verified():
         root.check(ident.certificate, 2**40, checker.vouched)
 
 
-def test_attestation_verify_and_replay():
-    root = P.TrustRoot(now=0)
-    ident = root.issue("alice", now=0)
-    rng = random.Random(3)
-    att = P.make_attestation(ident, b"\x01" * 20, 7, rng)
-    seen = set()
-    P.verify_attestation(att, ident.certificate, 5, seen)
-    with pytest.raises(P.CertificateError, match="replayed"):
-        P.verify_attestation(att, ident.certificate, 5, seen)
-
-
 def test_attestation_wrong_signer_rejected():
-    from dataclasses import replace
-
+    """A transcript signature verifies only under the certificate the
+    session negotiated."""
     root = P.TrustRoot(now=0)
     alice = root.issue("alice", now=0)
     bob = root.issue("bob", now=0)
-    att = P.make_attestation(alice, b"\x01" * 20, 7, random.Random(3))
-    swapped = replace(att, certificate=bob.certificate)
-    with pytest.raises(P.CertificateError, match="signature"):
-        P.verify_attestation(swapped, bob.certificate, 5, set())
+    session = P.HandoverSession("bob", peer_certificate=bob.certificate)
+    with pytest.raises(P.CertificateError, match="transcript signature invalid"):
+        session.check_peer_signature(alice.sign(b"transcript"), b"transcript", 5)
 
 
 def test_attestation_in_session_needs_the_negotiated_certificate():
-    """Within a session the attestation must carry the certificate checked
-    at NEGOTIATE; its validity window is still checked."""
+    """A signature under a second certificate for the same subject does not
+    verify in a session that negotiated the first; the negotiated
+    certificate's validity window is checked at every signature."""
     root = P.TrustRoot(now=0)
     ident = root.issue("alice", now=0, lifetime=10)
     twin = root.issue("alice", now=0, lifetime=10)  # same subject, another key
-    att = P.make_attestation(twin, b"\x01" * 20, 7, random.Random(3))
-    with pytest.raises(P.CertificateError, match="differs from the one negotiated"):
-        P.verify_attestation(att, ident.certificate, 5, set())
-    own = P.make_attestation(ident, b"\x01" * 20, 7, random.Random(3))
-    P.verify_attestation(own, ident.certificate, 5, set())
+    session = P.HandoverSession("alice", peer_certificate=ident.certificate)
+    with pytest.raises(P.CertificateError, match="transcript signature invalid"):
+        session.check_peer_signature(twin.sign(b"transcript"), b"transcript", 5)
+    session.check_peer_signature(ident.sign(b"transcript"), b"transcript", 5)
     with pytest.raises(P.CertificateError, match="validity"):
-        P.verify_attestation(own, ident.certificate, 11, set())
+        session.check_peer_signature(ident.sign(b"transcript"), b"transcript", 11)
 
 
 @functools.cache
@@ -238,13 +226,6 @@ def test_certificate_with_non_utf8_name_is_a_frame_error():
     )
     with pytest.raises(P.FrameError, match="UTF-8"):
         P.Certificate.from_bytes(garbled)
-
-
-def test_attestation_wire_roundtrip():
-    root = P.TrustRoot(now=0)
-    ident = root.issue("alice", now=0)
-    att = P.make_attestation(ident, b"\x01" * 20, 7, random.Random(3))
-    assert P.AddressAttestation.from_bytes(att.to_bytes()) == att
 
 
 # --- symmetric data ---------------------------------------------------------------
@@ -509,8 +490,9 @@ def test_receiver_signature_without_its_key_is_a_malformed_reply():
 
 
 def test_one_handover_makes_the_expected_public_key_operations(monkeypatch):
-    """Per handover: five identity signatures and five verifications of
-    them, and two root checks at NEGOTIATE. The root's signature on each
+    """Per handover: one identity signature per party, each over the
+    session transcript, one verification of each, and two root checks at
+    NEGOTIATE. The root's signature on each
     peer certificate is verified at the pair's first handover only, so the
     identities are fresh ones from a fresh root. The sender checks the
     receiver's transaction signature with one verification against the
@@ -554,7 +536,7 @@ def test_one_handover_makes_the_expected_public_key_operations(monkeypatch):
         assert outcome.published
         counts.pop("ecdsa")  # the chain's script check of the broadcast counts here too
         assert counts == {
-            "sign": 5, "verify": 5, "root": root_verifications, "check": 2, "sender ecdsa": 1
+            "sign": 2, "verify": 2, "root": root_verifications, "check": 2, "sender ecdsa": 1
         }
 
 
@@ -608,19 +590,51 @@ def test_a_participant_trusting_another_root_inherits_nothing():
     assert "certificate signature invalid" in session.abort_reason
 
 
+def test_receiver_refuses_a_certificate_issued_to_another_party():
+    """bob, certified, sends alice a NEGOTIATE as the owner under his own
+    certificate while the owner's session is open. Alice refuses it, and
+    the owner's handover goes on in its own session."""
+    env = Env()
+    alice, bob, owner = env.participants["alice"], env.participants["bob"], env.owner()
+    session = owner.open_session("alice", P.NegotiatedTerms(1, 1, int(env.sim.now)))
+    assert owner.negotiate(session) and owner.transfer_data(session, b"payload-1")
+    live = alice._latest["owner"]
+    terms = P.NegotiatedTerms(1, 1, int(env.sim.now)).to_bytes()
+    frame = P.make_frame(
+        P.FrameType.NEGOTIATE, P.pack_fields(terms, bob.identity.certificate.to_bytes())
+    )
+    assert ack_status(alice.on_request("owner", frame)) == (
+        1, "identity: certificate names 'bob', not 'owner'"
+    )
+    assert alice._latest["owner"] is live and live.peer_certificate.subject == "owner"
+    assert owner.exchange_addresses(session) and owner.run_sender(session).published
+
+
+def test_sender_refuses_a_certificate_issued_to_another_party():
+    """The owner negotiates with alice and bob answers, under his own
+    certificate: the owner refuses the reply."""
+    env = Env()
+    env.transport.register("alice", env.participants["bob"].on_request)
+    sender = env.owner()
+    session = sender.open_session("alice", P.NegotiatedTerms(1, 1, int(env.sim.now)))
+    assert not sender.negotiate(session)
+    assert session.abort_reason == "identity: certificate names 'bob', not 'alice'"
+
+
 def test_non_repudiation_artifacts():
     env = Env()
     session, outcome = env.handover("owner", "alice", 1)
     assert outcome.published
     rsession = env.participants["alice"].sessions[(1, "owner")]
-    # receiver holds the sender's identity-signed template
-    assert rsession.template_bytes and rsession.template_identity_sig
-    sender_cert = rsession.peer_certificate
-    assert P._identity_verify(
-        sender_cert.public_key_der,
-        rsession.template_identity_sig,
-        sha256(rsession.template_bytes + rsession.data_key),
-    )
+    # the receiver's transcript holds the TEMPLATE_KEY frame, whose signature
+    # covers every message before it, the template and the data key
+    messages = P.unpack_fields(rsession.transcript, 8)
+    assert P.split_frame(messages[6])[0] == P.FrameType.TEMPLATE_KEY
+    tx_bytes, data_key, signature = P.unpack_fields(P.split_frame(messages[6])[1], 3)
+    assert tx_bytes == P.serialize_transaction(rsession.template)
+    assert data_key == rsession.data_key
+    signed = P.pack_fields(*messages[:6], tx_bytes, data_key)
+    assert P._identity_verify(rsession.peer_certificate.public_key_der, signature, signed)
     # sender holds the receiver's transaction signature, which is also on chain
     final = env.sim.get_transaction(outcome.tx_id)
     assert final.data_block.receiver_signature == rsession.receiver_signature
@@ -648,31 +662,41 @@ def second_certificate(name):
     return shared_trust_root().issue(name, now=0, lifetime=2**33)
 
 
-def test_receiver_refuses_an_attestation_under_a_second_certificate():
-    env = Env()
-    alice, twin = env.participants["alice"], second_certificate("owner")
+def resign_template(env, signer, rewrite=lambda tx_bytes: tx_bytes):
+    """Route the owner's TEMPLATE_KEY to alice with its transaction bytes
+    rewritten, signed by ``signer`` over alice's transcript."""
+    alice = env.participants["alice"]
 
     def endpoint(src, frame):
         kind, body = P.split_frame(frame)
-        if kind == P.FrameType.ADDR_ATTEST:
-            att = P.AddressAttestation.from_bytes(body)
-            forged = P.make_attestation(twin, att.bitcoin_key_hash, 1, random.Random(9))
-            frame = P.make_frame(kind, forged.to_bytes())
+        if kind == P.FrameType.TEMPLATE_KEY:
+            tx_bytes, data_key, _ = P.unpack_fields(body, 3)
+            fields = P.pack_fields(rewrite(tx_bytes), data_key)
+            signature = signer.sign(alice._latest[src].transcript + fields)
+            frame = P.make_frame(kind, fields + P.pack_fields(signature))
         return alice.on_request(src, frame)
 
     env.transport.register("alice", endpoint)
-    sender = env.owner()
-    session = sender.open_session("alice", P.NegotiatedTerms(1, 1, int(env.sim.now)))
-    assert sender.negotiate(session) and sender.transfer_data(session, b"x")
-    assert not sender.exchange_addresses(session)
+
+
+def test_receiver_refuses_an_attestation_under_a_second_certificate():
+    """The sender's ADDR_ATTEST is unsigned; the TEMPLATE_KEY signature
+    covers it. Signed under a second certificate for the owner, that
+    signature is refused at TEMPLATE_KEY, before the receiver signs."""
+    env = Env()
+    alice = env.participants["alice"]
+    resign_template(env, second_certificate("owner"))
+    mempool_before = set(env.sim.mempool_ids)
+    session, outcome = env.handover("owner", "alice", 1)
+    assert not outcome.published
     assert session.abort_reason == (
-        "address exchange rejected: certificate differs from the one negotiated"
+        "receiver rejected template: template: transcript signature invalid"
     )
     rsession = alice.sessions[(1, "owner")]
     assert rsession.state == P.SessionState.ABORTED
-    assert rsession.abort_reason == (
-        "address attestation: certificate differs from the one negotiated"
-    )
+    assert rsession.abort_reason == "template: transcript signature invalid"
+    assert rsession.receiver_signature == b""
+    assert no_handover_published(env, mempool_before)
 
 
 def test_sender_refuses_an_attestation_under_a_second_certificate():
@@ -680,12 +704,13 @@ def test_sender_refuses_an_attestation_under_a_second_certificate():
     alice, twin = env.participants["alice"], second_certificate("alice")
 
     def endpoint(src, frame):
+        before = alice._latest[src].transcript if src in alice._latest else b""
         reply = alice.on_request(src, frame)
         kind, body = P.split_frame(reply)
         if kind == P.FrameType.ADDR_ATTEST:
-            att = P.AddressAttestation.from_bytes(body)
-            forged = P.make_attestation(twin, att.bitcoin_key_hash, 1, random.Random(9))
-            reply = P.make_frame(kind, forged.to_bytes())
+            key_hash, nonce, _ = P.unpack_fields(body, 3)
+            signed = before + P.pack_fields(frame, key_hash, nonce)
+            reply = P.make_frame(kind, P.pack_fields(key_hash, nonce, twin.sign(signed)))
         return reply
 
     env.transport.register("alice", endpoint)
@@ -694,12 +719,41 @@ def test_sender_refuses_an_attestation_under_a_second_certificate():
     assert sender.negotiate(session) and sender.transfer_data(session, b"x")
     assert not sender.exchange_addresses(session)
     assert session.state == P.SessionState.ABORTED
-    assert session.abort_reason == (
-        "address attestation: certificate differs from the one negotiated"
-    )
+    assert session.abort_reason == "address exchange: transcript signature invalid"
+
+
+def test_attestation_verify_and_replay():
+    """The receiver's ADDR_ATTEST answer verifies in its own session only:
+    replayed into the sender's next session with the same receiver, whose
+    transcript holds other nonces, it is refused."""
+    env = Env()
+    env.add_instance(2)
+    alice = env.participants["alice"]
+    answers = []
+
+    def endpoint(src, frame):
+        reply = alice.on_request(src, frame)
+        if P.split_frame(reply)[0] == P.FrameType.ADDR_ATTEST:
+            answers.append(reply)
+            reply = answers[0]
+        return reply
+
+    env.transport.register("alice", endpoint)
+    _, first = env.handover("owner", "alice", 1)
+    assert first.published
+    sender = env.owner()
+    session = sender.open_session("alice", P.NegotiatedTerms(2, 1, int(env.sim.now)))
+    assert sender.negotiate(session) and sender.transfer_data(session, b"x")
+    assert not sender.exchange_addresses(session)
+    assert len(answers) == 2 and answers[0] != answers[1]
+    assert session.abort_reason == "address exchange: transcript signature invalid"
 
 
 def test_replayed_attestation_aborts():
+    """A captured sender ADDR_ATTEST, replayed into a fresh session, is
+    answered: it carries no signature. The receiver still signs no
+    template: the TEMPLATE_KEY captured with it is refused, because its
+    signature covers the transcript of the first session."""
     env = Env()
     captured = {}
     original = env.transport.request
@@ -707,15 +761,14 @@ def test_replayed_attestation_aborts():
     def capture(src, dst, frame):
         kind, _ = P.split_frame(frame)
         reply = original(src, dst, frame)
-        if kind == P.FrameType.ADDR_ATTEST:
-            captured["frame"] = frame
+        captured[kind] = frame
         return reply
 
     env.transport.request = capture
     session, outcome = env.handover("owner", "alice", 1)
     assert outcome.published
     # replay the captured sender attestation at bob: no session is open
-    reply = original("owner", "bob", captured["frame"])
+    reply = original("owner", "bob", captured[P.FrameType.ADDR_ATTEST])
     kind, _ = P.split_frame(reply)
     assert kind == P.FrameType.ACK
 
@@ -731,10 +784,61 @@ def test_replayed_attestation_aborts():
     s2 = sender.open_session("alice", P.NegotiatedTerms(1, 2, int(env.sim.now)))
     assert sender.negotiate(s2)
     assert sender.transfer_data(s2, b"x")
-    reply = original("owner", "alice", captured["frame"])
-    kind, body = P.split_frame(reply)
-    assert kind == P.FrameType.ACK
-    assert b"replayed" in P.unpack_fields(body, 5)[2]
+    reply = original("owner", "alice", captured[P.FrameType.ADDR_ATTEST])
+    assert P.split_frame(reply)[0] == P.FrameType.ADDR_ATTEST
+    reply = original("owner", "alice", captured[P.FrameType.TEMPLATE_KEY])
+    assert ack_status(reply) == (1, "template: transcript signature invalid")
+    rsession = env.participants["alice"].sessions[(1, "owner")]
+    assert rsession.state == P.SessionState.ABORTED
+    assert rsession.receiver_signature == b""
+
+
+def test_template_from_another_session_of_the_sender_is_refused():
+    """The owner's TEMPLATE_KEY of its process-1 handover, sent again in
+    its process-2 session with alice, is refused at TEMPLATE_KEY: its
+    signature covers the first session's transcript."""
+    env = Env()
+    env.add_instance(2)
+    captured = {}
+    original = env.transport.request
+
+    def capture(src, dst, frame):
+        captured[P.split_frame(frame)[0]] = frame
+        return original(src, dst, frame)
+
+    env.transport.request = capture
+    _, first = env.handover("owner", "alice", 1)
+    assert first.published
+    sender = env.owner()
+    session = sender.open_session("alice", P.NegotiatedTerms(2, 1, int(env.sim.now)))
+    assert sender.negotiate(session) and sender.transfer_data(session, b"payload-2")
+    assert sender.exchange_addresses(session)
+    reply = original("owner", "alice", captured[P.FrameType.TEMPLATE_KEY])
+    assert ack_status(reply) == (1, "template: transcript signature invalid")
+    rsession = env.participants["alice"].sessions[(2, "owner")]
+    assert rsession.state == P.SessionState.ABORTED
+    assert rsession.receiver_signature == b""
+
+
+def test_certified_party_not_holding_the_token_is_refused_at_check1():
+    """bob is certified and knows the owner's token and its redeem script,
+    but does not hold its key. He attests his own key hash, and alice
+    refuses his template at check 1 instead of signing it."""
+    env = Env()
+    bob, alice = env.participants["bob"], env.participants["alice"]
+    token = env.owner().token_for(1)
+    bob.holdings.append(replace(token, holder_key=Keypair.generate(random.Random(9))))
+    mempool_before = set(env.sim.mempool_ids)
+    session, outcome = env.handover("bob", "alice", 1)
+    assert not outcome.published and outcome.check == 1
+    assert outcome.abort_tx_id is None  # bob cannot end what he does not hold
+    assert session.abort_reason == (
+        "receiver rejected template: redeem script pays another key than the sender attested"
+    )
+    rsession = alice.sessions[(1, "bob")]
+    assert rsession.abort_check == 1 and rsession.receiver_signature == b""
+    assert no_handover_published(env, mempool_before)
+    assert env.sim.get_spender((token.tx_id, token.output_index)) is None
 
 
 def test_session_cannot_skip_a_state():
@@ -764,7 +868,7 @@ def capture_handover_frames(env):
 def ack_status(reply):
     kind, body = P.split_frame(reply)
     assert kind == P.FrameType.ACK
-    status, _, detail, _, _ = P.unpack_fields(body, 5)
+    status, _, detail, _ = P.unpack_fields(body, 4)
     return status[0], detail.decode()
 
 
@@ -826,21 +930,15 @@ def test_template_that_is_not_a_handover_is_refused():
     from chorchain.encoding import EnrichedTransaction, deserialize_transaction, serialize_transaction
 
     env = Env()
-    alice, owner = env.participants["alice"], env.owner()
+    alice = env.participants["alice"]
 
-    def endpoint(src, frame):
-        kind, body = P.split_frame(frame)
-        if kind == P.FrameType.TEMPLATE_KEY:
-            tx_bytes, data_key, _ = P.unpack_fields(body, 3)
-            tx = deserialize_transaction(tx_bytes)
-            bare = serialize_transaction(
-                EnrichedTransaction(inputs=(), outputs=tuple(o for _, o in tx.token_outputs))
-            )
-            sig = owner.identity.sign(sha256(bare + data_key))
-            frame = P.make_frame(kind, P.pack_fields(bare, data_key, sig))
-        return alice.on_request(src, frame)
+    def bare(tx_bytes):
+        tx = deserialize_transaction(tx_bytes)
+        return serialize_transaction(
+            EnrichedTransaction(inputs=(), outputs=tuple(o for _, o in tx.token_outputs))
+        )
 
-    env.transport.register("alice", endpoint)
+    resign_template(env, env.owner().identity, bare)
     session, outcome = env.handover("owner", "alice", 1)
     assert not outcome.published
     assert "template is not a handover" in session.abort_reason
@@ -900,6 +998,40 @@ def test_garbled_frame_or_reply_ends_the_handover_without_raising(
         assert session.abort_reason
 
 
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    message=st.integers(min_value=0, max_value=7),
+    position=st.integers(min_value=0, max_value=4096),
+    mask=st.integers(min_value=1, max_value=255),
+)
+@example(message=3, position=4, mask=1)  # the check byte of DATA's success ACK
+def test_one_flipped_byte_in_any_message_publishes_no_handover(message, position, mask):
+    """One honest handover with one byte flipped in transit, in any of its
+    four frames or four replies (``message`` counts them in order). The two
+    transcripts then differ, so a transcript signature fails: the handover
+    aborts, nothing raises, and no handover transaction spends the token."""
+    env = Env()
+    alice = env.participants["alice"]
+    token = env.owner().token_for(1)
+    sent = iter(range(8))
+
+    def flip(data):
+        return garble(data, False, position, mask) if next(sent) == message else data
+
+    env.transport.register("alice", lambda src, frame: flip(alice.on_request(src, flip(frame))))
+    sender = env.owner()
+    session = sender.open_session("alice", P.NegotiatedTerms(1, 1, int(env.sim.now)))
+    if (
+        sender.negotiate(session)
+        and sender.transfer_data(session, b"payload-1")
+        and sender.exchange_addresses(session)
+    ):
+        sender.run_sender(session)
+    assert session.state == P.SessionState.ABORTED and session.abort_reason
+    spender = env.sim.get_spender((token.tx_id, token.output_index))
+    assert spender is None or env.sim.get_transaction(spender).kind != eng.TxKind.HANDOVER
+
+
 def test_truncated_frame_aborts_the_receivers_session():
     env = Env()
     alice = env.participants["alice"]
@@ -923,18 +1055,8 @@ def test_signed_template_that_does_not_parse_is_refused():
     """A certified sender's identity signature does not make its template
     bytes parse; the receiver refuses them instead of raising."""
     env = Env()
-    alice, owner = env.participants["alice"], env.owner()
-
-    def endpoint(src, frame):
-        kind, body = P.split_frame(frame)
-        if kind == P.FrameType.TEMPLATE_KEY:
-            tx_bytes, data_key, _ = P.unpack_fields(body, 3)
-            cut = tx_bytes[:10]
-            sig = owner.identity.sign(sha256(cut + data_key))
-            frame = P.make_frame(kind, P.pack_fields(cut, data_key, sig))
-        return alice.on_request(src, frame)
-
-    env.transport.register("alice", endpoint)
+    alice = env.participants["alice"]
+    resign_template(env, env.owner().identity, lambda tx_bytes: tx_bytes[:10])
     session, outcome = env.handover("owner", "alice", 1)
     assert not outcome.published
     assert "malformed frame" in session.abort_reason
@@ -954,7 +1076,7 @@ def test_truncated_reply_aborts_the_senders_session():
 
 def test_refusal_detail_that_is_not_utf8_still_aborts():
     env = Env()
-    refusal = P.make_frame(P.FrameType.ACK, P.pack_fields(b"\x01", b"\x00", b"\xff\xfe", b"", b""))
+    refusal = P.make_frame(P.FrameType.ACK, P.pack_fields(b"\x01", b"\x00", b"\xff\xfe", b""))
     env.transport.register("alice", lambda src, frame: refusal)
     sender = env.owner()
     session = sender.open_session("alice", P.NegotiatedTerms(1, 1, int(env.sim.now)))
@@ -966,14 +1088,14 @@ def test_refusal_detail_that_is_not_utf8_still_aborts():
 
 
 def replace_negotiate(env, rewrite):
-    """Route the owner's NEGOTIATE to alice as ``rewrite(terms, cert, sig)``
+    """Route the owner's NEGOTIATE to alice as ``rewrite(terms, cert)``
     returns it; every other frame passes unchanged."""
     alice = env.participants["alice"]
 
     def endpoint(src, frame):
         kind, body = P.split_frame(frame)
         if kind == P.FrameType.NEGOTIATE:
-            frame = P.make_frame(kind, P.pack_fields(*rewrite(*P.unpack_fields(body, 3))))
+            frame = P.make_frame(kind, P.pack_fields(*rewrite(*P.unpack_fields(body, 2))))
         return alice.on_request(src, frame)
 
     env.transport.register("alice", endpoint)
@@ -984,10 +1106,10 @@ def test_unsigned_certificate_with_a_wide_validity_field_aborts():
     re-encodes the certificate to check its signature."""
     env = Env()
 
-    def rewrite(terms, cert_bytes, sig):
+    def rewrite(terms, cert_bytes):
         subject, key, _, na, issuer, _ = P.unpack_fields(cert_bytes, 6)
         wide = P.pack_fields(subject, key, b"\x01" + bytes(8), na, issuer, b"")
-        return terms, wide, sig
+        return terms, wide
 
     replace_negotiate(env, rewrite)
     sender = env.owner()
@@ -1000,15 +1122,14 @@ def test_unsigned_certificate_with_a_wide_validity_field_aborts():
 
 
 def test_certified_terms_with_a_wide_process_id_abort():
-    """Terms the certified owner really signed, with a 3-byte process id, are
-    refused instead of overflowing when the receiver echoes them."""
+    """Terms with a 3-byte process id, under the certified owner's own
+    certificate, are refused as they are parsed, before any session opens."""
     env = Env()
     owner = env.owner()
 
-    def rewrite(terms, cert_bytes, sig):
+    def rewrite(terms, cert_bytes):
         _, task, ts = P.unpack_fields(terms, 3)
-        wide = P.pack_fields(b"\x01\x00\x01", task, ts)
-        return wide, cert_bytes, owner.identity.sign(wide)
+        return P.pack_fields(b"\x01\x00\x01", task, ts), cert_bytes
 
     replace_negotiate(env, rewrite)
     session = owner.open_session("alice", P.NegotiatedTerms(1, 1, int(env.sim.now)))
@@ -1019,17 +1140,19 @@ def test_certified_terms_with_a_wide_process_id_abort():
 
 
 def test_certified_receiver_attesting_a_short_key_hash_aborts():
-    """A 19-byte key hash, attested under alice's real identity, would lock
+    """A 19-byte key hash, signed under alice's real identity, would lock
     the handover to an output the encoder refuses; the sender aborts on the
     reply instead."""
     env = Env()
     alice = env.participants["alice"]
 
     def endpoint(src, frame):
+        before = alice._latest[src].transcript if src in alice._latest else b""
         reply = alice.on_request(src, frame)
         if P.split_frame(frame)[0] == P.FrameType.ADDR_ATTEST:
-            att = P.make_attestation(alice.identity, b"\x01" * 19, 1, random.Random(9))
-            reply = P.make_frame(P.FrameType.ADDR_ATTEST, att.to_bytes())
+            own = P.pack_fields(b"\x01" * 19, bytes(P.NONCE_SIZE))
+            sig = alice.identity.sign(before + P.pack_fields(frame) + own)
+            reply = P.make_frame(P.FrameType.ADDR_ATTEST, own + P.pack_fields(sig))
         return reply
 
     env.transport.register("alice", endpoint)
@@ -1073,8 +1196,8 @@ def test_data_frame_with_a_short_nonce_aborts():
     [
         (P.NegotiatedTerms, (b"\x00\x01", b"", b"\x00" * 4), "task id is 0 bytes, not 1"),
         (P.NegotiatedTerms, (b"\x00\x01", b"\x01", b"\x00" * 5), "timestamp is 5 bytes, not 4"),
-        (P.AddressAttestation, (b"\x01" * 20, b"\x00", b"\x00" * 16, b"", b""), "process id"),
-        (P.AddressAttestation, (b"\x01" * 20, b"\x00\x01", b"\x00" * 15, b"", b""), "nonce"),
+        (P.NegotiatedTerms, (b"\x00" * 3, b"\x01", b"\x00" * 4), "process id is 3 bytes, not 2"),
+        (P.Certificate, (b"x", b"key", bytes(9), bytes(8), b"root", b""), "not_before is 9 bytes"),
         (P.EncryptedProcessData, (b"\x00" * 9, b"\x00" * 12, b""), "key id is 9 bytes, not 8"),
         (P.Certificate, (b"x", b"key", bytes(8), bytes(7), b"root", b""), "not_after is 7 bytes"),
     ],
@@ -1082,6 +1205,24 @@ def test_data_frame_with_a_short_nonce_aborts():
 def test_fixed_width_fields_are_frame_errors(cls, fields, message):
     with pytest.raises(P.FrameError, match=message):
         cls.from_bytes(P.pack_fields(*fields))
+
+
+@pytest.mark.parametrize(
+    "key_hash, nonce, message",
+    [
+        (b"\x01" * 19, bytes(16), "attested key hash is 19 bytes, not 20"),
+        (b"\x01" * 20, bytes(15), "nonce is 15 bytes, not 16"),
+    ],
+    ids=["key hash", "nonce"],
+)
+def test_sender_address_fields_of_another_width_are_malformed(key_hash, nonce, message):
+    negotiate, data, _, _ = captured_frames()
+    alice = Env().participants["alice"]
+    alice.on_request("owner", negotiate)
+    alice.on_request("owner", data)
+    frame = P.make_frame(P.FrameType.ADDR_ATTEST, P.pack_fields(key_hash, nonce))
+    assert ack_status(alice.on_request("owner", frame)) == (1, f"malformed frame: {message}")
+    assert alice.sessions[(1, "owner")].state == P.SessionState.ABORTED
 
 
 def test_frame_with_a_retired_tag_is_refused():
