@@ -12,9 +12,11 @@ serialization with unlocking scripts empty and the receiver-signature field
 zero-filled). The receiver's signature lands inside the data block, the
 sender's in the input's unlocking script.
 
-An instance is rebuilt from the chain alone by :func:`walk_instance`, the one
-forward walk over token spend links: the trace, the audit's value tally and
-a run's fee totals all read its result.
+An instance is judged from the chain alone, here and nowhere else:
+:func:`walk_instance`, the one forward walk over token spend links, returns
+the :class:`InstanceWalk` record that check 4, a run's report and the audit
+read. Its trace, verdict, value tally and signature issues are computed when
+a reader first asks for them.
 """
 
 from __future__ import annotations
@@ -22,11 +24,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import ceil
 from typing import Iterable, Protocol
 
 from . import model as model_mod
-from .crypto import Keypair, hash160, sign, verify
+from .crypto import (
+    Keypair,
+    hash160,
+    recover_candidates,
+    sign,
+    verify,
+    verify_many,
+    verify_with_key_hash,
+)
 from .encoding import (
     MAX_PROCESS_ID,
     TEMPLATE_SIGNATURE,
@@ -142,10 +153,11 @@ class TemplateVerdict:
     accepted: bool
     failed_check: int | None = None
     reason: str = ""
+    left: tuple[model_mod.Step, ...] | None = None  # accepted: the model left after the step
 
     @classmethod
-    def accept(cls) -> "TemplateVerdict":
-        return cls(True)
+    def accept(cls, left: tuple[model_mod.Step, ...]) -> "TemplateVerdict":
+        return cls(True, left=left)
 
     @classmethod
     def reject(cls, check: int, reason: str) -> "TemplateVerdict":
@@ -270,7 +282,8 @@ def validate_template(
        hash and the hash of the data just received;
     3. the data block repeats the negotiated terms;
     4. the execution history reconstructed from the chain, followed by the
-       template's own task, conforms to the process model.
+       template's own task, conforms to the process model. An accepting
+       verdict carries what is left of the model after that task.
 
     The consumed output's data hash is not compared with anything: it
     documents the data the sender received, which the sender's task has
@@ -320,18 +333,12 @@ def validate_template(
         return TemplateVerdict.reject(3, "timestamp outside the agreed skew window")
 
     history = reconstruct_trace(chain_view, _find_start(chain_view, txin.prev_tx_id))
-    step = model_mod.TraceEvent(
-        model_mod.EventKind.HANDOVER,
-        block.timestamp,
-        task_id=block.task_id,
-        filler=block.task_id == FILLER_TASK_ID,
-    )
     verdict = model_mod.check_conformance(
-        process_model, model_mod.ExecutionTrace(history.events + (step,))
+        process_model, model_mod.ExecutionTrace(history.events + (_event(block),))
     )
     if not verdict.ok:
         return TemplateVerdict.reject(4, f"execution history deviates: {verdict}")
-    return TemplateVerdict.accept()
+    return TemplateVerdict.accept(verdict.left)
 
 
 def finalize_and_sign_as_sender(
@@ -565,7 +572,7 @@ def validate_transaction_scripts(tx: EnrichedTransaction, chain_view: ChainView)
         raise error
 
 
-# --- execution-history reconstruction --------------------------------------------------
+# --- the instance on chain ------------------------------------------------------------
 
 
 def _find_start(chain_view: ChainView, tx_id: bytes) -> bytes:
@@ -587,45 +594,154 @@ def _find_start(chain_view: ChainView, tx_id: bytes) -> bytes:
         current = tx.inputs[0].prev_tx_id
 
 
+def _event(block: DataBlock, lineage: tuple[int, ...] = ()) -> model_mod.TraceEvent:
+    """The trace event a data block documents; only a handover's has a task id."""
+    return model_mod.TraceEvent(
+        model_mod.EventKind(block.kind.value),
+        block.timestamp,
+        task_id=block.task_id,
+        lineage=lineage,
+        filler=block.task_id == FILLER_TASK_ID,
+        extraordinary=block.extraordinary,
+    )
+
+
 @dataclass(frozen=True)
 class WalkStep:
-    """A transaction reached by an instance walk: the token outpoint it
-    spent on the walk's first arrival, its lineage (a join's is its
-    branches' parent lineage) and its depth below the start."""
+    """A transaction reached by an instance walk: its lineage (a join's is
+    its branches' parent lineage) and its depth below the start."""
 
     tx: EnrichedTransaction
-    spent: tuple[bytes, int]
     lineage: tuple[int, ...]
     depth: int
 
 
 @dataclass
 class InstanceWalk:
+    """One instance as :func:`walk_instance` found it on ``view``: the one
+    record that check 4, a run's report and the audit judge it by. Each
+    judgement is computed when a reader first asks for it, so a reader
+    verifies, tallies or replays only what it reads."""
+
+    view: ChainView
     start: EnrichedTransaction
     steps: list[WalkStep]  # in the order reached
     unspent: list[tuple[bytes, int]]  # token outpoints no transaction spends
     reached: set[bytes]  # the start's id and every step's
     broken: list[EngineError]  # BrokenLineage or UnresolvableAncestor, per link
 
+    @cached_property
     def trace(self) -> model_mod.ExecutionTrace:
         """Events linearized by (timestamp, chain depth, lineage), which keeps
         every lineage's own order while interleaving parallel branches
         deterministically."""
-        ts = self.start.data_block.timestamp
-        events = [(ts, 0, (), model_mod.TraceEvent(model_mod.EventKind.START, ts))]
+        steps = [WalkStep(self.start, (), 0)] + self.steps
+        steps.sort(key=lambda s: (s.tx.data_block.timestamp, s.depth, s.lineage))
+        return model_mod.ExecutionTrace(tuple(_event(s.tx.data_block, s.lineage) for s in steps))
+
+    def verdict(self, process_model: model_mod.ProcessModel) -> model_mod.Verdict:
+        """The trace against the model; a conformant verdict carries what is
+        left of the model after it."""
+        return model_mod.check_conformance(process_model, self.trace)
+
+    @cached_property
+    def tally(self) -> tuple[int, int, bool]:
+        """The fees paid after the start; the residual, which is the end's
+        payout plus every token no transaction spends (tokens stranded by an
+        abort stay recoverable); and whether value is conserved: every input
+        resolves, and the start's token pays exactly fees plus residual.
+        Reads outputs through ``resolve_output``, so it needs a full index
+        as the view, not a billed provider."""
+        view = self.view
+        fees = residual = 0
+        resolved = True
         for step in self.steps:
-            block = step.tx.data_block  # only a handover's has a task id
-            event = model_mod.TraceEvent(
-                model_mod.EventKind(block.kind.value),
-                block.timestamp,
-                task_id=block.task_id,
-                lineage=step.lineage,
-                filler=block.task_id == FILLER_TASK_ID,
-                extraordinary=block.extraordinary,
-            )
-            events.append((block.timestamp, step.depth, step.lineage, event))
-        events.sort(key=lambda e: (e[0], e[1], e[2]))
-        return model_mod.ExecutionTrace(tuple(e[3] for e in events))
+            tx = step.tx
+            spent = [view.resolve_output(txin.outpoint) for txin in tx.inputs]
+            resolved = resolved and None not in spent
+            fees += sum(o.value for o in spent if o is not None) - sum(o.value for o in tx.outputs)
+            if tx.kind == TxKind.END:
+                residual += sum(o.value for o in tx.outputs if o.kind == OutputKind.KEY_HASH)
+        residual += sum(view.resolve_output(outpoint).value for outpoint in self.unspent)
+        return fees, residual, resolved and self.start.token_outputs[0][1].value == fees + residual
+
+    @cached_property
+    def signature_issues(self) -> list[str]:
+        """Script issues of every transaction, and the receiver signature of
+        every handover, in transaction order. The transactions are the
+        instance's and every payment with no data block that spends a
+        key-hash output of them, a start's change or an end's payout: no
+        walk reaches those, so they are checked with the instance whose
+        output they spend.
+
+        Every signature with its key at hand, in a script or a receiver's,
+        is verified in one :func:`verify_many` batch. A receiver check the
+        batch cannot decide is decided where it is built."""
+        view = self.view
+        txs = [self.start] + [step.tx for step in self.steps]
+        payments = {}
+        for tx in txs:
+            for n, out in enumerate(tx.outputs):
+                spender_id = out.kind == OutputKind.KEY_HASH and view.get_spender((tx.tx_id, n))
+                if spender_id and (spender := view.get_transaction(spender_id)).kind is None:
+                    payments[spender_id] = spender
+        txs += payments.values()
+        scripts = [script_checks(tx, view) for tx in txs]
+        receivers = [_receiver_check(view, tx) for tx in txs]
+        batch = [check for checks, _ in scripts for check in checks]
+        batch += [check for _, check in receivers if check is not None]
+        verdicts = dict(zip(batch, verify_many(batch)))
+        issues = []
+        for tx, (checks, structural), (issue, check) in zip(txs, scripts, receivers):
+            error = script_error([verdicts[c] for c in checks], structural)
+            if error is not None:
+                issues.append(f"{tx.tx_id.hex()[:16]}: {error}")
+            if issue is not None and (check is None or not verdicts[check]):
+                issues.append(f"{tx.tx_id.hex()[:16]}: {issue}")
+        return issues
+
+
+def _receiver_check(
+    view: ChainView, tx: EnrichedTransaction
+) -> tuple[str | None, SignatureCheck | None]:
+    """The receiver check of a published handover: the issue, if any, and
+    the signature check that clears it when it verifies in the instance's
+    batch. Any other transaction has nothing to check.
+
+    A handover's receiver is known on chain only by the payee key hash of
+    its token's redeem script. Once the token is spent, the spending input
+    reveals a public key; if that key hashes to the payee, the signature is
+    checked against it in the batch. Otherwise the key is recovered from the
+    signature here and compared by hash. Both give the same verdict: a key
+    that verifies is one of the recovered ones, and two keys with the same
+    hash160 are equal short of a collision.
+    """
+    block = tx.data_block
+    if block is None or block.kind != TxKind.HANDOVER or block.is_template:
+        return None, None
+    digest, signature = signing_digest(tx), block.receiver_signature
+    index, _ = tx.token_outputs[0]
+    spender_id = view.get_spender((tx.tx_id, index))
+    if spender_id is None:
+        # frontier: the receiver key is not yet revealed, so only the
+        # signature's structural validity is checkable
+        issue = None if recover_candidates(digest, signature) else "receiver signature malformed"
+        return issue, None
+    unlocking = None
+    for txin in view.get_transaction(spender_id).inputs:
+        if txin.outpoint == (tx.tx_id, index) and txin.unlocking.redeem_script:
+            unlocking = txin.unlocking
+    if unlocking is None:
+        return "token spend reveals no redeem script", None
+    try:
+        payee = parse_redeem_script(unlocking.redeem_script).payee_key_hash
+    except UnsupportedScriptShape as exc:
+        return f"token spend redeem script: {exc}", None
+    key = unlocking.public_key
+    if hash160(key) == payee:
+        return "receiver signature invalid", (digest, signature, key)
+    issue = None if verify_with_key_hash(digest, signature, payee) else "receiver signature invalid"
+    return issue, None
 
 
 def walk_instance(chain_view: ChainView, start_tx_id: bytes) -> InstanceWalk:
@@ -641,7 +757,7 @@ def walk_instance(chain_view: ChainView, start_tx_id: bytes) -> InstanceWalk:
     start = chain_view.get_transaction(start_tx_id)
     if start is None or start.kind != TxKind.START:
         raise EngineError("transaction is not a process start")
-    walk = InstanceWalk(start, [], [], {start_tx_id}, [])
+    walk = InstanceWalk(chain_view, start, [], [], {start_tx_id}, [])
     frontier = [((start_tx_id, start.token_outputs[0][0]), (), 1)]
     while frontier:
         outpoint, lineage, depth = frontier.pop()
@@ -662,7 +778,7 @@ def walk_instance(chain_view: ChainView, start_tx_id: bytes) -> InstanceWalk:
         walk.reached.add(spender_id)
         if kind == TxKind.JOIN:
             lineage = lineage[:-1]
-        walk.steps.append(WalkStep(tx, outpoint, lineage, depth))
+        walk.steps.append(WalkStep(tx, lineage, depth))
         for branch, (index, _) in enumerate(tx.token_outputs):
             branch_lineage = lineage + (branch,) if kind == TxKind.SPLIT else lineage
             frontier.append(((spender_id, index), branch_lineage, depth + 1))
@@ -675,4 +791,4 @@ def reconstruct_trace(chain_view: ChainView, start_tx_id: bytes) -> model_mod.Ex
     walk = walk_instance(chain_view, start_tx_id)
     if walk.broken:
         raise walk.broken[0]
-    return walk.trace()
+    return walk.trace

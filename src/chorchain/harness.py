@@ -12,7 +12,9 @@ The runner only sequences the plan: it tells each step's participant to
 act, sleeps through tasks and waits for confirmations. Tokens, instance
 data and transactions belong to the participants (``chorchain.protocol``),
 which build and publish their own; a step a participant refuses stops the
-run with a ``ScenarioError``.
+run with a ``ScenarioError``. How an instance on chain is judged belongs to
+``chorchain.engine``: a run's report and the audit format what its
+instance record gives.
 
 Time is fully simulated and every advance is tagged with a phase (task,
 logic, provider, broadcast, confirm, idle). The simulator tallies each
@@ -31,15 +33,14 @@ import random
 import statistics
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
-from typing import Callable
+from functools import lru_cache
 
 from . import engine as eng
 from . import model as model_mod
 from . import protocol as proto
-from .chain import ChainIndex, ChainSim, SimConfig, load_dump
-from .crypto import Keypair, recover_candidates, sha256, verify_many, verify_with_key_hash
-from .encoding import OutputKind, TxKind, UnsupportedScriptShape, parse_redeem_script
+from .chain import ChainSim, SimConfig, load_dump
+from .crypto import Keypair, sha256
+from .encoding import TxKind
 from .model import ProcessModel
 
 DEFAULT_BLOCK_MEAN = 6.0
@@ -410,7 +411,10 @@ class _Run:
                 elif isinstance(step, PlanJoin):
                     self._record(participants[step.actor].join(pid, step.inputs).tx_id)
                 elif isinstance(step, PlanEnd):
-                    self._record(participants[step.actor].end(pid).tx_id)
+                    end = participants[step.actor].end(pid)
+                    self._record(end.tx_id)
+                    if end.data_block.extraordinary:  # the owner refused an unfinished instance
+                        self._abort(refused=True)
         except proto.ProtocolError as exc:  # a participant refused its step
             raise ScenarioError(str(exc)) from None
         if self.config.greedy:
@@ -435,13 +439,7 @@ class _Run:
             session.fault_task_id = 1 + (step.task_id % 250)
         outcome = sender.run_sender(session)
         if not outcome.published:
-            self.aborted = True
-            refused = outcome.check in (3, 4) and outcome.abort_tx_id
-            # a refusal detects only what the run injected: a task id or an off-model plan
-            faulted = self.config.fault_step is not None or self.plan != build_plan(
-                self.model, self.config.xor_choices()
-            )
-            self.detection = ("detected" if faulted else "false-refusal") if refused else "missed"
+            self._abort(refused=bool(outcome.check in (3, 4) and outcome.abort_tx_id))
             if outcome.abort_tx_id:
                 self._record(outcome.abort_tx_id)
             return False
@@ -454,6 +452,16 @@ class _Run:
             )
         return True
 
+    def _abort(self, refused: bool) -> None:
+        """Mark the run aborted, by a refusal answered with an extraordinary
+        END or not. A refusal detects only what the run injected: a task id
+        or an off-model plan."""
+        self.aborted = True
+        faulted = self.config.fault_step is not None or self.plan != build_plan(
+            self.model, self.config.xor_choices()
+        )
+        self.detection = ("detected" if faulted else "false-refusal") if refused else "missed"
+
     def _collect(
         self, duration: float, phase_seconds: dict[str, float]
     ) -> tuple[RunMetrics, str, dict]:
@@ -462,7 +470,7 @@ class _Run:
         total_fees = end_residual = 0
         if self._start_tx_id is not None:
             walk = eng.walk_instance(self.sim, self._start_tx_id)
-            total_fees, end_residual, _ = _value_tally(self.sim, walk)
+            total_fees, end_residual, _ = walk.tally
         metrics = RunMetrics(
             model_id=self.config.model_id,
             variant=self.config.variant,
@@ -488,8 +496,7 @@ class _Run:
     def _trace_report(self, walk: eng.InstanceWalk | None) -> dict:
         if walk is None:
             return {"process_id": self.process_id, "events": [], "verdict": "not-verified"}
-        trace = walk.trace()
-        verdict = model_mod.check_conformance(self.model, trace)
+        verdict = walk.verdict(self.model)
         return {
             "process_id": self.process_id,
             "start_tx": self._start_tx_id.hex(),
@@ -502,7 +509,7 @@ class _Run:
                     "filler": e.filler,
                     "extraordinary": e.extraordinary,
                 }
-                for e in trace.events
+                for e in walk.trace.events
             ],
             "verdict": "conformant" if verdict.ok else f"deviation: {verdict}",
             "detection": self.detection,
@@ -652,129 +659,11 @@ class AuditReport:
         )
 
 
-def _value_tally(view: ChainIndex, walk: eng.InstanceWalk) -> tuple[int, int, bool]:
-    """Fees paid by an instance after its start, and its residual: the end's
-    payout plus every token no transaction spends (tokens stranded by an
-    abort stay recoverable). False when an input does not resolve."""
-    fees = residual = 0
-    resolved = True
-    for step in walk.steps:
-        tx = step.tx
-        spent = [view.resolve_output(txin.outpoint) for txin in tx.inputs]
-        resolved = resolved and None not in spent
-        fees += sum(o.value for o in spent if o is not None) - sum(o.value for o in tx.outputs)
-        if tx.kind == TxKind.END:
-            residual += sum(o.value for o in tx.outputs if o.kind == OutputKind.KEY_HASH)
-    residual += sum(view.resolve_output(outpoint).value for outpoint in walk.unspent)
-    return fees, residual, resolved
-
-
-@dataclass(frozen=True)
-class _ReceiverCheck:
-    """How the audit checks a published handover's receiver signature:
-    ``issue`` stands unless ``triple``, verified in the instance's batch,
-    passes, or, with no triple, unless ``fallback()`` passes. With neither,
-    nothing can pass."""
-
-    issue: str
-    triple: eng.SignatureCheck | None = None
-    fallback: Callable[[], bool] | None = None
-
-    def passes(self, verdicts: dict[eng.SignatureCheck, bool]) -> bool:
-        if self.triple is not None:
-            return verdicts[self.triple]
-        return self.fallback is not None and self.fallback()
-
-
-def _receiver_check(view: ChainIndex, tx) -> _ReceiverCheck | None:
-    """The receiver check of a published handover; None for any other
-    transaction.
-
-    A handover's receiver is known on chain only by the payee key hash of
-    its token's redeem script. Once the token is spent, the spending input
-    reveals a public key; if that key hashes to the payee, the signature is
-    checked against it directly. Otherwise the key is recovered from the
-    signature and compared by hash. Both give the same verdict: a key that
-    verifies is one of the recovered ones, and two keys with the same
-    hash160 are equal short of a collision.
-    """
-    block = tx.data_block
-    if block is None or block.kind != TxKind.HANDOVER or block.is_template:
-        return None
-    digest, signature = eng.signing_digest(tx), block.receiver_signature
-    index, _ = tx.token_outputs[0]
-    spender_id = view.get_spender((tx.tx_id, index))
-    if spender_id is None:
-        # frontier: the receiver key is not yet revealed, so only the
-        # signature's structural validity is checkable
-        return _ReceiverCheck(
-            "receiver signature malformed", fallback=partial(recover_candidates, digest, signature)
-        )
-    unlocking = None
-    for txin in view.get_transaction(spender_id).inputs:
-        if txin.outpoint == (tx.tx_id, index) and txin.unlocking.redeem_script:
-            unlocking = txin.unlocking
-    if unlocking is None:
-        return _ReceiverCheck("token spend reveals no redeem script")
-    try:
-        payee = parse_redeem_script(unlocking.redeem_script).payee_key_hash
-    except UnsupportedScriptShape as exc:
-        return _ReceiverCheck(f"token spend redeem script: {exc}")
-    key = unlocking.public_key
-    if eng.hash160(key) == payee:
-        return _ReceiverCheck("receiver signature invalid", triple=(digest, signature, key))
-    return _ReceiverCheck(
-        "receiver signature invalid", fallback=partial(verify_with_key_hash, digest, signature, payee)
-    )
-
-
-def _payments_from(view: ChainIndex, txs: list) -> list:
-    """The transactions with no data block that spend a key-hash output of
-    these, a start's change or an end's payout. No walk reaches them, so
-    their scripts are checked with the instance whose output they spend."""
-    payments = {}
-    for tx in txs:
-        for n, out in enumerate(tx.outputs):
-            spender_id = out.kind == OutputKind.KEY_HASH and view.get_spender((tx.tx_id, n))
-            if spender_id and (spender := view.get_transaction(spender_id)).kind is None:
-                payments[spender_id] = spender
-    return list(payments.values())
-
-
-def _verify_instance_signatures(view: ChainIndex, trace_txs: list) -> list[str]:
-    """Script issues of every transaction, and the receiver signature of
-    every handover, in transaction order.
-
-    Every signature with its key at hand, in a script or a receiver's, is
-    verified in one :func:`verify_many` batch; key recovery, for the
-    receiver checks that need it, runs afterwards one call at a time.
-    """
-    scripts = [eng.script_checks(tx, view) for tx in trace_txs]
-    receivers = [_receiver_check(view, tx) for tx in trace_txs]
-    triples = [check for checks, _ in scripts for check in checks]
-    triples += [r.triple for r in receivers if r is not None and r.triple is not None]
-    verdicts = dict(zip(triples, verify_many(triples)))
-    issues = []
-    for tx, (checks, structural), receiver in zip(trace_txs, scripts, receivers):
-        error = eng.script_error([verdicts[check] for check in checks], structural)
-        if error is not None:
-            issues.append(f"{tx.tx_id.hex()[:16]}: {error}")
-        if receiver is not None and not receiver.passes(verdicts):
-            issues.append(f"{tx.tx_id.hex()[:16]}: {receiver.issue}")
-    return issues
-
-
 def audit(dump_text: str, model_doc: str) -> AuditReport:
     """Classify every transaction in a chain dump, walk each process
-    instance once, and verify conformance, signatures, hash links, value
-    conservation and that every process transaction belongs to an
-    instance.
-
-    An instance's signatures, those of its transactions and of any payment
-    spending its change or payout, are verified in one batch on the calling
-    thread and one helper thread (:func:`chorchain.crypto.verify_many`);
-    the key recovery of a handover whose token is unspent runs afterwards,
-    on the calling thread."""
+    instance once, and report what its walk judges (conformance,
+    signatures, hash links, value conservation) and every process
+    transaction that belongs to no instance."""
     view = load_dump(dump_text)
     process_model = parsed_model(model_doc)
     instances = []
@@ -789,11 +678,8 @@ def audit(dump_text: str, model_doc: str) -> AuditReport:
             continue
         walk = eng.walk_instance(view, tx.tx_id)
         reached |= walk.reached
-        trace = walk.trace()
-        verdict = model_mod.check_conformance(process_model, trace)
-        end_event = trace.end_event
-        fees, residual, resolved = _value_tally(view, walk)
-        txs = [tx] + [step.tx for step in walk.steps]
+        verdict = walk.verdict(process_model)
+        end_event = walk.trace.end_event
         instances.append(
             InstanceAudit(
                 process_id=tx.data_block.process_id,
@@ -802,8 +688,8 @@ def audit(dump_text: str, model_doc: str) -> AuditReport:
                 verdict="conformant" if verdict.ok else str(verdict),
                 ended=end_event is not None,
                 aborted_by_detection=end_event.extraordinary if end_event else False,
-                value_conserved=resolved and tx.token_outputs[0][1].value == fees + residual,
-                signature_issues=_verify_instance_signatures(view, txs + _payments_from(view, txs)),
+                value_conserved=walk.tally[2],
+                signature_issues=walk.signature_issues,
                 lineage_issues=[str(link) for link in walk.broken],
             )
         )

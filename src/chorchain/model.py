@@ -140,6 +140,9 @@ class ExecutionTrace:
 
 @dataclass(frozen=True)
 class Conformant:
+    # what is left of the model after the trace; it does not enter equality
+    left: tuple[Step, ...] = field(default=(), compare=False, repr=False)
+
     @property
     def ok(self) -> bool:
         return True
@@ -361,11 +364,11 @@ def enumerate_valid_traces(model: ProcessModel, max_interleavings: int) -> set[t
 # at most one branch can take a given task and the rest is a single sequence.
 
 
-def _nullable(steps: tuple[Step, ...]) -> bool:
+def nullable(steps: tuple[Step, ...]) -> bool:
     """Whether the steps can finish without another task."""
     return all(
         not isinstance(s, int)
-        and (any if s.kind == NodeKind.XOR_SPLIT else all)(map(_nullable, s.branches))
+        and (any if s.kind == NodeKind.XOR_SPLIT else all)(map(nullable, s.branches))
         for s in steps
     )
 
@@ -379,7 +382,7 @@ def _firsts(steps: tuple[Step, ...]) -> frozenset[int]:
             break
         for branch in s.branches:
             found |= _firsts(branch)
-        if not _nullable((s,)):
+        if not nullable((s,)):
             break
     return frozenset(found)
 
@@ -397,7 +400,7 @@ def _after(steps: tuple[Step, ...], task_id: int) -> tuple[Step, ...] | None:
                 if s.kind == NodeKind.XOR_SPLIT:
                     return left + rest
                 return (Gateway(s.kind, s.branches[:j] + (left,) + s.branches[j + 1 :]),) + rest
-        if not _nullable((s,)):
+        if not nullable((s,)):
             return None
     return None
 
@@ -408,7 +411,8 @@ def check_conformance(model: ProcessModel, trace: ExecutionTrace) -> Verdict:
     A trace without a normal end event is accepted as long as it is a prefix
     of some legal execution (the instance may still be in flight); once a
     normal end is present the sequence must be complete. Filler handovers
-    transfer custody without executing a model task and are skipped.
+    transfer custody without executing a model task and are skipped. A
+    conformant verdict carries what is left of the model after the trace.
     """
     left = model.body
     sequence = trace.task_sequence()
@@ -417,6 +421,6 @@ def check_conformance(model: ProcessModel, trace: ExecutionTrace) -> Verdict:
         if after is None:
             return Deviation(position, _firsts(left), task_id)
         left = after
-    if trace.ended_normally and not _nullable(left):
+    if trace.ended_normally and not nullable(left):
         return Deviation(len(sequence) + 1, _firsts(left), None)
-    return Conformant()
+    return Conformant(left)

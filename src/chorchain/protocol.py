@@ -60,6 +60,7 @@ from cryptography.hazmat.primitives.asymmetric import ed25519
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import engine as eng
+from . import model as model_mod
 from .chain import BroadcastResult
 from .crypto import Keypair, sha256, sign
 from .encoding import (
@@ -530,6 +531,8 @@ class Participant:
         # frames go to the session the sender's latest NEGOTIATE opened
         self.sessions: dict[tuple[int, str], HandoverSession] = {}
         self._latest: dict[str, HandoverSession] = {}
+        # per process id, what of the model its last accepted check 4 left
+        self._left: dict[int, tuple[model_mod.Step, ...]] = {}
         self.holdings: list[eng.ProcessToken] = []
         self.process_data: dict[int, bytes] = {}
         transport.register(self.name, self.on_request)
@@ -599,9 +602,13 @@ class Participant:
         return self._publish_step(tx, spent=tokens, minted=(token,))
 
     def end(self, process_id: int) -> EnrichedTransaction:
+        """Close the instance: a normal END only if what of the model this
+        participant's last accepted check 4 left (the whole model if none
+        ran) can finish without another task, else an extraordinary one."""
         token = self.token_for(process_id)
         self._charge()
-        tx = eng.build_end(token, token.holder_key, self._now(), self.fee_policy)
+        complete = model_mod.nullable(self._left.get(process_id, self.model.body))
+        tx = eng.build_end(token, token.holder_key, self._now(), self.fee_policy, not complete)
         return self._publish_step(tx, spent=(token,))
 
     def _publish_extraordinary_end(self, token: eng.ProcessToken) -> bytes | None:
@@ -826,6 +833,12 @@ class Participant:
         return session
 
     def _on_negotiate(self, src: str, frame: bytes, body: bytes) -> bytes:
+        """Open a session with ``src``, which replaces its previous one. A
+        replay of the NEGOTIATE that opened the live session is refused and
+        touches no session."""
+        live = self._session_for(src)
+        if live is not None and live.transcript.startswith(pack_fields(frame)):
+            return _ack(1, "replayed NEGOTIATE of the live session")
         terms_bytes, cert_bytes = unpack_fields(body, 2)
         terms = NegotiatedTerms.from_bytes(terms_bytes)
         cert = Certificate.from_bytes(cert_bytes)
@@ -893,6 +906,7 @@ class Participant:
         if not verdict.accepted:
             check = verdict.failed_check
             return _refuse(session, f"check {check}: {verdict.reason}", verdict.reason, check=check)
+        self._left[session.terms.process_id] = verdict.left
         signature = sign(signing_digest(tx), session.receive_key)
         session.data_key = data_key
         session.plaintext = plaintext

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -143,6 +144,20 @@ def test_evaluation_script_runs_at_one_seed():
     lines = _python(str(script), "--seeds", "1").stdout.splitlines()
     assert "  fault detection: 30/30" in lines
     assert "  value conservation exact in all verified runs: True" in lines
+
+
+def test_audit_corpus_script_runs_on_model_1():
+    """scripts/audit_corpus.py over model 1's seed-11 dump and its edits,
+    without the recorded dumps: every audit gives a report or an exception,
+    and the dump loader refuses some edits but not all."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "audit_corpus.py"
+    spec = importlib.util.spec_from_file_location("audit_corpus", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    audits, refused, digest = module.digest(module.corpus(models=(1,), recorded=False))
+    assert audits == 1 + 2 * 16 + 8 * 7  # the dump; 16 deletes, 16 duplicates; 7 tx lines
+    assert 0 < refused < audits
+    assert len(digest) == 64
 
 
 @pytest.mark.parametrize(

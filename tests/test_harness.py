@@ -426,16 +426,19 @@ def test_a_skipped_task_is_refused_at_the_handover_that_skips_it(task, tx_count)
     assert audit.all_clean
 
 
-def test_a_skipped_last_task_ends_normally_and_is_flagged():
+def test_a_skipped_last_task_is_refused_at_the_end():
     """A filler handover after task 2 is a legal step of an unfinished
-    instance, so nobody refuses it, and the owner ends the instance
-    normally; the trace report and the audit flag the missing task 3."""
+    instance, so the owner's check 4 accepts it. What it leaves of the model
+    still needs task 3, so the owner ends the instance with an extraordinary
+    END, and the chain holds a legal prefix."""
     metrics, report, audit = _run_skipping(3)
-    assert not metrics.aborted and metrics.detection == ""
-    assert report["verdict"] == (
-        "deviation: Deviation(position=3, expected=frozenset({3}), actual=None)"
-    )
-    assert not audit.all_clean and not audit.instances[0].conformant
+    assert metrics.aborted and metrics.detection == "detected"
+    assert metrics.tx_count == 5  # start, handovers for tasks 1 and 2, filler, extraordinary end
+    handed = [e["task_id"] for e in report["events"] if e["kind"] == "handover"]
+    assert handed == [1, 2, H.eng.FILLER_TASK_ID]
+    assert report["events"][-1]["extraordinary"]
+    assert report["verdict"] == "conformant"
+    assert audit.all_clean
 
 
 @pytest.mark.parametrize("greedy", [False, True])
@@ -772,7 +775,7 @@ def test_audit_recovers_keys_only_for_frontier_handovers(model_id, monkeypatch):
         return recover(digest, signature)
 
     monkeypatch.setattr(crypto, "recover_candidates", counted)
-    monkeypatch.setattr(H, "recover_candidates", counted)
+    monkeypatch.setattr(H.eng, "recover_candidates", counted)
     dump, lines, instance = _seed11_dump(model_id)
     assert H.audit(dump, model_doc(model_id)).all_clean
     assert recovered == []
@@ -810,7 +813,7 @@ def test_batched_verification_gives_the_serial_reports(model_id, monkeypatch):
         except DumpFormatError:
             pass
     assert batched
-    monkeypatch.setattr(H, "verify_many", lambda checks: [crypto.verify(*check) for check in checks])
+    monkeypatch.setattr(H.eng, "verify_many", lambda checks: [crypto.verify(*check) for check in checks])
     for i, report in batched.items():
         assert H.audit("\n".join(edited[i]) + "\n", model_doc(model_id)).to_json() == report
 

@@ -610,6 +610,25 @@ def test_receiver_refuses_a_certificate_issued_to_another_party():
     assert owner.exchange_addresses(session) and owner.run_sender(session).published
 
 
+def test_receiver_refuses_a_replayed_negotiate_of_the_live_session():
+    """The owner's NEGOTIATE, replayed at alice 120 simulated seconds after
+    the owner sent it and its data, is refused and leaves the owner's live
+    session as it was, so the owner's handover publishes."""
+    env = Env()
+    alice, owner = env.participants["alice"], env.owner()
+    session = owner.open_session("alice", P.NegotiatedTerms(1, 1, int(env.sim.now)))
+    assert owner.negotiate(session) and owner.transfer_data(session, b"payload-1")
+    live = alice._latest["owner"]
+    negotiate = P.unpack_fields(live.transcript, 4)[0]
+    env.sim.advance_time(120, "idle")
+    assert ack_status(alice.on_request("owner", negotiate)) == (
+        1, "replayed NEGOTIATE of the live session"
+    )
+    assert alice._latest["owner"] is live
+    assert live.state == P.SessionState.DATA_TRANSFERRED
+    assert owner.exchange_addresses(session) and owner.run_sender(session).published
+
+
 def test_sender_refuses_a_certificate_issued_to_another_party():
     """The owner negotiates with alice and bob answers, under his own
     certificate: the owner refuses the reply."""
